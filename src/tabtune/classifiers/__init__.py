@@ -166,14 +166,12 @@ class TrainedModel:
     config: dict
     model: Any
     train_seed: int
-    train_accuracy: float
     fit_seconds: float
 
     def summary(self) -> dict:
         return {
             "family": self.family,
             "config": dict(self.config),
-            "train_accuracy": self.train_accuracy,
             "fit_seconds": self.fit_seconds,
         }
 
@@ -228,13 +226,11 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
     started = time.perf_counter()
     model = _fit(spec.family, cfg, data.features, data.labels, seed)
     fit_seconds = time.perf_counter() - started
-    train_accuracy = accuracy(model.predict(data.features), data.labels)
     return TrainedModel(
         family=spec.family,
         config=cfg,
         model=model,
         train_seed=seed,
-        train_accuracy=train_accuracy,
         fit_seconds=fit_seconds,
     )
 

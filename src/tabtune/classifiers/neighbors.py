@@ -8,10 +8,11 @@ import numpy as np
 class KNearestNeighbors:
     """Stores the training matrix; votes among the k nearest rows.
 
-    Neighbor ranking uses a stable sort on distance, so equidistant rows
-    keep training order. Vote ties resolve toward label 0. With distance
-    weighting, votes are weighted 1/d; if any of the k neighbors sits at
-    distance exactly 0, only those zero-distance neighbors vote.
+    Neighbor ranking orders rows by (distance, training index), so among
+    equidistant rows the earlier one ranks first. Vote ties resolve toward
+    label 0. With distance weighting, votes are weighted 1/d; if any of the
+    k neighbors sits at distance exactly 0, only those zero-distance
+    neighbors vote.
     """
 
     def __init__(self, n_neighbors=5, weighting="uniform"):
@@ -38,23 +39,52 @@ class KNearestNeighbors:
             - 2.0 * X @ self.X_.T
         )
         np.maximum(d2, 0.0, out=d2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            idx = nearest[i]
-            labels = self.y_[idx]
-            if self.weighting == "uniform":
-                score1 = 2 * int(labels.sum()) - k  # votes for 1 minus votes for 0
-                out[i] = 1 if score1 > 0 else 0
-            else:
-                dist = np.sqrt(d2[i, idx])
-                zero = dist == 0.0
-                if zero.any():
-                    zl = labels[zero]
-                    out[i] = 1 if 2 * int(zl.sum()) > len(zl) else 0
-                else:
-                    weights = 1.0 / dist
-                    w1 = float(weights[labels == 1].sum())
-                    w0 = float(weights[labels == 0].sum())
-                    out[i] = 1 if w1 > w0 else 0
+        nearest = _k_nearest(d2, k)
+        labels = self.y_[nearest]
+        if self.weighting == "uniform":
+            return (2 * labels.sum(axis=1) > k).astype(np.int64)
+
+        dist = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
+        zero = dist == 0.0
+        ones = labels == 1
+        n_zero = zero.sum(axis=1)
+        zero_vote = 2 * (zero & ones).sum(axis=1) > n_zero
+        weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=~zero)
+        w1 = np.where(ones, weights, 0.0).sum(axis=1)
+        w0 = np.where(labels == 0, weights, 0.0).sum(axis=1)
+        out = np.where(n_zero > 0, zero_vote, w1 > w0).astype(np.int64)
+        # In any order, a sum of k positive terms is within (k - 1) * eps / 2
+        # of its exact value, relative to the sum. So the vote can differ from
+        # summing each label's weights in neighbor order only in rows this
+        # close; those rows are settled by that per-row rule.
+        close = np.abs(w1 - w0) <= k * np.finfo(float).eps * (w1 + w0)
+        for i in np.flatnonzero(close & (n_zero == 0)):
+            row_w, row_y = weights[i], labels[i]
+            out[i] = 1 if float(row_w[row_y == 1].sum()) > float(row_w[row_y == 0].sum()) else 0
         return out
+
+
+def _k_nearest(d2, k):
+    """Indices of each row's k smallest entries, ordered by (value, index).
+
+    Equals ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: a partition finds the k-th smallest value, every entry below
+    it is taken, and entries equal to it are taken lowest index first. Only
+    rows with more than k candidates pay for that tie-break.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    chosen = d2 <= kth
+    # NaN sorts after every number: when the k-th value is NaN, all of the
+    # row's numbers rank first and its NaNs tie for the remaining places.
+    chosen[np.isnan(kth[:, 0])] = True
+    surplus = chosen.sum(axis=1) - k
+    tied = np.flatnonzero(surplus > 0)
+    if tied.size:
+        rows, row_kth = d2[tied], kth[tied]
+        at_kth = (rows == row_kth) | (np.isnan(rows) & np.isnan(row_kth))
+        rank = np.cumsum(at_kth, axis=1, dtype=np.int32)
+        keep = rank[:, -1:] - surplus[tied, None]
+        chosen[tied] &= ~(at_kth & (rank > keep))
+    cols = np.nonzero(chosen)[1].reshape(len(d2), k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 tuning error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from .config import ConfigError, load_run_config
 from .preprocess import add_derived_column, apply_plan, fit_plan
 from .report import render_chart, render_table
 from .tabular import filter_rows, generate_synthetic, load_csv, split_train_test, write_csv
-from .tuner import grs_auto_hp
+from .tuner import grs_auto_hp, max_workers_cap
 
 logger = logging.getLogger(__name__)
 
@@ -31,11 +32,29 @@ EXIT_TUNING = 4
 EXIT_OUTPUT = 5
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_all(outputs) -> None:
+    """Write every ``(path, text)`` pair, all or nothing.
+
+    Each text goes to a temporary name next to its path; renames start only
+    once every temporary file is written. On any failure the temporary
+    files and every output already renamed into place are removed.
+    """
+    staged = []
+    placed = []
+    try:
+        for path, text in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+            staged.append(tmp)
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, (path, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in staged + placed:
+            with contextlib.suppress(OSError):
+                leftover.unlink(missing_ok=True)
+        raise
 
 
 def _load_table(config):
@@ -57,6 +76,11 @@ def cmd_run(args) -> int:
     try:
         config = load_run_config(args.config)
     except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        max_workers_cap()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -93,9 +117,11 @@ def cmd_run(args) -> int:
 
     try:
         report_dict = report.to_dict(tool_version=__version__)
-        _write_atomic(config.report_path, json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
-        _write_atomic(config.table_path, render_table(report_dict))
-        _write_atomic(config.chart_path, render_chart(report_dict))
+        _write_all([
+            (config.report_path, json.dumps(report_dict, indent=2, sort_keys=True) + "\n"),
+            (config.table_path, render_table(report_dict)),
+            (config.chart_path, render_chart(report_dict)),
+        ])
     except Exception as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
@@ -118,10 +144,12 @@ def cmd_render(args) -> int:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
+        outputs = []
         if args.table:
-            _write_atomic(Path(args.table), render_table(report_dict))
+            outputs.append((Path(args.table), render_table(report_dict)))
         if args.chart:
-            _write_atomic(Path(args.chart), render_chart(report_dict))
+            outputs.append((Path(args.chart), render_chart(report_dict)))
+        _write_all(outputs)
     except Exception as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

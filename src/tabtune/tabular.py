@@ -27,7 +27,7 @@ _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
 
 class CsvParseError(ValueError):
-    """Malformed CSV content (ragged rows, missing header)."""
+    """Malformed CSV content (ragged rows, missing header, non-finite numbers)."""
 
 
 class SchemaError(ValueError):
@@ -135,8 +135,9 @@ def load_csv(path, target_column: str) -> Table:
 
     A column is numeric iff every non-missing cell parses as a decimal
     number; anything else is categorical. Empty fields and the literal
-    "NA" are missing. The target column must carry exactly two distinct
-    values and no missing cells.
+    "NA" are missing. A numeric cell that overflows to infinity (``1e999``)
+    raises CsvParseError naming its row and column. The target column must
+    carry exactly two distinct values and no missing cells.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -178,6 +179,12 @@ def load_csv(path, target_column: str) -> Table:
             values = np.array(
                 [float(cell) if not m else math.nan for cell, m in zip(raw, mask)]
             )
+            overflow = np.flatnonzero(~np.isfinite(values) & ~mask)
+            if overflow.size:
+                row = int(overflow[0])
+                raise CsvParseError(
+                    f"{path}: row {row + 1}, column {name!r}: {raw[row]!r} is not a finite number"
+                )
             schema.append(ColumnSchema(name, NUMERIC))
         else:
             levels = sorted(set(present))

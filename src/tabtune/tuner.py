@@ -138,11 +138,28 @@ def _trial_task(args):
     return cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
 
 
+def max_workers_cap() -> int | None:
+    """The worker cap set by ``TABTUNE_MAX_WORKERS``, or None when unset.
+
+    Anything but a positive integer raises ValueError naming the variable.
+    """
+    raw = os.environ.get(MAX_WORKERS_ENV)
+    if raw is None:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{MAX_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
 def _effective_workers(requested: int) -> int:
-    cap = os.environ.get(MAX_WORKERS_ENV)
+    cap = max_workers_cap()
     workers = max(1, int(requested))
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        workers = min(workers, cap)
     return workers
 
 

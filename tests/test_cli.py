@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from tabtune.cli import EXIT_CONFIG, EXIT_DATA, main
+from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, main
 from tabtune.config import ConfigError, load_run_config
 from tabtune.report import strip_volatile
+from tabtune.tuner import MAX_WORKERS_ENV
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -63,6 +64,51 @@ def test_run_missing_csv_is_a_data_error(tmp_path, capsys):
         tmp_path, data={"csv": {"path": "absent.csv", "target": "y"}}
     )
     assert main(["run", str(config_path)]) == EXIT_DATA
+
+
+def test_run_infinite_csv_cell_is_a_data_error(tmp_path, capsys):
+    lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    column = header.index("entry_gpa")
+    cells = lines[7].split(",")
+    cells[column] = "1e999"
+    lines[7] = ",".join(cells)
+    poisoned = tmp_path / "poisoned.csv"
+    poisoned.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": str(poisoned), "target": "graduated"}}
+    )
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "row 7" in err and "'entry_gpa'" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_rejects_bad_worker_cap_before_loading(tmp_path, capsys, monkeypatch):
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": "absent.csv", "target": "y"}}
+    )
+    monkeypatch.setenv(MAX_WORKERS_ENV, "abc")
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert MAX_WORKERS_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocker", ["file_as_parent", "directory_at_path"])
+def test_run_failed_chart_write_leaves_no_outputs(tmp_path, capsys, blocker):
+    if blocker == "file_as_parent":
+        (tmp_path / "blocked").write_text("not a directory", encoding="utf-8")
+        chart = tmp_path / "blocked" / "chart.svg"
+    else:
+        chart = tmp_path / "chart.svg"
+        chart.mkdir()
+    config_path, doc = _small_config(tmp_path)
+    doc["output"]["chart"] = str(chart)
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config_path)]) == EXIT_OUTPUT
+    assert "output error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "table.md").exists()
+    assert not list(tmp_path.rglob("*.tmp-*"))
 
 
 def test_run_bad_json_config(tmp_path):

@@ -98,7 +98,7 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
     def fake_train(spec, part, seed):
         from tabtune.classifiers import TrainedModel
 
-        return TrainedModel(spec.family, dict(spec.config), _AlwaysZero(), seed, 0.0, 0.0)
+        return TrainedModel(spec.family, dict(spec.config), _AlwaysZero(), seed, 0.0)
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
     trial = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
@@ -137,6 +137,26 @@ def test_single_class_fold_scores_zero_with_warning(caplog):
     # fold 0 holds out both 1-labels, so its training part is single-class
     assert trial.fold_accuracies[0] == 0.0
     assert any("single-class" in message for message in caplog.messages)
+
+
+def test_trial_scores_only_held_out_rows(monkeypatch):
+    # every row is held out exactly once; no fold scores its own training rows
+    from tabtune.classifiers import GaussianNaiveBayes, KNearestNeighbors
+
+    data = _noisy(61, seed=5)
+    folds = shuffle_kfold(61, 4, seed=3)
+    for family, cls in (("NB", GaussianNaiveBayes), ("KNN", KNearestNeighbors)):
+        scored = []
+        original = cls.predict
+
+        def counting_predict(self, X, original=original):
+            scored.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(cls, "predict", counting_predict)
+        cross_val_trial(ModelSpec(family, {}), data, folds, seed=0)
+        assert sum(scored) == data.n_rows, family
+        assert len(scored) == folds.k, family
 
 
 def test_trial_rejects_mismatched_fold_plan():
@@ -243,6 +263,10 @@ def test_workers_env_cap(monkeypatch):
     assert tuner_module._effective_workers(8) == 1
     monkeypatch.delenv(tuner_module.MAX_WORKERS_ENV)
     assert tuner_module._effective_workers(3) == 3
+    for bad in ("abc", "", "0", "-2", "1.5"):
+        monkeypatch.setenv(tuner_module.MAX_WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=tuner_module.MAX_WORKERS_ENV):
+            tuner_module.max_workers_cap()
 
 
 def test_parallel_equals_sequential():
