@@ -2,8 +2,10 @@
 
 Families: DT (decision tree), RF (random forest), NB (Gaussian naive Bayes),
 LR (logistic regression), KNN (k nearest neighbors), SVM (linear SVM), and
-GBT (gradient-boosted trees). Each declares an ordered hyper-parameter
-schema with bounds and defaults; ``train`` validates configs against it.
+GBT (gradient-boosted trees). One table maps each family to its model class
+and its ordered hyper-parameter schema (bounds and defaults); ``train``
+validates configs against the schema and passes them to the class as
+keyword arguments.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ..hpspace import CATEGORICAL, CONTINUOUS, INTEGER, ParamSpec
 from ..preprocess import DesignMatrix
 from .bayes import GaussianNaiveBayes
 from .boosting import GradientBoostedTrees, mean_logloss
@@ -24,7 +27,6 @@ from .tree import DecisionTree, best_split, entropy_impurity, gini_impurity
 
 __all__ = [
     "FAMILIES",
-    "HpSpec",
     "ModelSpec",
     "TrainedModel",
     "SingleClassError",
@@ -49,67 +51,60 @@ __all__ = [
     "GradientBoostedTrees",
 ]
 
-FAMILIES = ("DT", "RF", "NB", "LR", "KNN", "SVM", "GBT")
-
-CONTINUOUS = "continuous"
-INTEGER = "integer"
-CATEGORICAL = "categorical"
-
 
 class SingleClassError(ValueError):
     """Training data contains only one class; every family refuses to fit."""
 
 
 @dataclass(frozen=True)
-class HpSpec:
-    name: str
-    kind: str
-    lo: float | None = None
-    hi: float | None = None
-    choices: tuple[str, ...] = ()
-    default: Any = None
+class _Family:
+    model: type  # constructor keywords are the schema names
+    schema: tuple[ParamSpec, ...]
+    seeded: bool = False  # the constructor also takes the training seed
 
 
-_SCHEMAS: dict[str, tuple[HpSpec, ...]] = {
-    "DT": (
-        HpSpec("max_depth", INTEGER, 1, 20, default=10),
-        HpSpec("min_samples_split", INTEGER, 2, 10, default=2),
-        HpSpec("criterion", CATEGORICAL, choices=("gini", "entropy"), default="gini"),
-    ),
-    "RF": (
-        HpSpec("n_estimators", INTEGER, 5, 100, default=50),
-        HpSpec("max_depth", INTEGER, 1, 20, default=10),
-        HpSpec("max_features_frac", CONTINUOUS, 0.1, 1.0, default=1.0),
-    ),
-    "NB": (
-        HpSpec("var_smoothing_exp", CONTINUOUS, -12.0, -6.0, default=-9.0),
-    ),
-    "LR": (
-        HpSpec("l2_strength", CONTINUOUS, 0.0, 2.0, default=0.0),
-        HpSpec("learning_rate", CONTINUOUS, 0.01, 1.0, default=0.1),
-        HpSpec("epochs", INTEGER, 10, 200, default=100),
-    ),
-    "KNN": (
-        HpSpec("n_neighbors", INTEGER, 1, 25, default=5),
-        HpSpec("weighting", CATEGORICAL, choices=("uniform", "distance"), default="uniform"),
-    ),
-    "SVM": (
-        HpSpec("c", CONTINUOUS, 0.5, 4.0, default=1.0),
-        HpSpec("epochs", INTEGER, 10, 200, default=100),
-    ),
-    "GBT": (
-        HpSpec("n_estimators", INTEGER, 5, 100, default=50),
-        HpSpec("learning_rate", CONTINUOUS, 0.05, 1.0, default=0.3),
-        HpSpec("max_depth", INTEGER, 1, 6, default=3),
-    ),
+_FAMILY_TABLE: dict[str, _Family] = {
+    "DT": _Family(DecisionTree, (
+        ParamSpec("max_depth", INTEGER, 1, 20, default=10),
+        ParamSpec("min_samples_split", INTEGER, 2, 10, default=2),
+        ParamSpec("criterion", CATEGORICAL, choices=("gini", "entropy"), default="gini"),
+    )),
+    "RF": _Family(RandomForest, (
+        ParamSpec("n_estimators", INTEGER, 5, 100, default=50),
+        ParamSpec("max_depth", INTEGER, 1, 20, default=10),
+        ParamSpec("max_features_frac", CONTINUOUS, 0.1, 1.0, default=1.0),
+    ), seeded=True),
+    "NB": _Family(GaussianNaiveBayes, (
+        ParamSpec("var_smoothing_exp", CONTINUOUS, -12.0, -6.0, default=-9.0),
+    )),
+    "LR": _Family(LogisticRegression, (
+        ParamSpec("l2_strength", CONTINUOUS, 0.0, 2.0, default=0.0),
+        ParamSpec("learning_rate", CONTINUOUS, 0.01, 1.0, default=0.1),
+        ParamSpec("epochs", INTEGER, 10, 200, default=100),
+    )),
+    "KNN": _Family(KNearestNeighbors, (
+        ParamSpec("n_neighbors", INTEGER, 1, 25, default=5),
+        ParamSpec("weighting", CATEGORICAL, choices=("uniform", "distance"), default="uniform"),
+    )),
+    "SVM": _Family(LinearSVM, (
+        ParamSpec("c", CONTINUOUS, 0.5, 4.0, default=1.0),
+        ParamSpec("epochs", INTEGER, 10, 200, default=100),
+    )),
+    "GBT": _Family(GradientBoostedTrees, (
+        ParamSpec("n_estimators", INTEGER, 5, 100, default=50),
+        ParamSpec("learning_rate", CONTINUOUS, 0.05, 1.0, default=0.3),
+        ParamSpec("max_depth", INTEGER, 1, 6, default=3),
+    )),
 }
 
+FAMILIES = tuple(_FAMILY_TABLE)
 
-def hp_schema(family: str) -> tuple[HpSpec, ...]:
+
+def hp_schema(family: str) -> tuple[ParamSpec, ...]:
     """Ordered hyper-parameter schema (name, kind, bounds, default) for a family."""
-    if family not in _SCHEMAS:
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown classifier family {family!r}, expected one of {FAMILIES}")
-    return _SCHEMAS[family]
+    return _FAMILY_TABLE[family].schema
 
 
 def default_config(family: str) -> dict:
@@ -134,23 +129,18 @@ def validate_config(family: str, config) -> dict:
                 raise ValueError(
                     f"{family}.{spec.name}: {value!r} not in choices {spec.choices}"
                 )
-            full[spec.name] = value
-        elif spec.kind == INTEGER:
-            if float(value) != int(value):
-                raise ValueError(f"{family}.{spec.name}: expected an integer, got {value!r}")
-            value = int(value)
-            if not spec.lo <= value <= spec.hi:
-                raise ValueError(
-                    f"{family}.{spec.name}: {value} outside bounds [{spec.lo}, {spec.hi}]"
-                )
-            full[spec.name] = value
         else:
-            value = float(value)
+            if spec.kind == INTEGER:
+                if float(value) != int(value):
+                    raise ValueError(f"{family}.{spec.name}: expected an integer, got {value!r}")
+                value = int(value)
+            else:
+                value = float(value)
             if not spec.lo <= value <= spec.hi:
                 raise ValueError(
                     f"{family}.{spec.name}: {value} outside bounds [{spec.lo}, {spec.hi}]"
                 )
-            full[spec.name] = value
+        full[spec.name] = value
     return full
 
 
@@ -176,43 +166,6 @@ class TrainedModel:
         }
 
 
-def _fit(family: str, cfg: dict, X, y, seed: int):
-    if family == "DT":
-        return DecisionTree(
-            max_depth=cfg["max_depth"],
-            min_samples_split=cfg["min_samples_split"],
-            criterion=cfg["criterion"],
-        ).fit(X, y)
-    if family == "RF":
-        return RandomForest(
-            n_estimators=cfg["n_estimators"],
-            max_depth=cfg["max_depth"],
-            max_features_frac=cfg["max_features_frac"],
-            seed=seed,
-        ).fit(X, y)
-    if family == "NB":
-        return GaussianNaiveBayes(var_smoothing_exp=cfg["var_smoothing_exp"]).fit(X, y)
-    if family == "LR":
-        return LogisticRegression(
-            l2_strength=cfg["l2_strength"],
-            learning_rate=cfg["learning_rate"],
-            epochs=cfg["epochs"],
-        ).fit(X, y)
-    if family == "KNN":
-        return KNearestNeighbors(
-            n_neighbors=cfg["n_neighbors"], weighting=cfg["weighting"]
-        ).fit(X, y)
-    if family == "SVM":
-        return LinearSVM(c=cfg["c"], epochs=cfg["epochs"]).fit(X, y)
-    if family == "GBT":
-        return GradientBoostedTrees(
-            n_estimators=cfg["n_estimators"],
-            learning_rate=cfg["learning_rate"],
-            max_depth=cfg["max_depth"],
-        ).fit(X, y)
-    raise ValueError(f"unknown classifier family {family!r}")
-
-
 def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
     """Fit one family with a validated config; deterministic given seed."""
     cfg = validate_config(spec.family, spec.config)
@@ -223,8 +176,10 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
         raise SingleClassError(
             f"{spec.family}: training data contains a single class ({labels.tolist()})"
         )
+    family = _FAMILY_TABLE[spec.family]
+    seed_arg = {"seed": seed} if family.seeded else {}
     started = time.perf_counter()
-    model = _fit(spec.family, cfg, data.features, data.labels, seed)
+    model = family.model(**cfg, **seed_arg).fit(data.features, data.labels)
     fit_seconds = time.perf_counter() - started
     return TrainedModel(
         family=spec.family,

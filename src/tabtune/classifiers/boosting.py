@@ -8,18 +8,10 @@ non-increasing stage over stage for any learning rate up to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .linear import sigmoid
+from .tree import grow, predict_tree
 
 
 def mean_logloss(y, scores) -> float:
@@ -27,79 +19,15 @@ def mean_logloss(y, scores) -> float:
     return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
 
 
-def _best_split_sse(X, r):
-    """(feature, threshold) with the largest squared-error reduction over
-    every column at once, or None. Ties: smallest threshold, then smallest
-    feature index."""
-    n, d = X.shape
-    if n < 2 or d == 0:
-        return None
-    order = np.argsort(X, axis=0)
-    xs = np.take_along_axis(X, order, axis=0)
-    rs = r[order]
-    boundary = xs[1:] != xs[:-1]
-    if not boundary.any():
-        return None
-    s = np.cumsum(rs, axis=0)
-    q = np.cumsum(rs * rs, axis=0)
-    n_left = np.arange(1, n, dtype=float)[:, None]
-    n_right = n - n_left
-    s_left = s[:-1]
-    s_right = s[-1] - s_left
-    sse_left = q[:-1] - s_left * s_left / n_left
-    sse_right = (q[-1] - q[:-1]) - s_right * s_right / n_right
-    sse_total = q[-1] - s[-1] * s[-1] / n
-    gains = sse_total - sse_left - sse_right
-    gains[~boundary] = -np.inf
-    best_rows = np.argmax(gains, axis=0)
-    best_gains = gains[best_rows, np.arange(d)]
-    feature = int(np.argmax(best_gains))
-    gain = best_gains[feature]
-    if not np.isfinite(gain) or gain <= 0.0:
-        return None
-    row = best_rows[feature]
-    threshold = (xs[row, feature] + xs[row + 1, feature]) / 2.0
-    return feature, float(threshold)
+def _residual_mean(r) -> float:
+    return float(r.mean())
 
 
-@dataclass
-class _RegressionNode:
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_RegressionNode | None" = None
-    right: "_RegressionNode | None" = None
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
-def _grow_regression(X, r, depth, max_depth):
-    if depth >= max_depth or len(r) < 2:
-        return _RegressionNode(value=float(r.mean()))
-    found = _best_split_sse(X, r)
-    if found is None:
-        return _RegressionNode(value=float(r.mean()))
-    feature, threshold = found
-    mask = X[:, feature] <= threshold
-    if mask.all() or not mask.any():
-        return _RegressionNode(value=float(r.mean()))
-    node = _RegressionNode(feature=feature, threshold=threshold)
-    node.left = _grow_regression(X[mask], r[mask], depth + 1, max_depth)
-    node.right = _grow_regression(X[~mask], r[~mask], depth + 1, max_depth)
-    return node
-
-
-def _predict_regression(node, X, rows, out):
-    if rows.size == 0:
-        return
-    if node.is_leaf:
-        out[rows] = node.value
-        return
-    mask = X[rows, node.feature] <= node.threshold
-    _predict_regression(node.left, X, rows[mask], out)
-    _predict_regression(node.right, X, rows[~mask], out)
+def _too_few_rows(r) -> bool:
+    # No purity stop: a node whose residuals are all equal is still searched
+    # and split whenever rounding leaves a positive gain. Stopping there would
+    # change leaf values in their last bits, and with them the reports.
+    return len(r) < 2
 
 
 class GradientBoostedTrees:
@@ -122,11 +50,10 @@ class GradientBoostedTrees:
         self.trees_ = []
         self.stage_logloss_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
-            residual = y - _sigmoid(scores)
-            tree = _grow_regression(X, residual, 0, self.max_depth)
-            update = np.zeros(len(y))
-            _predict_regression(tree, X, np.arange(len(y)), update)
-            scores = scores + self.learning_rate * update
+            residual = y - sigmoid(scores)
+            tree = grow(X, residual, "sse", self.max_depth,
+                        stop=_too_few_rows, leaf_value=_residual_mean)
+            scores = scores + self.learning_rate * predict_tree(tree, X)
             self.trees_.append(tree)
             self.stage_logloss_.append(mean_logloss(y, scores))
         return self
@@ -134,11 +61,8 @@ class GradientBoostedTrees:
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)
         scores = np.full(X.shape[0], self.base_score_)
-        rows = np.arange(X.shape[0])
         for tree in self.trees_:
-            update = np.zeros(X.shape[0])
-            _predict_regression(tree, X, rows, update)
-            scores = scores + self.learning_rate * update
+            scores = scores + self.learning_rate * predict_tree(tree, X)
         return scores
 
     def predict(self, X):

@@ -33,10 +33,11 @@ def logloss_gradient(weights, data, l2_strength: float):
     entry; the bias is never regularized. ``data`` is a DesignMatrix.
     """
     X = data.features
-    y = data.labels
-    w = _check_weights(weights, X.shape[1])
-    z = X @ w[:-1] + w[-1]
-    err = sigmoid(z) - y
+    return _gradient(_check_weights(weights, X.shape[1]), X, data.labels, l2_strength)
+
+
+def _gradient(w, X, y, l2_strength):
+    err = sigmoid(X @ w[:-1] + w[-1]) - y
     grad = np.empty_like(w)
     grad[:-1] = X.T @ err / len(y) + l2_strength * w[:-1]
     grad[-1] = err.mean()
@@ -66,16 +67,10 @@ class LogisticRegression:
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        n, d = X.shape
-        self.n_features_ = d
-        w = np.zeros(d + 1)
+        self.n_features_ = X.shape[1]
+        w = np.zeros(X.shape[1] + 1)
         for _ in range(self.epochs):
-            z = X @ w[:-1] + w[-1]
-            err = sigmoid(z) - y
-            grad = np.empty_like(w)
-            grad[:-1] = X.T @ err / n + self.l2_strength * w[:-1]
-            grad[-1] = err.mean()
-            w -= self.learning_rate * grad
+            w -= self.learning_rate * _gradient(w, X, y, self.l2_strength)
         self.weights_ = w
         return self
 

@@ -9,12 +9,11 @@ parameters, except any parameter named ``n_estimators`` which steps by 5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import Any
 
 import numpy as np
-
-from . import classifiers
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -35,6 +34,7 @@ class ParamSpec:
     hi: float | None = None
     step: float | None = None
     choices: tuple = ()
+    default: Any = None  # a family schema's default; pinned() fixes it
 
     def __post_init__(self):
         if self.kind == CATEGORICAL:
@@ -68,8 +68,7 @@ class ParamSpec:
         if self.kind == CATEGORICAL:
             return list(self.choices)
         step = self.resolved_step()
-        count = int(math.floor((self.hi - self.lo) / step + _STEP_TOLERANCE)) + 1
-        values = [self.lo + i * step for i in range(count)]
+        values = [self.lo + i * step for i in range(self.grid_count())]
         if values[-1] > self.hi:  # float accumulation overshoot
             values[-1] = self.hi
         if self.kind == INTEGER:
@@ -81,6 +80,12 @@ class ParamSpec:
             return len(self.choices)
         step = self.resolved_step()
         return int(math.floor((self.hi - self.lo) / step + _STEP_TOLERANCE)) + 1
+
+    def pinned(self) -> "ParamSpec":
+        """This parameter fixed at its default: a one-value space."""
+        if self.kind == CATEGORICAL:
+            return replace(self, choices=(self.default,))
+        return replace(self, lo=self.default, hi=self.default)
 
     def sample(self, rng: np.random.Generator):
         if self.kind == CATEGORICAL:
@@ -127,15 +132,9 @@ def random_sample(space: SearchSpace, budget: int, seed: int) -> list[dict]:
 
 def fixed_space(family: str) -> SearchSpace:
     """Search space pinning every parameter of a family at its default."""
-    params = []
-    for spec in classifiers.hp_schema(family):
-        if spec.kind == CATEGORICAL:
-            params.append(ParamSpec(spec.name, CATEGORICAL, choices=(spec.default,)))
-        else:
-            params.append(
-                ParamSpec(spec.name, spec.kind, lo=spec.default, hi=spec.default)
-            )
-    return SearchSpace(family=family, params=tuple(params))
+    from .classifiers import hp_schema
+
+    return SearchSpace(family=family, params=tuple(s.pinned() for s in hp_schema(family)))
 
 
 def space_from_config(family: str, mapping: dict) -> SearchSpace:
@@ -145,17 +144,16 @@ def space_from_config(family: str, mapping: dict) -> SearchSpace:
     {"choices": [...]}; parameters omitted from the mapping are pinned at
     their schema defaults. Bounds are validated against the family schema.
     """
-    schema = {spec.name: spec for spec in classifiers.hp_schema(family)}
+    from .classifiers import hp_schema
+
+    schema = {spec.name: spec for spec in hp_schema(family)}
     for name in mapping:
         if name not in schema:
             raise ValueError(f"{family}: unknown hyper-parameter {name!r} in search space")
     params = []
-    for spec in classifiers.hp_schema(family):
+    for spec in schema.values():
         if spec.name not in mapping:
-            if spec.kind == CATEGORICAL:
-                params.append(ParamSpec(spec.name, CATEGORICAL, choices=(spec.default,)))
-            else:
-                params.append(ParamSpec(spec.name, spec.kind, lo=spec.default, hi=spec.default))
+            params.append(spec.pinned())
             continue
         entry = mapping[spec.name]
         if not isinstance(entry, dict):

@@ -82,7 +82,9 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
 
     A feature column is dropped iff its missing fraction is strictly greater
     than ``missing_threshold``; the target is never dropped. Scale statistics
-    use non-missing training values only (population std for zscore).
+    use non-missing training values only (population std for zscore). A
+    column whose imputation mean, or whose range (minmax) or std (zscore),
+    overflows to a non-finite value raises ``PlanError`` naming it.
     """
     if train.n_rows == 0:
         raise PlanError("cannot fit a preprocessing plan on an empty table")
@@ -104,12 +106,14 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
         if col.kind == NUMERIC:
             values = train.columns[col.name][~train.missing[col.name]]
             if values.size:
-                numeric_stats[col.name] = {
-                    "mean": float(values.mean()),
-                    "std": float(values.std()),
-                    "min": float(values.min()),
-                    "max": float(values.max()),
-                }
+                with np.errstate(over="ignore", invalid="ignore"):
+                    numeric_stats[col.name] = {
+                        "mean": float(values.mean()),
+                        "std": float(values.std()),
+                        "min": float(values.min()),
+                        "max": float(values.max()),
+                    }
+                _check_finite_stats(col.name, numeric_stats[col.name], scaling)
             else:
                 numeric_stats[col.name] = {"mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
         else:
@@ -130,6 +134,23 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
         target_name=target.name,
         target_categories=target.categories,
     )
+
+
+def _check_finite_stats(name: str, stats: dict, scaling: str) -> None:
+    """Finite cells near the float limits can overflow a statistic the plan
+    uses (the imputation mean, the min-max range or the z-score std), which
+    would scale the column to NaN or zeros; refuse the column instead."""
+    used = {"mean": stats["mean"]}
+    if scaling == "minmax":
+        used["max - min range"] = stats["max"] - stats["min"]
+    elif scaling == "zscore":
+        used["std"] = stats["std"]
+    for statistic, value in used.items():
+        if not np.isfinite(value):
+            raise PlanError(
+                f"column {name!r}: the {statistic} of its training values overflows "
+                f"to {value} (values too close to the float limits)"
+            )
 
 
 def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:

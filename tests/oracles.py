@@ -40,6 +40,35 @@ def brute_force_split(x, y, criterion="gini"):
     return best
 
 
+def brute_force_sse_split(X, r):
+    """(feature, threshold, gain) with the largest squared-error reduction,
+    trying every midpoint of every column by hand; None when no split
+    reduces it. Ties keep the first found: smallest feature, then smallest
+    threshold."""
+
+    def sse(values):
+        if not values:
+            return 0.0
+        mean = sum(values) / len(values)
+        return sum((v - mean) ** 2 for v in values)
+
+    r = list(map(float, r))
+    n = len(r)
+    total = sse(r)
+    best = None
+    for j in range(len(X[0]) if n else 0):
+        x = [float(row[j]) for row in X]
+        distinct = sorted(set(x))
+        for a, b in zip(distinct, distinct[1:]):
+            threshold = (a + b) / 2.0
+            left = [r[i] for i in range(n) if x[i] <= threshold]
+            right = [r[i] for i in range(n) if x[i] > threshold]
+            gain = total - sse(left) - sse(right)
+            if gain > 0 and (best is None or gain > best[2] + 1e-12):
+                best = (j, threshold, gain)
+    return best
+
+
 def knn_oracle(train_X, train_y, test_X, k, weighting):
     """Full pairwise distances and an explicit vote per query row."""
     out = []

@@ -22,10 +22,10 @@ from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
 from tabtune.classifiers.linear import LogisticRegression
 from tabtune.classifiers.neighbors import KNearestNeighbors
-from tabtune.classifiers.tree import DecisionTree
+from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
 from tabtune.preprocess import make_design_matrix
 
-from oracles import brute_force_split, knn_oracle, nb_oracle
+from oracles import brute_force_split, brute_force_sse_split, knn_oracle, nb_oracle
 
 
 def _matrix(X, y):
@@ -141,6 +141,25 @@ def test_best_split_matches_brute_force_on_random_columns():
             assert got is not None
             assert got[0] == pytest.approx(expected[0])
             assert got[1] == pytest.approx(expected[1], abs=1e-12)
+
+
+def test_sse_split_matches_brute_force_on_tied_columns():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 5))
+        X = np.round(rng.normal(size=(n, d)), 1)  # duplicates likely
+        X[:, rng.integers(0, d)] = rng.integers(0, 2, n)  # one binary column
+        r = rng.normal(size=n)
+        got = _best_split_matrix(X, r, "sse")
+        expected = brute_force_sse_split(X, r)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[0] == expected[0]
+            assert got[1] == pytest.approx(expected[1])
+            assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------- decision tree

@@ -238,3 +238,20 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "tabtune" in capsys.readouterr().out
+
+
+def test_run_finite_extreme_cells_are_a_data_error(tmp_path, capsys):
+    lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("entry_gpa")
+    for i in range(1, 41):  # enough rows that the training split holds both signs
+        cells = lines[i].split(",")
+        cells[column] = "1.7e308" if i % 2 else "-1.7e308"
+        lines[i] = ",".join(cells)
+    poisoned = tmp_path / "extremes.csv"
+    poisoned.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": str(poisoned), "target": "graduated"}}
+    )
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert "'entry_gpa'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

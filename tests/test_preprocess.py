@@ -278,3 +278,37 @@ def test_zscore_mean_unit_variance_examples_match_math():
     assert plan.numeric_stats["x"]["std"] == pytest.approx(2.0)  # population
     matrix = apply_plan(plan, table)
     assert matrix.features[0, 0] == pytest.approx(-1.5)
+
+
+@pytest.mark.parametrize("scaling, statistic", [("minmax", "range"), ("zscore", "std")])
+def test_finite_extremes_that_overflow_a_scale_statistic_are_rejected(scaling, statistic):
+    labels = (TARGET, ["0", "1", "0", "1"])
+    table = _table({
+        "ok": (NUMERIC, [0.0, 1.0, 2.0, 3.0]),
+        "huge": (NUMERIC, [1.7e308, -1.7e308, 0.0, 1.0]),
+        "label": labels,
+    })
+    with pytest.raises(PlanError, match=rf"'huge'.*{statistic}"):
+        fit_plan(table, 0.6, scaling=scaling)
+    # the same extremes are harmless when no scaling uses them
+    plan = fit_plan(table, 0.6, scaling="none")
+    assert plan.numeric_stats["huge"]["mean"] == 0.25
+
+
+@pytest.mark.parametrize("scaling", ["minmax", "zscore", "none"])
+def test_finite_extremes_that_overflow_the_imputation_mean_are_rejected(scaling):
+    table = _table({
+        "huge": (NUMERIC, [1.7e308, 1.7e308, None, 1.0]),
+        "label": (TARGET, ["0", "1", "0", "1"]),
+    })
+    with pytest.raises(PlanError, match=r"'huge'.*mean"):
+        fit_plan(table, 0.6, scaling=scaling)
+
+
+def test_large_finite_range_still_scales_into_unit_interval():
+    table = _table({
+        "x": (NUMERIC, [1e300, -1e300, 0.0, 5e299]),
+        "label": (TARGET, ["0", "1", "0", "1"]),
+    })
+    matrix = apply_plan(fit_plan(table, 0.6, scaling="minmax"), table)
+    assert matrix.features[:, 0].tolist() == [1.0, 0.0, 0.5, 0.75]
