@@ -19,9 +19,9 @@ import numpy as np
 from ..hpspace import CATEGORICAL, CONTINUOUS, INTEGER, ParamSpec
 from ..preprocess import DesignMatrix
 from .bayes import GaussianNaiveBayes
-from .boosting import GradientBoostedTrees, mean_logloss
+from .boosting import GradientBoostedTrees
 from .forest import RandomForest
-from .linear import LinearSVM, LogisticRegression, logloss_gradient, logloss_value
+from .linear import LinearSVM, LogisticRegression, logloss_gradient, logloss_value, mean_logloss
 from .neighbors import KNearestNeighbors
 from .tree import DecisionTree, best_split, entropy_impurity, gini_impurity
 
@@ -123,24 +123,10 @@ def validate_config(family: str, config) -> dict:
         if spec.name not in config:
             full[spec.name] = spec.default
             continue
-        value = config[spec.name]
-        if spec.kind == CATEGORICAL:
-            if value not in spec.choices:
-                raise ValueError(
-                    f"{family}.{spec.name}: {value!r} not in choices {spec.choices}"
-                )
-        else:
-            if spec.kind == INTEGER:
-                if float(value) != int(value):
-                    raise ValueError(f"{family}.{spec.name}: expected an integer, got {value!r}")
-                value = int(value)
-            else:
-                value = float(value)
-            if not spec.lo <= value <= spec.hi:
-                raise ValueError(
-                    f"{family}.{spec.name}: {value} outside bounds [{spec.lo}, {spec.hi}]"
-                )
-        full[spec.name] = value
+        try:
+            full[spec.name] = spec.check(config[spec.name])
+        except ValueError as exc:
+            raise ValueError(f"{family}.{exc}") from None
     return full
 
 

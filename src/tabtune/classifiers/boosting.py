@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import sigmoid
+from .linear import mean_logloss, sigmoid
 from .tree import grow, predict_tree
-
-
-def mean_logloss(y, scores) -> float:
-    """Mean logistic loss of raw scores against 0/1 labels."""
-    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
 
 
 def _residual_mean(r) -> float:

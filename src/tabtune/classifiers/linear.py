@@ -16,6 +16,11 @@ def sigmoid(z):
     return out
 
 
+def mean_logloss(y, scores) -> float:
+    """Mean logistic loss of raw scores against 0/1 labels."""
+    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
+
+
 def _check_weights(weights, n_features):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n_features + 1,):
@@ -49,8 +54,7 @@ def logloss_value(weights, data, l2_strength: float) -> float:
     X = data.features
     y = data.labels
     w = _check_weights(weights, X.shape[1])
-    z = X @ w[:-1] + w[-1]
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    loss = mean_logloss(y, X @ w[:-1] + w[-1])
     return loss + 0.5 * l2_strength * float(w[:-1] @ w[:-1])
 
 

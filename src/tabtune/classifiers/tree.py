@@ -152,7 +152,7 @@ def grow(X, y, criterion, max_depth, stop, leaf_value, candidates=None):
         if depth >= max_depth or stop(y):
             return _Node(leaf_value(y))
         features = None if candidates is None else candidates()
-        sub = X if features is None or len(features) == X.shape[1] else X[:, features]
+        sub = X if features is None else X[:, features]
         found = _best_split_matrix(sub, y, criterion)
         if found is None:
             return _Node(leaf_value(y))
@@ -197,7 +197,8 @@ class DecisionTree:
     """Greedy binary classification tree.
 
     ``feature_rng``/``max_features`` enable per-split feature subsampling for
-    forest use; by default every feature is considered at every node.
+    forest use when ``max_features`` is below the feature count; otherwise
+    every feature is considered at every node and no draw is made.
     """
 
     def __init__(self, max_depth=10, min_samples_split=2, criterion="gini",
@@ -216,7 +217,8 @@ class DecisionTree:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.n_features_ = X.shape[1]
-        subsample = self.feature_rng is not None and self.max_features is not None
+        subsample = (self.feature_rng is not None and self.max_features is not None
+                     and self.max_features < self.n_features_)
         self.root_ = grow(
             X, y, self.criterion, self.max_depth,
             stop=lambda labels: (len(labels) < self.min_samples_split
@@ -227,11 +229,8 @@ class DecisionTree:
         return self
 
     def _candidate_features(self):
-        d = self.n_features_
-        m = self.max_features
-        if m >= d:
-            return np.arange(d)
-        return np.sort(self.feature_rng.choice(d, size=m, replace=False))
+        return np.sort(self.feature_rng.choice(self.n_features_, size=self.max_features,
+                                               replace=False))
 
     def predict(self, X):
         return predict_tree(self.root_, np.asarray(X, dtype=float), np.int64)

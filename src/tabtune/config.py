@@ -24,7 +24,15 @@ def _fail(field_path: str, message: str):
     raise ConfigError(f"config field '{field_path}': {message}")
 
 
-def _get_object(doc, key, field_path, required=False):
+def _check_fields(section, field_path, fields):
+    """Reject keys the schema does not allow (``additionalProperties: false``)."""
+    for key in section:
+        if key not in fields:
+            _fail(f"{field_path}.{key}" if field_path else key,
+                  f"unknown field, expected one of {sorted(fields)}")
+
+
+def _get_object(doc, key, field_path, required=False, fields=None):
     value = doc.get(key)
     if value is None:
         if required:
@@ -32,6 +40,8 @@ def _get_object(doc, key, field_path, required=False):
         return {}
     if not isinstance(value, dict):
         _fail(field_path, f"expected an object, got {type(value).__name__}")
+    if fields is not None:
+        _check_fields(value, field_path, fields)
     return value
 
 
@@ -137,30 +147,34 @@ def load_run_config(path) -> RunConfig:
 
 def parse_run_config(doc: dict, base_dir) -> RunConfig:
     base_dir = Path(base_dir)
+    _check_fields(doc, "", ("data", "preprocess", "split", "tuner", "output", "references"))
 
     def resolve(p: str) -> Path:
         p = Path(p)
         return p if p.is_absolute() else (base_dir / p).resolve()
 
-    data = _get_object(doc, "data", "data", required=True)
+    data = _get_object(doc, "data", "data", required=True, fields=("csv", "synthetic"))
     has_csv = "csv" in data
     has_synth = "synthetic" in data
     if has_csv == has_synth:
         _fail("data", "exactly one of 'csv' or 'synthetic' must be given")
     if has_csv:
-        csv_section = _get_object(data, "csv", "data.csv", required=True)
+        csv_section = _get_object(data, "csv", "data.csv", required=True,
+                                  fields=("path", "target", "filter"))
         csv_path = resolve(_get_string(csv_section, "path", "data.csv.path", required=True))
         target = _get_string(csv_section, "target", "data.csv.target", required=True)
         source = {"csv": {"path": str(csv_path), "target": target}}
         if "filter" in csv_section:
-            filt = _get_object(csv_section, "filter", "data.csv.filter", required=True)
+            filt = _get_object(csv_section, "filter", "data.csv.filter", required=True,
+                               fields=("column", "allowed"))
             column = _get_string(filt, "column", "data.csv.filter.column", required=True)
             allowed = filt.get("allowed")
             if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
                 _fail("data.csv.filter.allowed", "expected a list of strings")
             source["csv"]["filter"] = {"column": column, "allowed": allowed}
     else:
-        synth = _get_object(data, "synthetic", "data.synthetic", required=True)
+        synth = _get_object(data, "synthetic", "data.synthetic", required=True,
+                            fields=("rows", "seed", "positive_rate"))
         rows = _get_number(synth, "rows", "data.synthetic.rows", lo=2, integer=True)
         seed = _get_number(synth, "seed", "data.synthetic.seed", default=0, lo=0, integer=True)
         positive_rate = _get_number(
@@ -169,7 +183,8 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
         )
         source = {"synthetic": {"rows": rows, "seed": seed, "positive_rate": positive_rate}}
 
-    pre = _get_object(doc, "preprocess", "preprocess")
+    pre = _get_object(doc, "preprocess", "preprocess",
+                      fields=("missing_threshold", "scaling", "derived"))
     missing_threshold = _get_number(
         pre, "missing_threshold", "preprocess.missing_threshold", default=0.6, lo=0.0, hi=1.0
     )
@@ -178,7 +193,8 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
         _fail("preprocess.scaling", f"{scaling!r} not one of {list(SCALING_MODES)}")
     derived = None
     if "derived" in pre:
-        d = _get_object(pre, "derived", "preprocess.derived", required=True)
+        d = _get_object(pre, "derived", "preprocess.derived", required=True,
+                        fields=("name", "kind", "left", "right"))
         kind = _get_string(d, "kind", "preprocess.derived.kind", required=True)
         if kind not in DERIVED_KINDS:
             _fail("preprocess.derived.kind", f"{kind!r} not one of {list(DERIVED_KINDS)}")
@@ -189,14 +205,15 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
             "right": _get_string(d, "right", "preprocess.derived.right", required=True),
         }
 
-    split = _get_object(doc, "split", "split")
+    split = _get_object(doc, "split", "split", fields=("train_fraction", "seed"))
     train_fraction = _get_number(
         split, "train_fraction", "split.train_fraction",
         default=0.75, lo=0.0, hi=1.0, exclusive=True,
     )
     split_seed = _get_number(split, "seed", "split.seed", default=0, lo=0, integer=True)
 
-    tuner = _get_object(doc, "tuner", "tuner")
+    tuner = _get_object(doc, "tuner", "tuner", fields=(
+        "families", "spaces", "k", "rs_budget", "fold_seed", "search_seed", "workers"))
     families_raw = tuner.get("families", list(FAMILIES))
     if not isinstance(families_raw, list) or not families_raw:
         _fail("tuner.families", "expected a non-empty list of family names")
@@ -210,8 +227,6 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     spaces_raw = _get_object(tuner, "spaces", "tuner.spaces")
     spaces = {}
     for family, mapping in spaces_raw.items():
-        if family not in FAMILIES:
-            _fail(f"tuner.spaces.{family}", f"unknown family {family!r}")
         if not isinstance(mapping, dict):
             _fail(f"tuner.spaces.{family}", "expected an object of parameter ranges")
         try:
@@ -229,7 +244,8 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     )
     workers = _get_number(tuner, "workers", "tuner.workers", default=1, lo=1, integer=True)
 
-    output = _get_object(doc, "output", "output", required=True)
+    output = _get_object(doc, "output", "output", required=True,
+                         fields=("report", "table", "chart"))
     report_path = resolve(_get_string(output, "report", "output.report", required=True))
     table_default = str(report_path.with_suffix(".md"))
     chart_default = str(report_path.with_suffix(".svg"))

@@ -9,6 +9,7 @@ parameters, except any parameter named ``n_estimators`` which steps by 5.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any
@@ -24,6 +25,18 @@ DEFAULT_INTEGER_STEP = 1
 N_ESTIMATORS_STEP = 5
 
 _STEP_TOLERANCE = 1e-9
+
+
+def _number(label: str, value, integer: bool):
+    """``value`` (as an int when ``integer``); ValueError for a bool, a
+    non-number or a non-integral value where an integer is required."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{label}: expected a number, got {value!r}")
+    if not integer:
+        return value
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{label}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -47,14 +60,27 @@ class ParamSpec:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
         if self.lo is None or self.hi is None:
             raise ValueError(f"{self.name}: numeric parameter needs lo and hi")
+        for label in ("lo", "hi", "step"):
+            if getattr(self, label) is not None:
+                _number(f"{self.name} {label}", getattr(self, label), self.kind == INTEGER)
         if self.lo > self.hi:
             raise ValueError(f"{self.name}: lo {self.lo} exceeds hi {self.hi}")
         if self.step is not None and self.step <= 0:
             raise ValueError(f"{self.name}: step must be positive")
-        if self.kind == INTEGER:
-            for label, value in (("lo", self.lo), ("hi", self.hi)):
-                if float(value) != int(value):
-                    raise ValueError(f"{self.name}: integer bound {label}={value} not integral")
+
+    def check(self, value):
+        """``value`` as stored in a config: the choice itself, an ``int`` for
+        integer parameters, a ``float`` for continuous ones. Raises
+        ValueError for a value that is not a choice, not a number, not
+        integral (integer parameters) or outside [lo, hi]."""
+        if self.kind == CATEGORICAL:
+            if value not in self.choices:
+                raise ValueError(f"{self.name}: {value!r} not in choices {self.choices}")
+            return value
+        value = _number(self.name, value, self.kind == INTEGER)
+        if not self.lo <= value <= self.hi:
+            raise ValueError(f"{self.name}: {value} outside bounds [{self.lo}, {self.hi}]")
+        return value if self.kind == INTEGER else float(value)
 
     def resolved_step(self) -> float:
         if self.step is not None:
@@ -116,10 +142,7 @@ def grid_enumerate(space: SearchSpace) -> list[dict]:
 
 def grid_size(space: SearchSpace) -> int:
     """Number of grid configs without materializing them (1 for no params)."""
-    size = 1
-    for p in space.params:
-        size *= p.grid_count()
-    return size
+    return math.prod(p.grid_count() for p in space.params)
 
 
 def random_sample(space: SearchSpace, budget: int, seed: int) -> list[dict]:
@@ -142,7 +165,8 @@ def space_from_config(family: str, mapping: dict) -> SearchSpace:
 
     ``mapping`` maps parameter names to {"lo", "hi", "step"?} or
     {"choices": [...]}; parameters omitted from the mapping are pinned at
-    their schema defaults. Bounds are validated against the family schema.
+    their schema defaults. Bounds and choices are checked against the
+    family schema.
     """
     from .classifiers import hp_schema
 
@@ -150,35 +174,30 @@ def space_from_config(family: str, mapping: dict) -> SearchSpace:
     for name in mapping:
         if name not in schema:
             raise ValueError(f"{family}: unknown hyper-parameter {name!r} in search space")
-    params = []
-    for spec in schema.values():
-        if spec.name not in mapping:
-            params.append(spec.pinned())
-            continue
-        entry = mapping[spec.name]
-        if not isinstance(entry, dict):
-            raise ValueError(f"{family}.{spec.name}: expected an object, got {entry!r}")
-        if spec.kind == CATEGORICAL:
-            choices = entry.get("choices")
-            if not isinstance(choices, list) or not choices:
-                raise ValueError(f"{family}.{spec.name}: categorical needs a 'choices' list")
-            bad = [c for c in choices if c not in spec.choices]
-            if bad:
-                raise ValueError(f"{family}.{spec.name}: invalid choices {bad}")
-            params.append(ParamSpec(spec.name, CATEGORICAL, choices=tuple(choices)))
-            continue
-        unknown = set(entry) - {"lo", "hi", "step"}
-        if unknown:
-            raise ValueError(f"{family}.{spec.name}: unknown keys {sorted(unknown)}")
-        if "lo" not in entry or "hi" not in entry:
-            raise ValueError(f"{family}.{spec.name}: numeric range needs 'lo' and 'hi'")
-        lo, hi = entry["lo"], entry["hi"]
-        if not spec.lo <= lo <= hi <= spec.hi:
-            raise ValueError(
-                f"{family}.{spec.name}: range [{lo}, {hi}] outside schema "
-                f"bounds [{spec.lo}, {spec.hi}]"
-            )
-        params.append(
-            ParamSpec(spec.name, spec.kind, lo=lo, hi=hi, step=entry.get("step"))
+    try:
+        params = tuple(
+            _param_from_config(spec, mapping[spec.name]) if spec.name in mapping
+            else spec.pinned()
+            for spec in schema.values()
         )
-    return SearchSpace(family=family, params=tuple(params))
+    except ValueError as exc:
+        raise ValueError(f"{family}.{exc}") from None
+    return SearchSpace(family=family, params=params)
+
+
+def _param_from_config(spec: ParamSpec, entry) -> ParamSpec:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{spec.name}: expected an object, got {entry!r}")
+    keys = {"choices"} if spec.kind == CATEGORICAL else {"lo", "hi", "step"}
+    unknown = set(entry) - keys
+    if unknown:
+        raise ValueError(f"{spec.name}: unknown keys {sorted(unknown)}")
+    if spec.kind == CATEGORICAL:
+        choices = entry.get("choices")
+        if not isinstance(choices, list) or not choices:
+            raise ValueError(f"{spec.name}: categorical needs a 'choices' list")
+        return ParamSpec(spec.name, CATEGORICAL, choices=tuple(spec.check(c) for c in choices))
+    if "lo" not in entry or "hi" not in entry:
+        raise ValueError(f"{spec.name}: numeric range needs 'lo' and 'hi'")
+    return ParamSpec(spec.name, spec.kind, lo=spec.check(entry["lo"]),
+                     hi=spec.check(entry["hi"]), step=entry.get("step"))

@@ -84,7 +84,8 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
     than ``missing_threshold``; the target is never dropped. Scale statistics
     use non-missing training values only (population std for zscore). A
     column whose imputation mean, or whose range (minmax) or std (zscore),
-    overflows to a non-finite value raises ``PlanError`` naming it.
+    overflows to a non-finite value raises ``PlanError`` naming it, and so
+    does a zscore column whose values differ but whose std underflows to 0.
     """
     if train.n_rows == 0:
         raise PlanError("cannot fit a preprocessing plan on an empty table")
@@ -113,7 +114,7 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
                         "min": float(values.min()),
                         "max": float(values.max()),
                     }
-                _check_finite_stats(col.name, numeric_stats[col.name], scaling)
+                _check_scale_stats(col.name, numeric_stats[col.name], scaling)
             else:
                 numeric_stats[col.name] = {"mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
         else:
@@ -136,10 +137,11 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
     )
 
 
-def _check_finite_stats(name: str, stats: dict, scaling: str) -> None:
+def _check_scale_stats(name: str, stats: dict, scaling: str) -> None:
     """Finite cells near the float limits can overflow a statistic the plan
-    uses (the imputation mean, the min-max range or the z-score std), which
-    would scale the column to NaN or zeros; refuse the column instead."""
+    uses (the imputation mean, the min-max range or the z-score std), and
+    values a tiny distance apart can underflow the z-score std to 0; either
+    would scale the column to NaN, inf or zeros, so refuse the column."""
     used = {"mean": stats["mean"]}
     if scaling == "minmax":
         used["max - min range"] = stats["max"] - stats["min"]
@@ -151,15 +153,23 @@ def _check_finite_stats(name: str, stats: dict, scaling: str) -> None:
                 f"column {name!r}: the {statistic} of its training values overflows "
                 f"to {value} (values too close to the float limits)"
             )
+    if scaling == "zscore" and stats["max"] > stats["min"] and stats["std"] == 0.0:
+        raise PlanError(
+            f"column {name!r}: its training values differ but their std underflows "
+            f"to 0 (values too close to zero)"
+        )
 
 
 def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
     """Replay a fitted plan on any table containing the surviving columns.
 
     Missing numeric cells are imputed with the train mean before scaling.
-    Constant columns (zero std or zero range) scale to all zeros instead of
-    erroring so degenerate folds keep running. Categorical cells map onto the
-    train-observed level indicators; anything else lands in ``__missing__``.
+    A column is constant iff its training max equals its min; under minmax
+    and zscore it scales to all zeros so degenerate folds keep running. A
+    scaled value that is not finite (a cell far outside a tiny training
+    range) raises ``PlanError`` naming the column and the first such row.
+    Categorical cells map onto the train-observed level indicators;
+    anything else lands in ``__missing__``.
     """
     present = {col.name: col for col in table.schema}
     n = table.n_rows
@@ -176,11 +186,19 @@ def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
             stats = plan.numeric_stats[name]
             x = np.array(table.columns[name], dtype=float)
             x[table.missing[name]] = stats["mean"]
-            if plan.scaling == "minmax":
-                span = stats["max"] - stats["min"]
-                x = (x - stats["min"]) / span if span > 0 else np.zeros(n)
-            elif plan.scaling == "zscore":
-                x = (x - stats["mean"]) / stats["std"] if stats["std"] > 0 else np.zeros(n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if plan.scaling != "none" and stats["max"] == stats["min"]:
+                    x = np.zeros(n)
+                elif plan.scaling == "minmax":
+                    x = (x - stats["min"]) / (stats["max"] - stats["min"])
+                elif plan.scaling == "zscore":
+                    x = (x - stats["mean"]) / stats["std"]
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                raise PlanError(
+                    f"column {name!r}: row {bad[0]} scales to {x[bad[0]]}, not a finite "
+                    f"number (the cell lies far outside the training range)"
+                )
             blocks.append(x[:, None])
             names.append(name)
         else:

@@ -9,6 +9,8 @@ maxima are bolded, with ties at display precision all bolded.
 
 from __future__ import annotations
 
+import itertools
+
 _VOLATILE_KEYS = frozenset({"duration_seconds", "total_seconds", "fit_seconds", "created_unix"})
 
 _METHOD_COLORS = {"Baseline": "#7f7f7f", "GS": "#1f77b4", "RS": "#ff7f0e"}
@@ -73,18 +75,18 @@ def render_table(report: dict, references: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bar_color(label: str, reference_index: int) -> str:
-    if label in _METHOD_COLORS:
-        return _METHOD_COLORS[label]
-    return _REFERENCE_COLORS[reference_index % len(_REFERENCE_COLORS)]
-
-
 def render_chart(report: dict, references: dict | None = None) -> str:
     """Grouped bar chart as SVG text: one group per family, one bar per
     method, y axis fixed to 0-100%. Zero accuracies keep their (zero-height)
     bar element and label."""
     columns = _method_columns(report, references)
     families = [entry["family"] for entry in report["families"]]
+    reference_index = itertools.count()  # reference columns cycle the palette
+    colors = [
+        _METHOD_COLORS[label] if label in _METHOD_COLORS
+        else _REFERENCE_COLORS[next(reference_index) % len(_REFERENCE_COLORS)]
+        for label, _ in columns
+    ]
 
     margin_left, margin_top, margin_bottom, margin_right = 56, 46, 58, 16
     plot_height = 240.0
@@ -121,12 +123,8 @@ def render_chart(report: dict, references: dict | None = None) -> str:
         f'transform="rotate(-90 14 {margin_top + plot_height / 2:.1f})">accuracy (%)</text>'
     )
 
-    reference_index = 0
     legend_x = float(margin_left)
-    for label, _ in columns:
-        color = _bar_color(label, reference_index)
-        if label not in _METHOD_COLORS:
-            reference_index += 1
+    for (label, _), color in zip(columns, colors):
         out.append(
             f'<rect x="{legend_x:.1f}" y="26" width="10" height="10" fill="{color}"/>'
         )
@@ -136,11 +134,7 @@ def render_chart(report: dict, references: dict | None = None) -> str:
         )
         legend_x += 24 + 6.5 * len(label)
 
-    reference_index = 0
-    for method_pos, (label, values) in enumerate(columns):
-        color = _bar_color(label, reference_index)
-        if label not in _METHOD_COLORS:
-            reference_index += 1
+    for method_pos, ((label, values), color) in enumerate(zip(columns, colors)):
         for group_pos, family in enumerate(families):
             if family not in values:
                 continue

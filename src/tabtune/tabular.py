@@ -164,18 +164,10 @@ def load_csv(path, target_column: str) -> Table:
         raw = [row[j] for row in raw_rows]
         mask = np.array([cell in MISSING_MARKERS for cell in raw], dtype=bool)
         present = [cell for cell, m in zip(raw, mask) if not m]
-        if name == target_column:
-            levels = sorted(set(present))
-            if mask.any():
-                raise SchemaError(f"{path}: target column {name!r} has missing values")
-            if len(levels) != 2:
-                raise SchemaError(
-                    f"{path}: target column {name!r} has {len(levels)} distinct values, expected 2"
-                )
-            index = {level: i for i, level in enumerate(levels)}
-            values = np.array([index[cell] for cell in raw], dtype=np.int64)
-            schema.append(ColumnSchema(name, TARGET, tuple(levels)))
-        elif all(_is_decimal(cell) for cell in present):
+        is_target = name == target_column
+        if is_target and mask.any():
+            raise SchemaError(f"{path}: target column {name!r} has missing values")
+        if not is_target and all(_is_decimal(cell) for cell in present):
             values = np.array(
                 [float(cell) if not m else math.nan for cell, m in zip(raw, mask)]
             )
@@ -188,11 +180,15 @@ def load_csv(path, target_column: str) -> Table:
             schema.append(ColumnSchema(name, NUMERIC))
         else:
             levels = sorted(set(present))
+            if is_target and len(levels) != 2:
+                raise SchemaError(
+                    f"{path}: target column {name!r} has {len(levels)} distinct values, expected 2"
+                )
             index = {level: i for i, level in enumerate(levels)}
             values = np.array(
                 [index[cell] if not m else -1 for cell, m in zip(raw, mask)], dtype=np.int64
             )
-            schema.append(ColumnSchema(name, CATEGORICAL, tuple(levels)))
+            schema.append(ColumnSchema(name, TARGET if is_target else CATEGORICAL, tuple(levels)))
         columns[name] = values
         missing[name] = mask
     return make_table(schema, columns, missing)
@@ -204,15 +200,10 @@ def write_csv(table: Table, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([col.name for col in table.schema])
         for i in range(table.n_rows):
-            row = []
-            for col in table.schema:
-                if table.missing[col.name][i]:
-                    row.append("")
-                elif col.kind == NUMERIC:
-                    row.append(repr(float(table.columns[col.name][i])))
-                else:
-                    row.append(col.categories[int(table.columns[col.name][i])])
-            writer.writerow(row)
+            writer.writerow(
+                "" if value is None else repr(value) if isinstance(value, float) else value
+                for value in table.row_values(i)
+            )
 
 
 def filter_rows(table: Table, column: str, allowed) -> Table:
@@ -291,15 +282,6 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
     if not 0.0 < positive_rate < 1.0:
         raise ValueError(f"positive_rate must lie in (0, 1), got {positive_rate}")
     schema = synthetic_schema()
-    if n_rows == 0:
-        empty_num = np.zeros(0)
-        empty_cat = np.zeros(0, dtype=np.int64)
-        empty_mask = np.zeros(0, dtype=bool)
-        columns = {
-            col.name: (empty_num if col.kind == NUMERIC else empty_cat) for col in schema
-        }
-        return make_table(schema, columns, {col.name: empty_mask for col in schema})
-
     rng = np.random.default_rng(seed)
     gpa = np.clip(rng.normal(3.0, 0.45, n_rows), 1.5, 4.0)
     credits = np.clip(rng.normal(30.0, 7.0, n_rows), 6.0, 48.0)
@@ -316,7 +298,7 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
         + boost
         + rng.normal(0.0, 0.9, n_rows)
     )
-    threshold = np.quantile(score, 1.0 - positive_rate)
+    threshold = np.quantile(score, 1.0 - positive_rate) if n_rows else 0.0
     graduated = (score >= threshold).astype(np.int64)
 
     feature_names = [col.name for col in schema if col.kind != TARGET]
@@ -334,13 +316,7 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
     missing = {name: miss[:, j].copy() for j, name in enumerate(feature_names)}
     missing["graduated"] = np.zeros(n_rows, dtype=bool)
     for name in feature_names:
-        mask = missing[name]
-        if columns[name].dtype == np.int64:
-            values = columns[name].copy()
-            values[mask] = -1
-            columns[name] = values
-        else:
-            values = columns[name].copy()
-            values[mask] = math.nan
-            columns[name] = values
+        values = columns[name].copy()
+        values[missing[name]] = -1 if values.dtype == np.int64 else math.nan
+        columns[name] = values
     return make_table(schema, columns, missing)

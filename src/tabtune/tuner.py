@@ -59,13 +59,8 @@ def shuffle_kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
         raise ValueError(f"k={k} exceeds the number of rows ({n_rows})")
     perm = np.random.default_rng(seed).permutation(n_rows)
     assignments = np.zeros(n_rows, dtype=np.int64)
-    base = n_rows // k
-    extra = n_rows % k
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        assignments[perm[start : start + size]] = fold
-        start += size
+    for fold, rows in enumerate(np.array_split(perm, k)):  # first blocks are longer
+        assignments[rows] = fold
     assignments.setflags(write=False)
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
@@ -172,20 +167,14 @@ def _evaluate_configs(family, configs, train, folds, seed, workers):
     ]
     workers = _effective_workers(workers)
     if workers <= 1 or len(tasks) < 2:
-        results = [_trial_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_task, tasks))
-    results.sort(key=lambda r: r.trial_index)
-    return results
+        return [_trial_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_trial_task, tasks))  # map keeps task order
 
 
 def _best_trial(trials):
-    best = trials[0]
-    for trial in trials[1:]:
-        if trial.mean_accuracy > best.mean_accuracy:  # ties keep the lowest index
-            best = trial
-    return best
+    # max keeps the first of equal maxima: ties keep the lowest index
+    return max(trials, key=lambda trial: trial.mean_accuracy)
 
 
 def grid_search(family, space, train, folds, seed, workers=1):
@@ -227,6 +216,13 @@ class SearchOutcome:
     def n_trials(self) -> int:
         return len(self.trials)
 
+    def to_dict(self) -> dict:
+        return {
+            "best": self.best.to_dict(),
+            "n_trials": self.n_trials,
+            "total_seconds": self.total_seconds,
+        }
+
 
 @dataclass(frozen=True)
 class FamilyOutcome:
@@ -252,12 +248,6 @@ class TuningReport:
     seeds: dict[str, int]
     config_echo: dict = field(default_factory=dict)
 
-    def family_outcome(self, family: str) -> FamilyOutcome:
-        for outcome in self.families:
-            if outcome.family == family:
-                return outcome
-        raise KeyError(family)
-
     def to_dict(self, tool_version: str = "", max_trials: int = 10_000) -> dict:
         """JSON-ready report; per-trial records are dropped past ``max_trials``."""
         total_trials = sum(o.grid.n_trials + o.random.n_trials for o in self.families)
@@ -269,16 +259,8 @@ class TuningReport:
                 {
                     "family": outcome.family,
                     "baseline": outcome.baseline.to_dict(),
-                    "grid": {
-                        "best": outcome.grid.best.to_dict(),
-                        "n_trials": outcome.grid.n_trials,
-                        "total_seconds": outcome.grid.total_seconds,
-                    },
-                    "random": {
-                        "best": outcome.random.best.to_dict(),
-                        "n_trials": outcome.random.n_trials,
-                        "total_seconds": outcome.random.total_seconds,
-                    },
+                    "grid": outcome.grid.to_dict(),
+                    "random": outcome.random.to_dict(),
                     "winner": outcome.winner_method,
                 }
             )
@@ -323,8 +305,10 @@ def grs_auto_hp(
     and score that single model once on the held-out test matrix.
 
     ``spaces`` maps family name to a SearchSpace; families without an entry
-    search the single default configuration. A family whose evaluation fails
-    is skipped and recorded under ``errors``.
+    search the single default configuration. A family whose evaluation
+    raises ValueError or ArithmeticError is skipped and recorded under
+    ``errors`` as "<Type>: <message>"; any other exception fails the run
+    with a TuningError naming the family and the exception type.
     """
     families = list(families)
     if not families:
@@ -350,10 +334,14 @@ def grs_auto_hp(
                 family, space, budget, train, folds, search_seed, workers
             )
             rs_seconds = time.perf_counter() - started
-        except Exception as exc:  # record and move on; one family must survive
-            logger.warning("family %s failed: %s", family, exc)
-            errors[family] = str(exc)
+        except (ValueError, ArithmeticError) as exc:  # a data or config failure
+            errors[family] = f"{type(exc).__name__}: {exc}"
+            logger.warning("family %s failed: %s", family, errors[family])
             continue
+        except Exception as exc:  # a fault in the program: fail the run
+            raise TuningError(
+                f"family {family} failed with {type(exc).__name__}: {exc}"
+            ) from exc
         winner_method = "grid" if gs_best.mean_accuracy >= rs_best.mean_accuracy else "random"
         outcomes.append(
             FamilyOutcome(
@@ -368,10 +356,8 @@ def grs_auto_hp(
     if not outcomes:
         raise TuningError(f"every family failed: {errors}")
 
-    overall = outcomes[0]
-    for outcome in outcomes[1:]:
-        if outcome.winner.mean_accuracy > overall.winner.mean_accuracy:
-            overall = outcome  # ties keep the earlier family
+    # max keeps the first of equal maxima: ties keep the earlier family
+    overall = max(outcomes, key=lambda outcome: outcome.winner.mean_accuracy)
     final_spec = ModelSpec(overall.family, overall.winner.config)
     final_model = classifiers.train(final_spec, train, search_seed)
     test_accuracy = classifiers.accuracy(

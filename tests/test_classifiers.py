@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import tabtune.classifiers.tree as tree_module
 from tabtune.classifiers import (
     FAMILIES,
     ModelSpec,
@@ -195,6 +197,29 @@ def test_forest_without_bootstrap_collapses_to_one_tree():
     assert np.all(per_tree.var(axis=0) == 0.0)
     solo = DecisionTree(max_depth=6).fit(data.features, data.labels)
     assert np.array_equal(forest.predict(data.features), solo.predict(data.features))
+
+
+def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
+    rng = np.random.default_rng(4)
+    data = _random_matrix(rng, 120, 10)
+    m = math.ceil(0.3 * data.n_features)
+    widths = []
+    real_search = tree_module._best_split_matrix
+
+    def counting_search(X, y, criterion):
+        widths.append(X.shape[1])
+        return real_search(X, y, criterion)
+
+    monkeypatch.setattr(tree_module, "_best_split_matrix", counting_search)
+    fits = [
+        RandomForest(n_estimators=6, max_depth=5, max_features_frac=0.3, seed=11)
+        .fit(data.features, data.labels)
+        for _ in range(2)
+    ]
+    assert widths and set(widths) == {m}
+    first, second = (forest.tree_predictions(data.features) for forest in fits)
+    assert np.array_equal(first, second)
+    assert first.var(axis=0).max() > 0  # the subsampled trees differ
 
 
 def test_forest_vote_tie_goes_to_zero():

@@ -192,6 +192,31 @@ def test_csv_source_with_filter(tmp_path, capsys):
     assert report["final"]["test_accuracy"] >= 0.0
 
 
+def test_run_derived_ratio_column_from_csv(tmp_path, capsys):
+    derived = {"name": "credits_per_year", "kind": "ratio",
+               "left": "credits_attempted", "right": "age"}
+    config_path, _ = _small_config(
+        tmp_path,
+        data={"csv": {"path": str(FIXTURES / "students_500.csv"), "target": "graduated"}},
+        preprocess={"missing_threshold": 0.6, "scaling": "zscore", "derived": derived},
+    )
+    assert main(["run", str(config_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["preprocess"]["derived"] == derived
+
+
+def test_run_derived_column_with_categorical_operand_is_a_data_error(tmp_path, capsys):
+    derived = {"name": "bad", "kind": "ratio", "left": "credits_attempted", "right": "sex"}
+    config_path, _ = _small_config(
+        tmp_path,
+        data={"csv": {"path": str(FIXTURES / "students_500.csv"), "target": "graduated"}},
+        preprocess={"missing_threshold": 0.6, "scaling": "minmax", "derived": derived},
+    )
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert "'sex'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_config_paths_resolve_relative_to_config_file(tmp_path):
     nested = tmp_path / "nested"
     nested.mkdir()
@@ -224,6 +249,41 @@ def test_config_validation_messages_name_fields(tmp_path):
         ({"data": {"synthetic": {"rows": 100}},
           "references": {"prior": {"MLP": 90.0}},
           "output": {"report": "r.json"}}, "references.prior.MLP"),
+        # fields the schema does not allow are rejected, not ignored
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"famlies": ["NB"], "rs_budget": 3}}, "tuner.famlies"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"families": ["NB"], "rs_budgt": 3}}, "tuner.rs_budgt"),
+        ({"data": {"synthetic": {"rows": 100}}, "ouput": {"report": "r.json"}}, "ouput"),
+        ({"data": {"synthetic": {"rows": 100, "sed": 4}}}, "data.synthetic.sed"),
+        ({"data": {"csv": {"path": "x", "target": "y", "sep": ";"}}}, "data.csv.sep"),
+        ({"data": {"csv": {"path": "x", "target": "y",
+                           "filter": {"column": "m", "allowed": [], "deny": []}}}},
+         "data.csv.filter.deny"),
+        ({"data": {"synthetic": {"rows": 100}, "url": "x"}}, "data.url"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "preprocess": {"scale": "zscore"}}, "preprocess.scale"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "preprocess": {"derived": {"name": "r", "kind": "ratio", "left": "a",
+                                     "right": "b", "op": "x"}}}, "preprocess.derived.op"),
+        ({"data": {"synthetic": {"rows": 100}}, "split": {"sead": 1}}, "split.sead"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "output": {"report": "r.json", "tabel": "t.md"}}, "output.tabel"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"spaces": {"DT": {"criterion": {"choices": ["gini"], "lo": 1}}}}},
+         "tuner.spaces.DT"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"spaces": {"MLP": {}}}}, "tuner.spaces.MLP"),
+        # bad search-space numbers
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"spaces": {"DT": {"max_depth": {"lo": 1, "hi": 5, "step": 0.5}}}}},
+         "tuner.spaces.DT"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"spaces": {"DT": {"max_depth": {"lo": "2", "hi": 5}}}}},
+         "tuner.spaces.DT"),
+        ({"data": {"synthetic": {"rows": 100}},
+          "tuner": {"spaces": {"LR": {"l2_strength": {"lo": 0, "hi": 1, "step": True}}}}},
+         "tuner.spaces.LR"),
     ]
     for doc, expected_field in cases:
         doc.setdefault("output", {"report": "r.json"})

@@ -158,6 +158,27 @@ def test_param_spec_validation():
         ParamSpec("x", "integer", 0.5, 2)
     with pytest.raises(ValueError):
         _space(ParamSpec("x", "integer", 1, 2), ParamSpec("x", "integer", 1, 2))
+    with pytest.raises(ValueError):
+        ParamSpec("x", "integer", 1, 5, step=0.5)  # would enumerate 1, 2, 2, 2, 3, ...
+    with pytest.raises(ValueError):
+        ParamSpec("x", "integer", "2", 5)
+    with pytest.raises(ValueError):
+        ParamSpec("x", "continuous", 0.0, 1.0, step=True)
+
+
+def test_param_spec_check_returns_the_stored_value():
+    integer = ParamSpec("i", "integer", 1, 20)
+    continuous = ParamSpec("c", "continuous", 0.0, 2.0)
+    categorical = ParamSpec("k", "categorical", choices=("u", "v"))
+    assert integer.check(4.0) == 4 and type(integer.check(4.0)) is int
+    assert continuous.check(1) == 1.0 and type(continuous.check(1)) is float
+    assert categorical.check("v") == "v"
+    for spec, value in [(integer, 2.5), (integer, 0), (integer, 21), (integer, "3"),
+                        (integer, True), (integer, float("nan")), (integer, float("inf")),
+                        (continuous, -0.1), (continuous, "1.0"), (continuous, float("nan")),
+                        (categorical, "w"), (categorical, None)]:
+        with pytest.raises(ValueError):
+            spec.check(value)
 
 
 def test_fixed_space_is_a_single_default_config():
@@ -183,3 +204,13 @@ def test_space_from_config_applies_schema_bounds():
         space_from_config("DT", {"criterion": {"choices": ["squared"]}})
     with pytest.raises(ValueError):
         space_from_config("DT", {"max_depth": {"lo": 2}})
+    for bad in [
+        {"max_depth": {"lo": 1, "hi": 5, "step": 0.5}},  # fractional integer step
+        {"max_depth": {"lo": "2", "hi": 5}},  # string bound
+        {"max_depth": {"lo": 2, "hi": 5, "step": True}},  # bool step
+        {"max_depth": {"lo": 6, "hi": 2}},
+        {"max_depth": {"lo": 2.5, "hi": 6}},
+        {"criterion": {"choices": ["gini"], "lo": 1}},
+    ]:
+        with pytest.raises(ValueError):
+            space_from_config("DT", bad)

@@ -145,6 +145,13 @@ def test_constant_column_scales_to_zero():
         plan = fit_plan(table, 0.6, scaling=mode)
         matrix = apply_plan(plan, table)
         assert np.all(matrix.features[:, 0] == 0.0)
+    # constant means max == min, even when an inexact mean leaves a tiny std
+    train = _table({"x": (NUMERIC, [0.1, 0.1, 0.1]), "label": (TARGET, ["0", "1", "0"])})
+    test = _table({"x": (NUMERIC, [0.2, 0.1, 0.0]), "label": (TARGET, ["0", "1", "0"])})
+    for mode in ("zscore", "minmax"):
+        plan = fit_plan(train, 0.6, scaling=mode)
+        for rows in (train, test):
+            assert np.all(apply_plan(plan, rows).features[:, 0] == 0.0)
 
 
 def test_unseen_level_maps_to_missing_indicator():
@@ -312,3 +319,28 @@ def test_large_finite_range_still_scales_into_unit_interval():
     })
     matrix = apply_plan(fit_plan(table, 0.6, scaling="minmax"), table)
     assert matrix.features[:, 0].tolist() == [1.0, 0.0, 0.5, 0.75]
+
+
+def test_underflowed_zscore_std_is_rejected():
+    table = _table({
+        "tiny": (NUMERIC, [0.0, 1e-300, 2e-300, 1e-300]),
+        "label": (TARGET, ["0", "1", "0", "1"]),
+    })
+    with pytest.raises(PlanError, match=r"'tiny'.*std underflows"):
+        fit_plan(table, 0.6, scaling="zscore")
+    fit_plan(table, 0.6, scaling="minmax")  # the range itself is positive
+
+
+def test_non_finite_scaled_value_is_rejected():
+    train = _table({
+        "tiny": (NUMERIC, [0.0, 1e-300, 2e-300]),
+        "label": (TARGET, ["0", "1", "0"]),
+    })
+    plan = fit_plan(train, 0.6, scaling="minmax")
+    assert apply_plan(plan, train).features[:, 0].tolist() == [0.0, 0.5, 1.0]
+    test = _table({
+        "tiny": (NUMERIC, [1e-300, 1.7e308, -1.7e308]),
+        "label": (TARGET, ["0", "1", "0"]),
+    })
+    with pytest.raises(PlanError, match=r"'tiny'.*row 1"):
+        apply_plan(plan, test)

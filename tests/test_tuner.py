@@ -11,6 +11,7 @@ from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
     FoldPlan,
     TrialResult,
+    TuningError,
     cross_val_trial,
     evaluate_baseline,
     default_rs_budget,
@@ -352,7 +353,7 @@ def test_grs_skips_failing_family(monkeypatch):
 
     def exploding_baseline(family, train, folds, seed):
         if family == "KNN":
-            raise RuntimeError("boom")
+            raise ValueError("boom")
         return real_baseline(family, train, folds, seed)
 
     monkeypatch.setattr(tuner_module, "evaluate_baseline", exploding_baseline)
@@ -360,6 +361,20 @@ def test_grs_skips_failing_family(monkeypatch):
     assert "KNN" in report.errors
     assert [o.family for o in report.families] == ["DT"]
     assert report.final_family == "DT"
+
+
+def test_grs_fails_the_run_on_an_unexpected_exception(monkeypatch):
+    data = _separable(30)
+    real_baseline = evaluate_baseline
+
+    def faulty_baseline(family, train, folds, seed):
+        if family == "KNN":
+            raise RuntimeError("boom")
+        return real_baseline(family, train, folds, seed)
+
+    monkeypatch.setattr(tuner_module, "evaluate_baseline", faulty_baseline)
+    with pytest.raises(TuningError, match=r"KNN.*RuntimeError"):
+        grs_auto_hp(["DT", "KNN"], {}, data, data, k=3)
 
 
 def test_grs_requires_a_family_and_matching_features():
