@@ -141,7 +141,6 @@ class TrainedModel:
     family: str
     config: dict
     model: Any
-    train_seed: int
     fit_seconds: float
 
     def summary(self) -> dict:
@@ -171,7 +170,6 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
         family=spec.family,
         config=cfg,
         model=model,
-        train_seed=seed,
         fit_seconds=fit_seconds,
     )
 

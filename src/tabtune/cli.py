@@ -20,7 +20,7 @@ from .config import ConfigError, load_run_config
 from .preprocess import add_derived_column, apply_plan, fit_plan
 from .report import render_chart, render_table
 from .tabular import filter_rows, generate_synthetic, load_csv, split_train_test, write_csv
-from .tuner import grs_auto_hp, max_workers_cap
+from .tuner import TuningError, grs_auto_hp
 
 logger = logging.getLogger(__name__)
 
@@ -58,71 +58,71 @@ def _write_all(outputs) -> None:
 
 
 def _load_table(config):
-    if "csv" in config.source:
-        section = config.source["csv"]
+    if "csv" in config.data:
+        section = config.data["csv"]
         table = load_csv(section["path"], section["target"])
         if "filter" in section:
             table = filter_rows(table, section["filter"]["column"], section["filter"]["allowed"])
     else:
-        section = config.source["synthetic"]
+        section = config.data["synthetic"]
         table = generate_synthetic(section["rows"], section["seed"], section["positive_rate"])
-    if config.derived:
-        d = config.derived
+    if "derived" in config.preprocess:
+        d = config.preprocess["derived"]
         table = add_derived_column(table, d["name"], d["kind"], d["left"], d["right"])
     return table
 
 
 def cmd_run(args) -> int:
+    """Each stage catches only the errors its input can cause; any other
+    exception is a fault in the program and reaches ``main`` (exit 1)."""
     try:
         config = load_run_config(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        max_workers_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     try:
         table = _load_table(config)
-        split = split_train_test(table, config.train_fraction, config.split_seed)
-        plan = fit_plan(split.train, config.missing_threshold, config.scaling)
+        split = split_train_test(table, config.split["train_fraction"], config.split["seed"])
+        plan = fit_plan(split.train, config.preprocess["missing_threshold"],
+                        config.preprocess["scaling"])
         train_matrix = apply_plan(plan, split.train)
         test_matrix = apply_plan(plan, split.test)
         logger.info(
             "data ready: %d train rows, %d test rows, %d features",
             train_matrix.n_rows, test_matrix.n_rows, train_matrix.n_features,
         )
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
+    tuner = config.tuner
     try:
         report = grs_auto_hp(
-            config.families,
+            tuner["families"],
             config.spaces,
             train_matrix,
             test_matrix,
-            k=config.k,
-            fold_seed=config.fold_seed,
-            search_seed=config.search_seed,
-            rs_budget=config.rs_budget,
-            workers=config.workers,
+            k=tuner["k"],
+            fold_seed=tuner["fold_seed"],
+            search_seed=tuner["search_seed"],
+            rs_budget=tuner["rs_budget"],
+            workers=tuner["workers"],
             config_echo=config.echo(),
         )
-    except Exception as exc:
+    except (TuningError, ValueError, ArithmeticError) as exc:
         print(f"tuning error: {exc}", file=sys.stderr)
         return EXIT_TUNING
 
     try:
         report_dict = report.to_dict(tool_version=__version__)
+        paths = {key: Path(path) for key, path in config.output.items()}
         _write_all([
-            (config.report_path, json.dumps(report_dict, indent=2, sort_keys=True) + "\n"),
-            (config.table_path, render_table(report_dict)),
-            (config.chart_path, render_chart(report_dict)),
+            (paths["report"], json.dumps(report_dict, indent=2, sort_keys=True) + "\n"),
+            (paths["table"], render_table(report_dict)),
+            (paths["chart"], render_chart(report_dict)),
         ])
-    except Exception as exc:
+    except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
 

@@ -1,19 +1,27 @@
 """Run configuration: JSON parsing and validation with field-path errors.
 
 Relative paths in the config resolve against the config file's directory.
-The normalized form (``RunConfig.echo()``) uses absolute paths so a report's
-embedded config can reproduce the run from any working directory.
+The normalized form (``RunConfig``) uses absolute paths so a report's
+embedded config (``RunConfig.echo()``) can reproduce the run from any
+working directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classifiers import FAMILIES
-from .hpspace import SearchSpace, space_from_config
+from .hpspace import SearchSpace, grid_size, space_from_config
 from .preprocess import DERIVED_KINDS, SCALING_MODES
+
+
+#: Most configs one search may evaluate: a larger grid or ``rs_budget`` is a
+#: config error, because a search builds its whole config list before the
+#: first trial.
+MAX_SEARCH_CONFIGS = 100_000
 
 
 class ConfigError(ValueError):
@@ -80,54 +88,38 @@ def _get_string(section, key, field_path, default=None, required=False):
 
 @dataclass
 class RunConfig:
-    source: dict
-    missing_threshold: float
-    scaling: str
-    derived: dict | None
-    train_fraction: float
-    split_seed: int
-    families: tuple[str, ...]
+    """The normalized config document: the six top-level sections with
+    defaults filled in and paths absolute, plus the parsed SearchSpace of
+    each family under ``tuner.spaces``."""
+
+    data: dict
+    preprocess: dict
+    split: dict
+    tuner: dict
+    output: dict
+    references: dict
     spaces: dict[str, SearchSpace]
-    spaces_raw: dict
-    k: int
-    rs_budget: int | None
-    fold_seed: int
-    search_seed: int
-    workers: int
-    report_path: Path
-    table_path: Path
-    chart_path: Path
-    references: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        """Normalized config document; feeding it back reproduces the run.
-
-        Execution knobs that provably cannot change results (the worker
-        count) are deliberately not part of the snapshot.
-        """
+        """The document without the worker count; feeding it back reproduces
+        the run, because the worker count provably cannot change results."""
         return {
-            "data": self.source,
-            "preprocess": {
-                "missing_threshold": self.missing_threshold,
-                "scaling": self.scaling,
-                **({"derived": self.derived} if self.derived else {}),
-            },
-            "split": {"train_fraction": self.train_fraction, "seed": self.split_seed},
-            "tuner": {
-                "families": list(self.families),
-                "spaces": self.spaces_raw,
-                "k": self.k,
-                "rs_budget": self.rs_budget,
-                "fold_seed": self.fold_seed,
-                "search_seed": self.search_seed,
-            },
-            "output": {
-                "report": str(self.report_path),
-                "table": str(self.table_path),
-                "chart": str(self.chart_path),
-            },
+            "data": self.data,
+            "preprocess": self.preprocess,
+            "split": self.split,
+            "tuner": {key: value for key, value in self.tuner.items() if key != "workers"},
+            "output": self.output,
             "references": self.references,
         }
+
+
+def _finite_number(text):
+    """A JSON number token as a float; NaN, Infinity, -Infinity and literals
+    that overflow (1e999), which json.loads accepts but JSON has not, raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} (JSON numbers must be finite)")
+    return value
 
 
 def load_run_config(path) -> RunConfig:
@@ -137,9 +129,11 @@ def load_run_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_run_config(doc, base_dir=path.parent)
@@ -149,9 +143,12 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     base_dir = Path(base_dir)
     _check_fields(doc, "", ("data", "preprocess", "split", "tuner", "output", "references"))
 
-    def resolve(p: str) -> Path:
+    def get_path(section, key, field_path, default=None) -> str:
+        p = _get_string(section, key, field_path, default=default, required=True)
+        if "\0" in p:  # no file system accepts it; open() would raise ValueError
+            _fail(field_path, "path contains a NUL character")
         p = Path(p)
-        return p if p.is_absolute() else (base_dir / p).resolve()
+        return str(p if p.is_absolute() else (base_dir / p).resolve())
 
     data = _get_object(doc, "data", "data", required=True, fields=("csv", "synthetic"))
     has_csv = "csv" in data
@@ -161,9 +158,9 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     if has_csv:
         csv_section = _get_object(data, "csv", "data.csv", required=True,
                                   fields=("path", "target", "filter"))
-        csv_path = resolve(_get_string(csv_section, "path", "data.csv.path", required=True))
+        csv_path = get_path(csv_section, "path", "data.csv.path")
         target = _get_string(csv_section, "target", "data.csv.target", required=True)
-        source = {"csv": {"path": str(csv_path), "target": target}}
+        source = {"csv": {"path": csv_path, "target": target}}
         if "filter" in csv_section:
             filt = _get_object(csv_section, "filter", "data.csv.filter", required=True,
                                fields=("column", "allowed"))
@@ -191,14 +188,14 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     scaling = _get_string(pre, "scaling", "preprocess.scaling", default="minmax")
     if scaling not in SCALING_MODES:
         _fail("preprocess.scaling", f"{scaling!r} not one of {list(SCALING_MODES)}")
-    derived = None
+    preprocess = {"missing_threshold": missing_threshold, "scaling": scaling}
     if "derived" in pre:
         d = _get_object(pre, "derived", "preprocess.derived", required=True,
                         fields=("name", "kind", "left", "right"))
         kind = _get_string(d, "kind", "preprocess.derived.kind", required=True)
         if kind not in DERIVED_KINDS:
             _fail("preprocess.derived.kind", f"{kind!r} not one of {list(DERIVED_KINDS)}")
-        derived = {
+        preprocess["derived"] = {
             "name": _get_string(d, "name", "preprocess.derived.name", required=True),
             "kind": kind,
             "left": _get_string(d, "left", "preprocess.derived.left", required=True),
@@ -206,11 +203,13 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
         }
 
     split = _get_object(doc, "split", "split", fields=("train_fraction", "seed"))
-    train_fraction = _get_number(
-        split, "train_fraction", "split.train_fraction",
-        default=0.75, lo=0.0, hi=1.0, exclusive=True,
-    )
-    split_seed = _get_number(split, "seed", "split.seed", default=0, lo=0, integer=True)
+    split = {
+        "train_fraction": _get_number(
+            split, "train_fraction", "split.train_fraction",
+            default=0.75, lo=0.0, hi=1.0, exclusive=True,
+        ),
+        "seed": _get_number(split, "seed", "split.seed", default=0, lo=0, integer=True),
+    }
 
     tuner = _get_object(doc, "tuner", "tuner", fields=(
         "families", "spaces", "k", "rs_budget", "fold_seed", "search_seed", "workers"))
@@ -222,7 +221,6 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
             _fail(f"tuner.families[{i}]", f"unknown family {family!r}, expected one of {list(FAMILIES)}")
     if len(set(families_raw)) != len(families_raw):
         _fail("tuner.families", "family names must be unique")
-    families = tuple(families_raw)
 
     spaces_raw = _get_object(tuner, "spaces", "tuner.spaces")
     spaces = {}
@@ -233,24 +231,40 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
             spaces[family] = space_from_config(family, mapping)
         except ValueError as exc:
             _fail(f"tuner.spaces.{family}", str(exc))
+        try:
+            size = grid_size(spaces[family])
+        except OverflowError:  # a step so small that (hi - lo) / step is infinite
+            size = math.inf
+        if size > MAX_SEARCH_CONFIGS:
+            _fail(f"tuner.spaces.{family}",
+                  f"grid has {size} configs, more than the maximum {MAX_SEARCH_CONFIGS}")
 
-    k = _get_number(tuner, "k", "tuner.k", default=3, lo=2, integer=True)
-    rs_budget = None
-    if tuner.get("rs_budget") is not None:
-        rs_budget = _get_number(tuner, "rs_budget", "tuner.rs_budget", lo=1, integer=True)
-    fold_seed = _get_number(tuner, "fold_seed", "tuner.fold_seed", default=0, lo=0, integer=True)
-    search_seed = _get_number(
-        tuner, "search_seed", "tuner.search_seed", default=0, lo=0, integer=True
-    )
-    workers = _get_number(tuner, "workers", "tuner.workers", default=1, lo=1, integer=True)
+    tuner = {
+        "families": list(families_raw),
+        "spaces": spaces_raw,
+        "k": _get_number(tuner, "k", "tuner.k", default=3, lo=2, integer=True),
+        "rs_budget": None if tuner.get("rs_budget") is None else _get_number(
+            tuner, "rs_budget", "tuner.rs_budget", lo=1, hi=MAX_SEARCH_CONFIGS, integer=True
+        ),
+        "fold_seed": _get_number(
+            tuner, "fold_seed", "tuner.fold_seed", default=0, lo=0, integer=True
+        ),
+        "search_seed": _get_number(
+            tuner, "search_seed", "tuner.search_seed", default=0, lo=0, integer=True
+        ),
+        "workers": _get_number(tuner, "workers", "tuner.workers", default=1, lo=1, integer=True),
+    }
 
     output = _get_object(doc, "output", "output", required=True,
                          fields=("report", "table", "chart"))
-    report_path = resolve(_get_string(output, "report", "output.report", required=True))
-    table_default = str(report_path.with_suffix(".md"))
-    chart_default = str(report_path.with_suffix(".svg"))
-    table_path = resolve(_get_string(output, "table", "output.table", default=table_default))
-    chart_path = resolve(_get_string(output, "chart", "output.chart", default=chart_default))
+    report_path = get_path(output, "report", "output.report")
+    output = {
+        "report": report_path,
+        "table": get_path(output, "table", "output.table",
+                          default=str(Path(report_path).with_suffix(".md"))),
+        "chart": get_path(output, "chart", "output.chart",
+                          default=str(Path(report_path).with_suffix(".svg"))),
+    }
 
     references = _get_object(doc, "references", "references")
     for label, mapping in references.items():
@@ -262,23 +276,5 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 _fail(f"references.{label}.{family}", f"expected a number, got {value!r}")
 
-    return RunConfig(
-        source=source,
-        missing_threshold=missing_threshold,
-        scaling=scaling,
-        derived=derived,
-        train_fraction=train_fraction,
-        split_seed=split_seed,
-        families=families,
-        spaces=spaces,
-        spaces_raw=spaces_raw,
-        k=k,
-        rs_budget=rs_budget,
-        fold_seed=fold_seed,
-        search_seed=search_seed,
-        workers=workers,
-        report_path=report_path,
-        table_path=table_path,
-        chart_path=chart_path,
-        references=references,
-    )
+    return RunConfig(data=source, preprocess=preprocess, split=split, tuner=tuner,
+                     output=output, references=references, spaces=spaces)

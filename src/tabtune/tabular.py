@@ -122,8 +122,6 @@ def make_table(schema, columns, missing) -> Table:
 class SplitPair:
     train: Table
     test: Table
-    seed: int
-    train_fraction: float
 
 
 def _is_decimal(text: str) -> bool:
@@ -136,22 +134,26 @@ def load_csv(path, target_column: str) -> Table:
     A column is numeric iff every non-missing cell parses as a decimal
     number; anything else is categorical. Empty fields and the literal
     "NA" are missing. A numeric cell that overflows to infinity (``1e999``)
-    raises CsvParseError naming its row and column. The target column must
-    carry exactly two distinct values and no missing cells.
+    raises CsvParseError naming its row and column; CSV the reader rejects
+    (a field over ``csv.field_size_limit()``) raises CsvParseError naming the
+    line. The target column must carry exactly two distinct values and no
+    missing cells.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            raw_rows = []
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}"
+                    )
+                raw_rows.append(row)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, header row required") from None
-        raw_rows = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}"
-                )
-            raw_rows.append(row)
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: duplicate column names in header")
     if target_column not in header:
@@ -231,8 +233,6 @@ def split_train_test(table: Table, train_fraction: float, seed: int) -> SplitPai
     return SplitPair(
         train=table.take(perm[:n_train]),
         test=table.take(perm[n_train:]),
-        seed=seed,
-        train_fraction=train_fraction,
     )
 
 

@@ -25,9 +25,6 @@ from .preprocess import DesignMatrix
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable capping worker processes for trial evaluation.
-MAX_WORKERS_ENV = "TABTUNE_MAX_WORKERS"
-
 #: Random search evaluates min(grid_size, this cap) configs unless overridden.
 DEFAULT_RS_BUDGET_CAP = 200
 
@@ -40,7 +37,6 @@ class TuningError(RuntimeError):
 class FoldPlan:
     k: int
     assignments: np.ndarray
-    seed: int
 
     @property
     def n_rows(self) -> int:
@@ -62,7 +58,7 @@ def shuffle_kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
     for fold, rows in enumerate(np.array_split(perm, k)):  # first blocks are longer
         assignments[rows] = fold
     assignments.setflags(write=False)
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -133,40 +129,19 @@ def _trial_task(args):
     return cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
 
 
-def max_workers_cap() -> int | None:
-    """The worker cap set by ``TABTUNE_MAX_WORKERS``, or None when unset.
-
-    Anything but a positive integer raises ValueError naming the variable.
-    """
-    raw = os.environ.get(MAX_WORKERS_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{MAX_WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _effective_workers(requested: int) -> int:
-    cap = max_workers_cap()
-    workers = max(1, int(requested))
-    if cap is not None:
-        workers = min(workers, cap)
-    return workers
-
-
 def _evaluate_configs(family, configs, train, folds, seed, workers):
     """All configs evaluated in trial-index order; parallelism cannot change
-    results because configs are pre-generated and every trial shares the seed."""
+    results because configs are pre-generated and every trial shares the seed.
+
+    The pool has ``min(workers, len(configs), os.cpu_count())`` processes: a
+    pool forks all of its processes when it starts, so more would sit idle.
+    """
     tasks = [
         (family, config, train, folds, seed, index)
         for index, config in enumerate(configs)
     ]
-    workers = _effective_workers(workers)
-    if workers <= 1 or len(tasks) < 2:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_trial_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_task, tasks))  # map keeps task order

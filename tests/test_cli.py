@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, main
-from tabtune.config import ConfigError, load_run_config
+import tabtune.cli as cli_module
+from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_UNEXPECTED, main
+from tabtune.config import ConfigError, load_run_config, parse_run_config
+from tabtune.hpspace import grid_size, space_from_config
 from tabtune.report import strip_volatile
-from tabtune.tuner import MAX_WORKERS_ENV
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DOCS = Path(__file__).parent.parent / "docs"
 
 
 def _small_config(tmp_path, **overrides):
@@ -82,15 +84,6 @@ def test_run_infinite_csv_cell_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row 7" in err and "'entry_gpa'" in err
     assert not (tmp_path / "report.json").exists()
-
-
-def test_run_rejects_bad_worker_cap_before_loading(tmp_path, capsys, monkeypatch):
-    config_path, _ = _small_config(
-        tmp_path, data={"csv": {"path": "absent.csv", "target": "y"}}
-    )
-    monkeypatch.setenv(MAX_WORKERS_ENV, "abc")
-    assert main(["run", str(config_path)]) == EXIT_CONFIG
-    assert MAX_WORKERS_ENV in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blocker", ["file_as_parent", "directory_at_path"])
@@ -228,9 +221,9 @@ def test_config_paths_resolve_relative_to_config_file(tmp_path):
     config_path = nested / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     config = load_run_config(config_path)
-    assert config.report_path == nested / "out" / "report.json"
-    assert config.table_path == nested / "out" / "report.md"
-    assert config.chart_path == nested / "out" / "report.svg"
+    assert config.output["report"] == str(nested / "out" / "report.json")
+    assert config.output["table"] == str(nested / "out" / "report.md")
+    assert config.output["chart"] == str(nested / "out" / "report.svg")
     assert main(["run", str(config_path)]) == 0
     assert (nested / "out" / "report.json").exists()
 
@@ -288,8 +281,6 @@ def test_config_validation_messages_name_fields(tmp_path):
     for doc, expected_field in cases:
         doc.setdefault("output", {"report": "r.json"})
         with pytest.raises(ConfigError, match=expected_field.replace(".", r"\.")):
-            from tabtune.config import parse_run_config
-
             parse_run_config(doc, tmp_path)
 
 
@@ -315,3 +306,88 @@ def test_run_finite_extreme_cells_are_a_data_error(tmp_path, capsys):
     assert main(["run", str(config_path)]) == EXIT_DATA
     assert "'entry_gpa'" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("place, number", [
+    ("rows", "Infinity"), ("rows", "NaN"), ("rows", "1e999"),
+    ("step", "NaN"), ("step", "Infinity"),
+    ("reference", "NaN"), ("reference", "Infinity"),
+])
+def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, place, number):
+    placeholder = 987654321  # replaced in the JSON text, which json.dumps cannot write
+    overrides = {
+        "rows": {"data": {"synthetic": {"rows": placeholder}}},
+        "step": {"tuner": {"families": ["LR"], "spaces": {
+            "LR": {"learning_rate": {"lo": 0.1, "hi": 0.5, "step": placeholder}}}}},
+        "reference": {"references": {"p": {"NB": placeholder}}},
+    }[place]
+    config_path, _ = _small_config(tmp_path, **overrides)
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(text.replace(str(placeholder), number), encoding="utf-8")
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert number in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_oversized_search_is_a_config_error(tmp_path):
+    fine = {"learning_rate": {"lo": 0.01, "hi": 1.0, "step": 1e-9}}
+    cases = [
+        ({"spaces": {"LR": fine}}, "tuner.spaces.LR", str(grid_size(space_from_config("LR", fine)))),
+        # (hi - lo) / step overflows to infinity
+        ({"spaces": {"LR": {"learning_rate": {"lo": 0.01, "hi": 1.0, "step": 1e-310}}}},
+         "tuner.spaces.LR", "inf"),
+        ({"rs_budget": 100_001}, "tuner.rs_budget", "100000"),
+    ]
+    for tuner, field, detail in cases:
+        doc = {"data": {"synthetic": {"rows": 100}}, "tuner": tuner,
+               "output": {"report": "r.json"}}
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")) as excinfo:
+            parse_run_config(doc, tmp_path)
+        assert detail in str(excinfo.value)
+    doc = {"data": {"synthetic": {"rows": 100}}, "tuner": {"rs_budget": 100_000},
+           "output": {"report": "r.json"}}
+    assert parse_run_config(doc, tmp_path).tuner["rs_budget"] == 100_000
+
+
+@pytest.mark.parametrize("stage", ["apply_plan", "grs_auto_hp", "render_chart"])
+def test_run_program_fault_is_an_unexpected_error(tmp_path, capsys, monkeypatch, stage):
+    def faulty(*args, **kwargs):
+        raise TypeError(f"a bug in {stage}")
+
+    monkeypatch.setattr(cli_module, stage, faulty)
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == EXIT_UNEXPECTED
+    assert f"unexpected error: a bug in {stage}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report.*")) and not list(tmp_path.glob("*.tmp-*"))
+
+
+def test_run_oversized_csv_field_is_a_data_error(tmp_path, capsys):
+    lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("first_major")
+    cells = lines[5].split(",")
+    cells[column] = "x" * 140_000  # over csv.field_size_limit()
+    lines[5] = ",".join(cells)
+    oversized = tmp_path / "oversized.csv"
+    oversized.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": str(oversized), "target": "graduated"}}
+    )
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert "line 6" in capsys.readouterr().err
+
+
+def test_config_schema_accepts_configs_and_their_echo(tmp_path):
+    import jsonschema
+
+    schema = json.loads((DOCS / "config.schema.json").read_text(encoding="utf-8"))
+    config_path, doc = _small_config(tmp_path)
+    jsonschema.validate(doc, schema)
+    assert main(["run", str(config_path)]) == 0
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    jsonschema.validate(echo, schema)
+    # the schema states the limits the parser enforces
+    for tuner in ({"families": ["DT", "DT"]}, {"rs_budget": 100_001}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**doc, "tuner": tuner}, schema)
+        with pytest.raises(ConfigError):
+            parse_run_config({**doc, "tuner": tuner}, tmp_path)

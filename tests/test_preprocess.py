@@ -196,7 +196,7 @@ def test_numeric_missing_imputed_with_train_mean():
 
 def test_identical_tables_identical_matrices():
     table = generate_synthetic(120, seed=3)
-    pair = SplitPair(train=table, test=table, seed=0, train_fraction=0.5)
+    pair = SplitPair(train=table, test=table)
     train, test = preprocess_split(pair, 0.6, "minmax")
     assert train.feature_names == test.feature_names
     assert np.array_equal(train.features, test.features)

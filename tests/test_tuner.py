@@ -99,7 +99,7 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
     def fake_train(spec, part, seed):
         from tabtune.classifiers import TrainedModel
 
-        return TrainedModel(spec.family, dict(spec.config), _AlwaysZero(), seed, 0.0)
+        return TrainedModel(spec.family, dict(spec.config), _AlwaysZero(), 0.0)
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
     trial = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
@@ -132,7 +132,7 @@ def test_single_class_fold_scores_zero_with_warning(caplog):
     y = np.array([1, 1, 0, 0, 0, 0, 0, 0])
     data = _matrix(X, y)
     assignments = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    folds = FoldPlan(k=2, assignments=assignments, seed=0)
+    folds = FoldPlan(k=2, assignments=assignments)
     with caplog.at_level(logging.WARNING):
         trial = cross_val_trial(ModelSpec("NB", {}), data, folds, seed=0)
     # fold 0 holds out both 1-labels, so its training part is single-class
@@ -259,17 +259,6 @@ def test_grid_dominates_baseline_when_default_on_grid():
     assert best.mean_accuracy >= baseline.mean_accuracy
 
 
-def test_workers_env_cap(monkeypatch):
-    monkeypatch.setenv(tuner_module.MAX_WORKERS_ENV, "1")
-    assert tuner_module._effective_workers(8) == 1
-    monkeypatch.delenv(tuner_module.MAX_WORKERS_ENV)
-    assert tuner_module._effective_workers(3) == 3
-    for bad in ("abc", "", "0", "-2", "1.5"):
-        monkeypatch.setenv(tuner_module.MAX_WORKERS_ENV, bad)
-        with pytest.raises(ValueError, match=tuner_module.MAX_WORKERS_ENV):
-            tuner_module.max_workers_cap()
-
-
 def test_parallel_equals_sequential():
     data = _noisy(60, seed=4)
     folds = shuffle_kfold(60, 3, seed=1)
@@ -278,6 +267,44 @@ def test_parallel_equals_sequential():
     _, par = grid_search("DT", space, data, folds, seed=0, workers=2)
     assert [t.config for t in seq] == [t.config for t in par]
     assert [t.fold_accuracies for t in seq] == [t.fold_accuracies for t in par]
+
+
+def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
+    class FakePool:  # runs tasks in this process; records the requested size
+        sizes = []
+
+        def __init__(self, max_workers):
+            FakePool.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", FakePool)
+    data = _noisy(30, seed=4)
+    folds = shuffle_kfold(30, 3, seed=1)
+    configs = [{"max_depth": depth} for depth in range(1, 6)]
+    expected = tuner_module._evaluate_configs("DT", configs, data, folds, 0, 1)
+    # (workers, configs, cpu_count) -> pool size; None means no pool
+    cases = [
+        (8, 3, 16, 3), (8, 5, 2, 2), (3, 5, 16, 3), (2, 5, None, None),
+        (1, 5, 16, None), (8, 1, 16, None), (64, 5, 4, 4),
+    ]
+    for workers, n_configs, cpus, size in cases:
+        monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: cpus)
+        FakePool.sizes = []
+        trials = tuner_module._evaluate_configs(
+            "DT", configs[:n_configs], data, folds, 0, workers
+        )
+        assert FakePool.sizes == ([] if size is None else [size])
+        assert [t.fold_accuracies for t in trials] == [
+            t.fold_accuracies for t in expected[:n_configs]
+        ]
 
 
 def test_default_rs_budget_caps_at_200():
