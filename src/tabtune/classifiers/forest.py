@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import DecisionTree
+from .tree import _LabelRule, grow, grow_depth_first, stack_trees
 
 
 class RandomForest:
@@ -24,33 +24,37 @@ class RandomForest:
         self.max_features_frac = max_features_frac
         self.seed = seed
         self.bootstrap = bootstrap
-        self.trees_ = []
+        self.trees_ = None
         self.n_features_ = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
         n, d = X.shape
         self.n_features_ = d
         m = max(1, math.ceil(self.max_features_frac * d))
         rng = np.random.default_rng(self.seed)
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_split=2,
-                criterion="gini",
-                feature_rng=rng,
-                max_features=m,
-            )
-            tree.fit(X[rows], y[rows])
-            self.trees_.append(tree)
+
+        def rows():
+            return rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+
+        if m < d:
+            # one draw per searched node, depth first, each tree's after its
+            # bootstrap and before the next tree's
+            def columns():
+                return np.sort(rng.choice(d, size=m, replace=False))
+
+            rule = _LabelRule(X, y, "gini", 2, columns)
+            self.trees_ = stack_trees([grow_depth_first(rule, rows(), self.max_depth)
+                                       for _ in range(self.n_estimators)])
+        else:
+            rule = _LabelRule(X, y, "gini", 2)
+            samples = [rows() for _ in range(self.n_estimators)]
+            self.trees_, _ = grow(rule, samples, self.max_depth)
         return self
 
     def tree_predictions(self, X):
-        return np.stack([tree.predict(X) for tree in self.trees_])
+        return self.trees_.leaf_values(np.asarray(X, dtype=float)).astype(np.int64)
 
     def predict(self, X):
         votes = self.tree_predictions(X).sum(axis=0)
-        return (2 * votes > len(self.trees_)).astype(np.int64)
+        return (2 * votes > len(self.trees_.roots)).astype(np.int64)

@@ -1,10 +1,24 @@
-"""CART binary trees: one greedy depth-first grower and one split kernel.
+"""CART binary trees stored as flat arrays and grown level by level.
 
-The kernel sorts every candidate column once, keeps the split points between
-distinct values and takes the first maximum gain. A criterion supplies only
-the gains computed from the sorted targets: gini and entropy for
-classification (``DecisionTree``, ``RandomForest``) and squared error for
-the regression stages of ``GradientBoostedTrees``.
+A tree, or a whole forest, is one ``Trees``: flat node arrays (split
+feature, threshold, left and right child, leaf value) with one root per
+tree. Rows with ``feature <= threshold`` go left; candidate thresholds are
+the midpoints between consecutive distinct values in a node, and the first
+maximum gain wins in (feature, threshold) order. ``Trees.leaf_values``
+routes every row through every tree one level at a time.
+
+``grow`` keeps the rows of every open node contiguous and searches all open
+nodes of a depth at once, so a forest grows all of its trees in one level
+loop. Its gini/entropy search (``_best_splits``) encodes each column once
+per fit: a two-valued column splits by two counts per node and needs no
+sort; the other columns are sorted by (node, value rank). The gains come
+from integer counts, so the order of tied rows cannot change a split.
+
+``_best_split_matrix`` searches one node at a time by sorting its rows. It
+serves the squared-error stages of gradient boosting, whose float sums
+depend on that sort order, and forests that draw candidate features per
+node, which ``grow_depth_first`` grows in the depth-first order of the
+draws.
 """
 
 from __future__ import annotations
@@ -45,71 +59,188 @@ def _entropy_from_p1(p1):
     return out
 
 
-def _impurity_gains(impurity):
-    """Impurity decrease of every split point from sorted 0/1 labels."""
+_IMPURITY = {"gini": _gini_from_p1, "entropy": _entropy_from_p1}
 
-    def gains(ys, n_left, n):
+
+def _impurity_gain(impurity, n_left, ones_left, n, ones):
+    """Impurity decrease of each split sending ``n_left`` of a node's ``n``
+    rows left, ``ones_left`` of its ``ones`` positives among them."""
+    n_left = n_left.astype(float)
+    n_right = n - n_left
+    p1_left = ones_left / n_left
+    p1_right = (ones - ones_left) / n_right
+    parent = impurity(ones / n)
+    weighted = (n_left * impurity(p1_left) + n_right * impurity(p1_right)) / n
+    return parent - weighted
+
+
+def _sse_gains(rs, row, column, n):
+    """Squared-error reduction of the splits after sorted position ``row``
+    of ``column``, from the targets in each column's sorted order."""
+    s = np.cumsum(rs, axis=0)
+    q = np.cumsum(rs * rs, axis=0)
+    n_left = row + 1.0
+    n_right = n - n_left
+    s_left, s_total = s[row, column], s[-1, column]
+    q_left, q_total = q[row, column], q[-1, column]
+    s_right = s_total - s_left
+    sse_left = q_left - s_left * s_left / n_left
+    sse_right = (q_total - q_left) - s_right * s_right / n_right
+    sse_total = q_total - s_total * s_total / n
+    return sse_total - sse_left - sse_right
+
+
+def _label_gains(impurity):
+    def gains(ys, row, column, n):
         ones = np.cumsum(ys, axis=0)
-        total = ones[-1].astype(float)
-        n_right = n - n_left
-        p1_left = ones[:-1] / n_left
-        p1_right = (total - ones[:-1]) / n_right
-        parent = impurity(np.array([total[0] / n]))[0]
-        weighted = (n_left * impurity(p1_left) + n_right * impurity(p1_right)) / n
-        return parent - weighted
+        return _impurity_gain(impurity, row + 1, ones[row, column], n, ones[-1, column])
 
     return gains
 
 
-def _sse_gains(rs, n_left, n):
-    """Squared-error reduction of every split point from sorted targets."""
-    s = np.cumsum(rs, axis=0)
-    q = np.cumsum(rs * rs, axis=0)
-    n_right = n - n_left
-    s_left = s[:-1]
-    s_right = s[-1] - s_left
-    sse_left = q[:-1] - s_left * s_left / n_left
-    sse_right = (q[-1] - q[:-1]) - s_right * s_right / n_right
-    sse_total = q[-1] - s[-1] * s[-1] / n
-    return sse_total - sse_left - sse_right
-
-
-_CRITERIA = {
-    "gini": _impurity_gains(_gini_from_p1),
-    "entropy": _impurity_gains(_entropy_from_p1),
-    "sse": _sse_gains,
-}
-_CLASSIFICATION_CRITERIA = ("gini", "entropy")
+_CRITERIA = {name: _label_gains(impurity) for name, impurity in _IMPURITY.items()}
+_CRITERIA["sse"] = _sse_gains
 
 
 def _best_split_matrix(X, y, criterion):
-    """(feature, threshold, gain) of the best split over every column, or
-    None when no split has positive gain.
+    """(feature, threshold, gain) of the best split of one node's rows
+    (``X``, targets ``y``), or None when no split has positive gain.
 
-    Candidate thresholds are the midpoints between consecutive distinct
-    sorted values. Ties resolve to the smallest threshold within a feature,
-    then to the smallest feature index.
+    The search of one node at a time. Every column is sorted with
+    ``np.argsort``; the squared-error sums run in that order, which the
+    node's row order fixes, and their last bits depend on it. Candidate
+    thresholds and tie rules are those of ``_best_splits``.
     """
     n, d = X.shape
     if n < 2 or d == 0:
         return None
     order = np.argsort(X, axis=0)
-    xs = np.take_along_axis(X, order, axis=0)
-    boundary = xs[1:] != xs[:-1]  # split after sorted position i
-    if not boundary.any():
+    xs = X[order, np.arange(d)]
+    # a split after sorted position ``row``, in (feature, threshold) order
+    column, row = np.nonzero((xs[1:] != xs[:-1]).T)
+    if not column.size:
         return None
-    n_left = np.arange(1, n, dtype=float)[:, None]
-    gains = _CRITERIA[criterion](y[order], n_left, n)
-    gains[~boundary] = -np.inf
-    best_rows = np.argmax(gains, axis=0)  # first max: smallest threshold
-    best_gains = gains[best_rows, np.arange(d)]
-    feature = int(np.argmax(best_gains))  # first max: smallest feature index
-    gain = best_gains[feature]
-    if not np.isfinite(gain) or gain <= 0.0:
+    gains = _CRITERIA[criterion](y[order], row, column, n)
+    best = int(np.argmax(gains))  # first maximum
+    if not gains[best] > 0.0:
         return None
-    row = best_rows[feature]
+    feature, row = int(column[best]), row[best]
     threshold = (xs[row, feature] + xs[row + 1, feature]) / 2.0
-    return feature, float(threshold), float(gain)
+    return feature, float(threshold), float(gains[best])
+
+
+def _search_each(X, y, rows, counts, criterion, draw_columns=None):
+    """Feature and threshold arrays of the best split of each node of a
+    batch, searched one node at a time over the node's rows in their order;
+    ``draw_columns``, when given, is called once per node and returns the
+    sorted feature indices that node may split on."""
+    feature = np.full(len(counts), -1)
+    threshold = np.zeros(len(counts))
+    for k, node_rows in enumerate(_per_node(rows, counts)):
+        sub = X[node_rows]
+        columns = None if draw_columns is None else draw_columns()
+        found = _best_split_matrix(sub if columns is None else sub[:, columns],
+                                   y[node_rows], criterion)
+        if found is not None:
+            feature[k] = found[0] if columns is None else columns[found[0]]
+            threshold[k] = found[1]
+    return feature, threshold
+
+
+def _per_node(rows, counts):
+    """The rows of each node of a batch."""
+    ends = np.cumsum(counts).tolist()
+    return [rows[end - count:end] for end, count in zip(ends, counts.tolist())]
+
+
+class _RankedColumns:
+    """The columns of one fit's feature matrix, encoded once for
+    ``_best_splits``. Two-valued columns (``two``) keep a mask of the cells
+    holding the higher value; columns with more values (``many``) keep every
+    cell's rank among the column's distinct values. ``low`` and ``high``
+    give each two-valued column's values, ``values[offsets[k] + r]`` the
+    value of rank ``r`` in the ``k``-th many-valued column."""
+
+    def __init__(self, X):
+        order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, order, axis=0)
+        new_value = np.ones(X.shape, dtype=bool)
+        new_value[1:] = xs[1:] != xs[:-1]
+        ranks = np.empty(X.shape, dtype=np.int32)
+        np.put_along_axis(ranks, order, np.cumsum(new_value, axis=0, dtype=np.int32) - 1,
+                          axis=0)
+        n_values = new_value.sum(axis=0)
+        self.n_columns = X.shape[1]
+        self.two = np.flatnonzero(n_values == 2)
+        self.is_high = np.ascontiguousarray(ranks[:, self.two].T == 1)
+        self.low, self.high = xs[0, self.two], xs[-1, self.two]
+        self.many = np.flatnonzero(n_values > 2)
+        self.ranks = np.ascontiguousarray(ranks[:, self.many].T)
+        self.width = int(n_values[self.many].max(initial=0))
+        self.offsets = np.cumsum(n_values[self.many]) - n_values[self.many]
+        self.values = xs.T[self.many][new_value.T[self.many]]
+
+
+def _best_splits(ranked, y, rows, counts, impurity):
+    """(feature, threshold, gain) arrays of the best split of each node of a
+    batch; feature is -1 where no split has positive gain.
+
+    ``rows`` holds the training rows of every node, node after node, with
+    ``counts`` rows each.
+    """
+    n_nodes = len(counts)
+    if not ranked.two.size and not ranked.many.size:  # every column is constant
+        return np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -np.inf)
+    starts = np.cumsum(counts) - counts
+    labels = y[rows]
+    ones = np.add.reduceat(labels, starts)
+    gain = np.full((n_nodes, ranked.n_columns), -np.inf)
+    threshold = np.zeros((n_nodes, ranked.n_columns))
+
+    if ranked.two.size:  # the rows holding a two-valued column's higher value go right
+        high = ranked.is_high[:, rows]
+        n_high = np.add.reduceat(high, starts, axis=1, dtype=np.intp).T
+        ones_high = np.add.reduceat(high & (labels == 1), starts, axis=1, dtype=np.intp).T
+        n_left = counts[:, None] - n_high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = _impurity_gain(impurity, n_left, ones[:, None] - ones_high,
+                               counts[:, None], ones[:, None])
+        gain[:, ranked.two] = np.where((n_high > 0) & (n_left > 0), g, -np.inf)
+        threshold[:, ranked.two] = (ranked.low + ranked.high) / 2.0
+
+    if ranked.many.size:  # one sort orders every (column, node) segment by rank
+        width = ranked.width
+        node_of = np.repeat(np.arange(n_nodes), counts)
+        key = ((np.arange(ranked.many.size)[:, None] * n_nodes + node_of) * width
+               + ranked.ranks[:, rows]).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        segment = key // width
+        ones_before = np.concatenate(([0], np.cumsum(labels[order % len(rows)])))
+        at = np.flatnonzero((segment[1:] == segment[:-1]) & (key[1:] != key[:-1]))
+        if at.size:  # a split after sorted position ``at``
+            seg = segment[at]
+            slot, node = np.divmod(seg, n_nodes)
+            first = slot * len(rows) + starts[node]
+            g = _impurity_gain(impurity, at + 1 - first,
+                               ones_before[at + 1] - ones_before[first],
+                               counts[node], ones[node])
+            # the first maximum of each segment: its smallest threshold
+            heads = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+            hits = np.flatnonzero(g == np.repeat(np.maximum.reduceat(g, heads),
+                                                 np.diff(np.append(heads, g.size))))
+            hits = hits[np.concatenate(([True], seg[hits[1:]] != seg[hits[:-1]]))]
+            win, slot, node = at[hits], slot[hits], node[hits]
+            gain[node, ranked.many[slot]] = g[hits]
+            base = ranked.offsets[slot]
+            threshold[node, ranked.many[slot]] = (
+                ranked.values[base + key[win] % width]
+                + ranked.values[base + key[win + 1] % width]) / 2.0
+
+    best = np.argmax(gain, axis=1)  # first maximum: the smallest feature index
+    nodes = np.arange(n_nodes)
+    best_gain = gain[nodes, best]
+    return np.where(best_gain > 0.0, best, -1), threshold[nodes, best], best_gain
 
 
 def best_split(feature_column, labels, criterion: str = "gini"):
@@ -123,114 +254,245 @@ def best_split(feature_column, labels, criterion: str = "gini"):
     y = np.asarray(labels)
     if len(x) != len(y):
         raise ValueError(f"feature has {len(x)} rows but labels has {len(y)}")
-    if criterion not in _CLASSIFICATION_CRITERIA:
+    if criterion not in _IMPURITY:
         raise ValueError(f"unknown criterion {criterion!r}")
-    found = _best_split_matrix(x[:, None], y, criterion)
-    return None if found is None else found[1:]
+    if len(x) < 2:
+        return None
+    feature, threshold, gain = _best_splits(
+        _RankedColumns(x[:, None]), y.astype(np.intp), np.arange(len(x)),
+        np.array([len(x)]), _IMPURITY[criterion])
+    return None if feature[0] < 0 else (float(threshold[0]), float(gain[0]))
 
 
 @dataclass
-class _Node:
-    value: float = 0.0  # leaf output: a 0/1 label or a regression value
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+class Trees:
+    """One or more binary trees as flat node arrays. Node ``i`` is a leaf
+    holding ``value[i]`` when ``feature[i]`` is -1; otherwise rows with
+    ``feature <= threshold`` go to ``left[i]`` and the rest to ``right[i]``.
+    ``roots`` holds each tree's root node, in tree order."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+    def leaf_values(self, X) -> np.ndarray:
+        """(trees, rows) matrix of the leaf value each tree gives each row."""
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), len(self.roots))
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = X[row[active], self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(goes_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.value[node].reshape(len(self.roots), n)
 
 
-def grow(X, y, criterion, max_depth, stop, leaf_value, candidates=None):
-    """Grow a tree depth first, left subtree before right; rows with
-    feature <= threshold go left.
+def stack_trees(parts) -> Trees:
+    """One ``Trees`` holding the trees of every part, in order."""
+    if not parts:
+        return Trees(*(np.empty(0, dtype=dt)
+                       for dt in (np.intp, float, np.intp, np.intp, float, np.intp)))
+    offsets = np.cumsum([0] + [len(p.value) for p in parts[:-1]])
 
-    A node becomes a leaf holding ``leaf_value(y)`` at ``max_depth``, when
-    ``stop(y)`` holds, or when no split has positive gain. ``candidates``,
-    when given, is called once per searched node and returns the sorted
-    feature indices that node may split on.
+    def joined(name, shift=False):
+        arrays = [getattr(p, name) for p in parts]
+        if shift:
+            arrays = [np.where(a >= 0, a + o, -1) for a, o in zip(arrays, offsets)]
+        return np.concatenate(arrays)
+
+    return Trees(joined("feature"), joined("threshold"), joined("left", True),
+                 joined("right", True), joined("value"),
+                 np.concatenate([p.roots + o for p, o in zip(parts, offsets)]))
+
+
+#: Rows searched in one batch, at most: a bound on a batch's temporaries
+#: that still leaves thousands of small nodes to one search.
+_BATCH_ROWS = 4096
+
+
+def _batches(depth, first_id, rows, positions, counts):
+    """The nodes of one depth as batches of whole nodes, each holding at most
+    ``_BATCH_ROWS`` rows unless a single node holds more."""
+    if len(rows) <= _BATCH_ROWS:
+        yield depth, first_id, rows, positions, counts
+        return
+    ends = np.cumsum(counts)
+    group = (ends - 1) // _BATCH_ROWS
+    cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
+    for a, b in zip(np.append(0, cuts), np.append(cuts, len(counts))):
+        start = ends[a] - counts[a]
+        yield depth, first_id + a, rows[start:ends[b - 1]], positions[start:ends[b - 1]], \
+            counts[a:b]
+
+
+def grow(rule, samples, max_depth):
+    """Grow one tree per array of training rows in ``samples``.
+
+    ``rule`` supplies the feature matrix ``X`` and three functions of a
+    batch of nodes, given as their rows (node after node) and row counts:
+    ``stop`` (a mask of the nodes that become leaves unsearched), ``search``
+    (feature and threshold arrays, feature -1 where nothing splits) and
+    ``node_values`` (the value of each node as a leaf). A node also becomes
+    a leaf at ``max_depth`` and when its threshold sends every row the same
+    way (midpoint rounding). A node's rows keep the order they have in
+    ``samples``.
+
+    The open nodes of a depth are searched together, in batches of whole
+    nodes holding up to ``_BATCH_ROWS`` rows.
+
+    Returns the ``Trees`` and, for every position of the concatenated
+    ``samples``, the leaf node its row reached.
     """
+    X = rule.X
+    counts = np.array([len(s) for s in samples])
+    leaf_of = np.empty(counts.sum(), dtype=np.intp)
+    n_nodes = len(samples)
+    pending = list(_batches(0, 0, np.concatenate(samples), np.arange(len(leaf_of)), counts))
+    built = []
+    while pending:
+        depth, first_id, rows, positions, counts = pending.pop()
+        n = len(counts)
+        node = np.repeat(np.arange(n), counts)
+        feature = np.full(n, -1)
+        threshold = np.zeros(n)
+        if depth < max_depth:
+            searched = ~rule.stop(rows, counts)
+            if searched.any():
+                feature[searched], threshold[searched] = rule.search(
+                    rows[searched[node]], counts[searched])
+        split = feature >= 0
+        if not split.any():  # a batch of leaves
+            built.append((first_id, feature, threshold, np.full(n, -1),
+                          rule.node_values(rows, counts)))
+            leaf_of[positions] = first_id + node
+            continue
+        goes_left = (X[rows, feature[node]] <= threshold[node]) & split[node]
+        n_left = np.bincount(node, weights=goes_left, minlength=n)
+        split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
+        feature[~split] = -1
+        done = ~split[node]
+        value = np.zeros(n)
+        if done.any():
+            value[~split] = rule.node_values(rows[done], counts[~split])
+            leaf_of[positions[done]] = first_id + node[done]
+        left = np.full(n, -1)
+        left[split] = np.arange(n_nodes, n_nodes + 2 * split.sum(), 2)
+        built.append((first_id, feature, threshold, left, value))
+        if not split.any():
+            continue
+        kept = np.flatnonzero(~done)
+        child = left[node[kept]] - n_nodes + ~goes_left[kept]
+        kept = kept[np.argsort(child, kind="stable")]
+        rows, positions = rows[kept], positions[kept]
+        counts = np.bincount(child, minlength=2 * split.sum())
+        pending.extend(_batches(depth + 1, n_nodes, rows, positions, counts))
+        n_nodes += len(counts)
 
-    def node_for(X, y, depth):
-        if depth >= max_depth or stop(y):
-            return _Node(leaf_value(y))
-        features = None if candidates is None else candidates()
-        sub = X if features is None else X[:, features]
-        found = _best_split_matrix(sub, y, criterion)
-        if found is None:
-            return _Node(leaf_value(y))
-        feature, threshold, _ = found
-        if features is not None:
-            feature = int(features[feature])
-        mask = X[:, feature] <= threshold
-        if mask.all() or not mask.any():  # degenerate midpoint rounding
-            return _Node(leaf_value(y))
-        node = _Node(feature=feature, threshold=threshold)
-        node.left = node_for(X[mask], y[mask], depth + 1)
-        node.right = node_for(X[~mask], y[~mask], depth + 1)
-        return node
-
-    return node_for(X, y, 0)
+    feature, threshold, left, value = (np.empty(n_nodes, dtype=dt)
+                                       for dt in (np.intp, float, np.intp, float))
+    for first_id, *parts in built:
+        for out, part in zip((feature, threshold, left, value), parts):
+            out[first_id:first_id + len(part)] = part
+    right = np.where(left >= 0, left + 1, -1)  # siblings are stored side by side
+    return Trees(feature, threshold, left, right, value, np.arange(len(samples))), leaf_of
 
 
-def predict_tree(root, X, dtype=float):
-    """Leaf value of every row of ``X``."""
-    out = np.zeros(X.shape[0], dtype=dtype)
-    _predict_into(root, X, np.arange(X.shape[0]), out)
-    return out
+def grow_depth_first(rule, rows, max_depth):
+    """Grow one tree from ``rows`` a node at a time, left subtree before
+    right: the order in which per-node random draws must happen. Same rules
+    as ``grow``; a separate loop because batch bookkeeping for one node at a
+    time costs more than the search.
+
+    """
+    X = rule.X
+    feature, threshold, right, value = [], [], [], []
+    stack = [(np.arange(len(rows)), 0, None)]  # positions in ``rows``, depth, parent
+    while stack:
+        at, depth, parent = stack.pop()
+        node = len(feature)
+        if parent is not None:  # a right child: the left one follows its parent
+            right[parent] = node
+        node_rows = rows[at]
+        one = np.array([len(at)])
+        found = (-1, 0.0)
+        if depth < max_depth and not rule.stop(node_rows, one)[0]:
+            found = tuple(a[0] for a in rule.search(node_rows, one))
+        goes_left = X[node_rows, found[0]] <= found[1]
+        if found[0] >= 0 and 0 < goes_left.sum() < len(at):
+            feature.append(found[0])
+            threshold.append(found[1])
+            value.append(0.0)
+            right.append(-1)
+            stack.append((at[~goes_left], depth + 1, node))
+            stack.append((at[goes_left], depth + 1, None))
+        else:
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(rule.node_values(node_rows, one)[0])
+            right.append(-1)
+    feature = np.array(feature)
+    left = np.where(feature >= 0, np.arange(1, len(feature) + 1), -1)
+    return Trees(feature, np.array(threshold), left, np.array(right), np.array(value),
+                 np.zeros(1, dtype=np.intp))
 
 
-def _predict_into(node, X, rows, out):
-    if rows.size == 0:
-        return
-    if node.left is None:
-        out[rows] = node.value
-        return
-    mask = X[rows, node.feature] <= node.threshold
-    _predict_into(node.left, X, rows[mask], out)
-    _predict_into(node.right, X, rows[~mask], out)
+class _LabelRule:
+    """Gini or entropy splitting of 0/1 labels; a node whose labels are one
+    class, or that has fewer than ``min_samples_split`` rows, is a leaf. A
+    leaf holds its majority label (ties go to 0). ``draw_columns``, when
+    given, is called once per searched node and returns the sorted feature
+    indices that node may split on."""
 
+    def __init__(self, X, y, criterion, min_samples_split, draw_columns=None):
+        self.X = X
+        self.y = np.asarray(y).astype(np.intp)
+        self.criterion = criterion
+        self.min_samples_split = min_samples_split
+        self.draw_columns = draw_columns
+        if draw_columns is None:
+            self.ranked = _RankedColumns(X)
+            self.impurity = _IMPURITY[criterion]
 
-def _majority(y) -> int:
-    # ties resolve toward label 0
-    return 1 if 2 * int(y.sum()) > len(y) else 0
+    def _ones(self, rows, counts):
+        return np.add.reduceat(self.y[rows], np.cumsum(counts) - counts)
+
+    def stop(self, rows, counts):
+        ones = self._ones(rows, counts)
+        return (counts < self.min_samples_split) | (ones == 0) | (ones == counts)
+
+    def node_values(self, rows, counts):
+        return (2 * self._ones(rows, counts) > counts).astype(float)
+
+    def search(self, rows, counts):
+        if self.draw_columns is not None:
+            return _search_each(self.X, self.y, rows, counts, self.criterion, self.draw_columns)
+        feature, threshold, _ = _best_splits(self.ranked, self.y, rows, counts, self.impurity)
+        return feature, threshold
 
 
 class DecisionTree:
-    """Greedy binary classification tree.
+    """Greedy binary classification tree."""
 
-    ``feature_rng``/``max_features`` enable per-split feature subsampling for
-    forest use when ``max_features`` is below the feature count; otherwise
-    every feature is considered at every node and no draw is made.
-    """
-
-    def __init__(self, max_depth=10, min_samples_split=2, criterion="gini",
-                 feature_rng=None, max_features=None):
-        if criterion not in _CLASSIFICATION_CRITERIA:
+    def __init__(self, max_depth=10, min_samples_split=2, criterion="gini"):
+        if criterion not in _IMPURITY:
             raise ValueError(f"unknown criterion {criterion!r}")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.criterion = criterion
-        self.feature_rng = feature_rng
-        self.max_features = max_features
         self.n_features_ = None
-        self.root_ = None
+        self.tree_ = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
         self.n_features_ = X.shape[1]
-        subsample = (self.feature_rng is not None and self.max_features is not None
-                     and self.max_features < self.n_features_)
-        self.root_ = grow(
-            X, y, self.criterion, self.max_depth,
-            stop=lambda labels: (len(labels) < self.min_samples_split
-                                 or labels.min() == labels.max()),
-            leaf_value=_majority,
-            candidates=self._candidate_features if subsample else None,
-        )
+        rule = _LabelRule(X, y, self.criterion, self.min_samples_split)
+        self.tree_, _ = grow(rule, [np.arange(X.shape[0])], self.max_depth)
         return self
 
-    def _candidate_features(self):
-        return np.sort(self.feature_rng.choice(self.n_features_, size=self.max_features,
-                                               replace=False))
-
     def predict(self, X):
-        return predict_tree(self.root_, np.asarray(X, dtype=float), np.int64)
+        return self.tree_.leaf_values(np.asarray(X, dtype=float))[0].astype(np.int64)

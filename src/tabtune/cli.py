@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, load_run_config
 from .preprocess import add_derived_column, apply_plan, fit_plan
-from .report import render_chart, render_table
+from .report import check_report, render_chart, render_table
 from .tabular import filter_rows, generate_synthetic, load_csv, split_train_test, write_csv
 from .tuner import TuningError, grs_auto_hp
 
@@ -135,22 +135,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_render(args) -> int:
+    """Like ``cmd_run``: only an unreadable or non-report input (exit 3) and
+    a failed write (exit 5) are caught."""
     if not args.table and not args.chart:
         print("error: render needs --table and/or --chart", file=sys.stderr)
         return EXIT_CONFIG
     try:
         report_dict = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        check_report(report_dict)
+    except (OSError, ValueError) as exc:  # JSON and decoding errors are ValueErrors
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_DATA
+    outputs = []
+    if args.table:
+        outputs.append((Path(args.table), render_table(report_dict)))
+    if args.chart:
+        outputs.append((Path(args.chart), render_chart(report_dict)))
     try:
-        outputs = []
-        if args.table:
-            outputs.append((Path(args.table), render_table(report_dict)))
-        if args.chart:
-            outputs.append((Path(args.chart), render_chart(report_dict)))
         _write_all(outputs)
-    except Exception as exc:
+    except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     return EXIT_OK
@@ -159,10 +162,14 @@ def cmd_render(args) -> int:
 def cmd_synth(args) -> int:
     try:
         table = generate_synthetic(args.rows, args.seed, args.positive_rate)
-        write_csv(table, args.out)
-    except Exception as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    try:
+        write_csv(table, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     print(f"wrote {table.n_rows} rows to {args.out}")
     return EXIT_OK
 

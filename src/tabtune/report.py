@@ -27,6 +27,38 @@ def strip_volatile(value):
     return value
 
 
+def check_report(report) -> None:
+    """Raise ``ValueError`` naming the first field the renderers read that
+    ``report`` lacks or holds with the wrong type."""
+
+    def number(value, where):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"not a tabtune report: {where} is not a number")
+
+    def field(value, *path):
+        for key in path:
+            value = value.get(key) if isinstance(value, dict) else None
+        return value
+
+    families = field(report, "families")
+    if not isinstance(families, list):
+        raise ValueError("not a tabtune report: no families list")
+    for i, entry in enumerate(families):
+        if not isinstance(field(entry, "family"), str):
+            raise ValueError(f"not a tabtune report: families[{i}].family is not a string")
+        for path in (("baseline",), ("grid", "best"), ("random", "best")):
+            number(field(entry, *path, "mean_accuracy"),
+                   f"families[{i}].{'.'.join(path)}.mean_accuracy")
+    config = report.get("config", {})
+    references = (config.get("references") or {}) if isinstance(config, dict) else None
+    if not isinstance(references, dict) or not all(
+            isinstance(values, dict) for values in references.values()):
+        raise ValueError("not a tabtune report: config.references is not an object of objects")
+    for label, values in references.items():
+        for family, value in values.items():
+            number(value, f"config.references.{label}.{family}")
+
+
 def _method_columns(report: dict, references: dict | None):
     """Ordered (label, {family: percent}) columns: Baseline, GS, RS, refs."""
     if references is None:

@@ -110,3 +110,137 @@ def nb_oracle(train_X, train_y, test_X, exponent):
             scores.append(score)
         out.append(1 if scores[1] > scores[0] else 0)
     return np.array(out)
+
+
+def reference_tree(X, y, criterion, max_depth, min_samples_split=2, draw_columns=None):
+    """Plain recursive depth-first CART, left subtree before right.
+
+    Gini/entropy gains come from label counts accumulated over each column's
+    sorted values; ``criterion="sse"`` fits the regression tree of a
+    boosting stage, whose leaves are the mean target and whose gains come
+    from the targets summed in ``np.argsort`` order, the order the model's
+    float sums follow. ``draw_columns``, when given, is called at every
+    searched node for the sorted columns it may split on. Returns nested
+    dicts: ``{"value"}`` leaves, ``{"feature", "threshold", "left",
+    "right"}`` inner nodes.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    n_columns = X.shape[1]
+
+    def impurity(p1):
+        if criterion == "gini":
+            return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+        out = 0.0
+        for p in (1.0 - p1, p1):
+            if p > 0:
+                out -= p * math.log2(p)
+        return out
+
+    def label_candidates(rows, column):
+        pairs = sorted((X[i, column], int(y[i])) for i in rows)
+        n = len(pairs)
+        ones = sum(label for _, label in pairs)
+        parent = impurity(ones / n)
+        n_left = ones_left = 0
+        for k in range(n - 1):
+            n_left += 1
+            ones_left += pairs[k][1]
+            if pairs[k][0] != pairs[k + 1][0]:
+                n_right = n - n_left
+                weighted = (n_left * impurity(ones_left / n_left)
+                            + n_right * impurity((ones - ones_left) / n_right)) / n
+                yield parent - weighted, (pairs[k][0] + pairs[k + 1][0]) / 2.0
+
+    def sse_candidates(rows, column):
+        x = X[rows, column]
+        order = np.argsort(x)
+        xs = x[order].tolist()
+        r = y[rows][order].tolist()
+        n = len(r)
+        s = q = 0.0
+        sums = []
+        for value in r:
+            s += value
+            q += value * value
+            sums.append((s, q))
+        s_total, q_total = sums[-1]
+        sse_total = q_total - s_total * s_total / n
+        for k in range(n - 1):
+            if xs[k] != xs[k + 1]:
+                s_left, q_left = sums[k]
+                n_left = k + 1.0
+                s_right = s_total - s_left
+                sse_left = q_left - s_left * s_left / n_left
+                sse_right = (q_total - q_left) - s_right * s_right / (n - n_left)
+                yield sse_total - sse_left - sse_right, (xs[k] + xs[k + 1]) / 2.0
+
+    def leaf(rows):
+        if criterion == "sse":
+            return {"value": float(y[rows].mean())}
+        return {"value": 1.0 if 2 * int(y[rows].sum()) > len(rows) else 0.0}
+
+    def node(rows, depth):
+        labels = y[rows]
+        if depth >= max_depth or len(rows) < min_samples_split or (
+                criterion != "sse" and labels.min() == labels.max()):
+            return leaf(rows)
+        columns = range(n_columns) if draw_columns is None else draw_columns()
+        candidates = sse_candidates if criterion == "sse" else label_candidates
+        best = None
+        for column in columns:
+            for gain, threshold in candidates(rows, column):
+                if best is None or gain > best[0]:
+                    best = (gain, int(column), threshold)
+        if best is None or not best[0] > 0:
+            return leaf(rows)
+        _, column, threshold = best
+        left = [i for i in rows if X[i, column] <= threshold]
+        right = [i for i in rows if X[i, column] > threshold]
+        if not left or not right:
+            return leaf(rows)
+        return {"feature": column, "threshold": threshold,
+                "left": node(left, depth + 1), "right": node(right, depth + 1)}
+
+    return node(list(range(len(y))), 0)
+
+
+def reference_forest(X, y, n_estimators, max_depth, max_features_frac, seed, bootstrap):
+    """Reference trees of a random forest: per tree, the bootstrap draw and
+    then the per-node feature draws, in depth-first order, from one
+    generator."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    n, d = X.shape
+    m = max(1, math.ceil(max_features_frac * d))
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return sorted(rng.choice(d, size=m, replace=False).tolist())
+
+    trees = []
+    for _ in range(n_estimators):
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(reference_tree(X[rows], y[rows], "gini", max_depth,
+                                    draw_columns=draw if m < d else None))
+    return trees
+
+
+def reference_preorder(tree):
+    """(feature, threshold, leaf value) of every node in depth-first
+    preorder; inner nodes carry no value, leaves feature -1."""
+    if "value" in tree:
+        return [(-1, None, tree["value"])]
+    return ([(tree["feature"], tree["threshold"], None)]
+            + reference_preorder(tree["left"]) + reference_preorder(tree["right"]))
+
+
+def reference_predict(tree, X):
+    """Leaf value of every row of ``X``, walking the tree row by row."""
+    out = []
+    for row in np.asarray(X, dtype=float):
+        node = tree
+        while "value" not in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        out.append(node["value"])
+    return np.array(out)

@@ -22,12 +22,21 @@ from tabtune.classifiers import (
 from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
-from tabtune.classifiers.linear import LogisticRegression
+from tabtune.classifiers.linear import LogisticRegression, mean_logloss, sigmoid
 from tabtune.classifiers.neighbors import KNearestNeighbors
 from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
 from tabtune.preprocess import make_design_matrix
 
-from oracles import brute_force_split, brute_force_sse_split, knn_oracle, nb_oracle
+from oracles import (
+    brute_force_split,
+    brute_force_sse_split,
+    knn_oracle,
+    nb_oracle,
+    reference_forest,
+    reference_predict,
+    reference_preorder,
+    reference_tree,
+)
 
 
 def _matrix(X, y):
@@ -40,6 +49,39 @@ def _random_matrix(rng, n, d, separation=1.0):
     y = rng.integers(0, 2, n)
     X = rng.normal(size=(n, d)) + separation * y[:, None] * rng.normal(size=d)
     return _matrix(X, y)
+
+
+def _mixed_matrix(rng, n, d):
+    """Binary, one-decimal (tied), constant and continuous columns; the last
+    quarter of the rows repeats earlier rows, labels included or not."""
+    X = np.empty((n, d))
+    for j in range(d):
+        kind = j % 4
+        if kind == 0:
+            X[:, j] = rng.integers(0, 2, n)
+        elif kind == 1:
+            X[:, j] = np.round(rng.normal(size=n), 1)
+        elif kind == 2:
+            X[:, j] = 0.5
+        else:
+            X[:, j] = rng.normal(size=n)
+    X[n - n // 4:] = X[rng.integers(0, n - n // 4, n // 4)]
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=n) > 0.5).astype(np.int64)
+    return X, y
+
+
+def _preorder(trees, root):
+    """(feature, threshold, leaf value) of one tree's nodes in depth-first
+    preorder, as ``oracles.reference_preorder`` lists them."""
+    out, stack = [], [root]
+    while stack:
+        i = stack.pop()
+        if trees.feature[i] < 0:
+            out.append((-1, None, float(trees.value[i])))
+        else:
+            out.append((int(trees.feature[i]), float(trees.threshold[i]), None))
+            stack += [trees.right[i], trees.left[i]]
+    return out
 
 
 def _stump_data():
@@ -184,7 +226,48 @@ def test_tree_training_accuracy_monotone_in_depth():
         previous = score
 
 
+def test_tree_matches_recursive_reference():
+    rng = np.random.default_rng(31)
+    for n, d in ((90, 6), (60, 9)):
+        X, y = _mixed_matrix(rng, n, d)
+        test_X, _ = _mixed_matrix(rng, 40, d)
+        for criterion in ("gini", "entropy"):
+            for min_samples_split in (2, 7):
+                for depth in range(1, 21):
+                    model = DecisionTree(max_depth=depth, min_samples_split=min_samples_split,
+                                         criterion=criterion).fit(X, y)
+                    reference = reference_tree(X, y, criterion, depth, min_samples_split)
+                    assert _preorder(model.tree_, 0) == reference_preorder(reference)
+                    assert np.array_equal(model.predict(test_X),
+                                          reference_predict(reference, test_X))
+    # adjacent floats whose midpoint rounds to the larger one: no row goes right
+    X = np.array([[np.nextafter(1.0, 0.0)], [1.0]] * 3)
+    y = np.array([0, 1] * 3)
+    expected = reference_preorder(reference_tree(X, y, "gini", 10))
+    assert expected == [(-1, None, 0.0)]
+    assert _preorder(DecisionTree().fit(X, y).tree_, 0) == expected
+
+
 # ---------------------------------------------------------------- forest
+
+
+@pytest.mark.parametrize("batch_rows", [tree_module._BATCH_ROWS, 50])  # 50: many batches
+def test_forest_matches_recursive_reference(monkeypatch, batch_rows):
+    monkeypatch.setattr(tree_module, "_BATCH_ROWS", batch_rows)
+    rng = np.random.default_rng(32)
+    X, y = _mixed_matrix(rng, 70, 8)
+    test_X, _ = _mixed_matrix(rng, 30, 8)
+    for frac in (1.0, 0.3):  # the batched forest, then per-node feature draws
+        for bootstrap in (True, False):
+            for seed in (0, 1, 2):
+                forest = RandomForest(n_estimators=6, max_depth=7, max_features_frac=frac,
+                                      seed=seed, bootstrap=bootstrap).fit(X, y)
+                references = reference_forest(X, y, 6, 7, frac, seed, bootstrap)
+                assert ([_preorder(forest.trees_, root) for root in forest.trees_.roots]
+                        == [reference_preorder(tree) for tree in references])
+                assert np.array_equal(
+                    forest.tree_predictions(test_X),
+                    np.stack([reference_predict(tree, test_X) for tree in references]))
 
 
 def test_forest_without_bootstrap_collapses_to_one_tree():
@@ -247,6 +330,25 @@ def test_single_stump_boosting_equals_a_stump():
     stump = DecisionTree(max_depth=1).fit(data.features, data.labels)
     assert np.array_equal(booster.predict(data.features), stump.predict(data.features))
     assert accuracy(booster.predict(data.features), data.labels) == 1.0
+
+
+def test_boosting_matches_recursive_reference():
+    rng = np.random.default_rng(33)
+    X, y = _mixed_matrix(rng, 80, 6)
+    test_X, _ = _mixed_matrix(rng, 30, 6)
+    for depth, rate in ((1, 1.0), (3, 0.3), (5, 0.7)):
+        booster = GradientBoostedTrees(n_estimators=8, learning_rate=rate,
+                                       max_depth=depth).fit(X, y)
+        scores = np.full(len(y), booster.base_score_)
+        test_scores = np.full(len(test_X), booster.base_score_)
+        assert len(booster.trees_.roots) == 8
+        for stage, root in enumerate(booster.trees_.roots):
+            reference = reference_tree(X, y - sigmoid(scores), "sse", depth)
+            assert _preorder(booster.trees_, root) == reference_preorder(reference)
+            scores = scores + rate * reference_predict(reference, X)
+            test_scores = test_scores + rate * reference_predict(reference, test_X)
+            assert booster.stage_logloss_[stage + 1] == mean_logloss(y, scores)
+        assert np.array_equal(booster.decision_scores(test_X), test_scores)
 
 
 def test_boosting_training_logloss_non_increasing():

@@ -361,6 +361,54 @@ def test_run_program_fault_is_an_unexpected_error(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.glob("report.*")) and not list(tmp_path.glob("*.tmp-*"))
 
 
+@pytest.mark.parametrize("stage", ["render_table", "generate_synthetic"])
+def test_render_and_synth_program_fault_is_an_unexpected_error(tmp_path, capsys, monkeypatch,
+                                                               stage):
+    def faulty(*args, **kwargs):
+        raise TypeError(f"a bug in {stage}")
+
+    if stage == "render_table":
+        config_path, _ = _small_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        outputs = [tmp_path / "again.md", tmp_path / "again.svg"]
+        argv = ["render", str(tmp_path / "report.json"),
+                "--table", str(outputs[0]), "--chart", str(outputs[1])]
+    else:
+        outputs = [tmp_path / "students.csv"]
+        argv = ["synth", "--rows", "20", "--out", str(outputs[0])]
+    monkeypatch.setattr(cli_module, stage, faulty)
+    assert main(argv) == EXIT_UNEXPECTED
+    assert f"unexpected error: a bug in {stage}" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+    assert not list(tmp_path.glob("*.tmp-*"))
+
+
+def test_render_and_synth_input_and_write_errors(tmp_path, capsys):
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    table = tmp_path / "again.md"
+    not_reports = [[], {"families": "DT"}, {"families": [{"family": "DT"}]},
+                   {**report, "config": {"references": {"prior": {"DT": "high"}}}}]
+    for i, doc in enumerate(not_reports):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["render", str(path), "--table", str(table)]) == EXIT_DATA
+        assert "not a tabtune report" in capsys.readouterr().err
+    (tmp_path / "latin1.json").write_bytes(b'{"families": "\xe9"}')
+    assert main(["render", str(tmp_path / "latin1.json"), "--table", str(table)]) == EXIT_DATA
+    assert not table.exists()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    assert main(["render", str(tmp_path / "report.json"),
+                 "--table", str(blocker / "t.md")]) == EXIT_OUTPUT
+    assert main(["synth", "--rows", "20", "--out", str(blocker / "s.csv")]) == EXIT_OUTPUT
+    assert main(["synth", "--rows", "-1", "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
+    assert main(["synth", "--rows", "20", "--positive-rate", "1.5",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_run_oversized_csv_field_is_a_data_error(tmp_path, capsys):
     lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()
     column = lines[0].split(",").index("first_major")
