@@ -11,30 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import mean_logloss, sigmoid
-from .tree import _per_node, _search_each, grow, stack_trees
+from .tree import grow_depth_first, stack_trees
 
 
-class _ResidualRule:
-    """Squared-error splitting of one stage's residuals, one node at a time
-    over the node's rows in row order; a leaf holds its rows' mean residual.
+def _too_few_rows(r) -> bool:
+    # No purity stop: a node whose residuals are all equal is still searched
+    # and split whenever rounding leaves a positive gain. Stopping there would
+    # change leaf values in their last bits, and with them the reports.
+    return len(r) < 2
 
-    No purity stop: a node whose residuals are all equal is still searched
-    and split whenever rounding leaves a positive gain. Stopping there would
-    change leaf values in their last bits, and with them the reports.
-    """
 
-    def __init__(self, X, r):
-        self.X = X
-        self.r = r
-
-    def stop(self, rows, counts):
-        return counts < 2
-
-    def search(self, rows, counts):
-        return _search_each(self.X, self.r, rows, counts, "sse")
-
-    def node_values(self, rows, counts):
-        return [self.r[node_rows].mean() for node_rows in _per_node(rows, counts)]
+def _residual_mean(r) -> float:
+    return float(r.mean())
 
 
 class GradientBoostedTrees:
@@ -54,12 +42,12 @@ class GradientBoostedTrees:
         p = y.mean()
         self.base_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
-        rows = np.arange(len(y))
         stages = []
         self.stage_logloss_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
-            tree, leaf_of = grow(_ResidualRule(X, residual), [rows], self.max_depth)
+            tree, leaf_of = grow_depth_first(X, residual, "sse", self.max_depth,
+                                             _too_few_rows, _residual_mean)
             scores = scores + self.learning_rate * tree.value[leaf_of]
             stages.append(tree)
             self.stage_logloss_.append(mean_logloss(y, scores))
@@ -69,8 +57,9 @@ class GradientBoostedTrees:
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)
         scores = np.full(X.shape[0], self.base_score_)
-        for values in self.trees_.leaf_values(X):
-            scores = scores + self.learning_rate * values
+        for group in self.trees_.grouped_leaf_values(X):
+            for values in group:
+                scores = scores + self.learning_rate * values
         return scores
 
     def predict(self, X):

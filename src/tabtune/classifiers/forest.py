@@ -6,7 +6,16 @@ import math
 
 import numpy as np
 
-from .tree import _LabelRule, grow, grow_depth_first, stack_trees
+from .tree import grow, grow_depth_first, stack_trees
+
+
+def _pure_or_single(labels) -> bool:
+    ones = labels.sum()
+    return len(labels) < 2 or ones == 0 or ones == len(labels)
+
+
+def _majority(labels) -> float:
+    return float(2 * labels.sum() > len(labels))  # ties go to 0
 
 
 class RandomForest:
@@ -43,18 +52,22 @@ class RandomForest:
             def columns():
                 return np.sort(rng.choice(d, size=m, replace=False))
 
-            rule = _LabelRule(X, y, "gini", 2, columns)
-            self.trees_ = stack_trees([grow_depth_first(rule, rows(), self.max_depth)
-                                       for _ in range(self.n_estimators)])
+            y = np.asarray(y).astype(np.intp)
+
+            def tree(sample):
+                return grow_depth_first(X[sample], y[sample], "gini", self.max_depth,
+                                        _pure_or_single, _majority, columns)[0]
+
+            self.trees_ = stack_trees([tree(rows()) for _ in range(self.n_estimators)])
         else:
-            rule = _LabelRule(X, y, "gini", 2)
             samples = [rows() for _ in range(self.n_estimators)]
-            self.trees_, _ = grow(rule, samples, self.max_depth)
+            self.trees_ = grow(X, y, samples, self.max_depth)
         return self
 
     def tree_predictions(self, X):
         return self.trees_.leaf_values(np.asarray(X, dtype=float)).astype(np.int64)
 
     def predict(self, X):
-        votes = self.tree_predictions(X).sum(axis=0)
+        groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))
+        votes = sum(group.sum(axis=0) for group in groups)
         return (2 * votes > len(self.trees_.roots)).astype(np.int64)

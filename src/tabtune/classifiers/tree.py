@@ -1,24 +1,27 @@
-"""CART binary trees stored as flat arrays and grown level by level.
+"""CART binary trees stored as flat arrays.
 
 A tree, or a whole forest, is one ``Trees``: flat node arrays (split
-feature, threshold, left and right child, leaf value) with one root per
-tree. Rows with ``feature <= threshold`` go left; candidate thresholds are
-the midpoints between consecutive distinct values in a node, and the first
-maximum gain wins in (feature, threshold) order. ``Trees.leaf_values``
-routes every row through every tree one level at a time.
+feature, threshold, left child, leaf value) with one root per tree; the
+right child is stored next to the left one. Rows with
+``feature <= threshold`` go left; candidate thresholds are the midpoints
+between consecutive distinct values in a node, and the first maximum gain
+wins in (feature, threshold) order. ``Trees.leaf_values`` routes every row
+through a group of trees one level at a time.
 
-``grow`` keeps the rows of every open node contiguous and searches all open
-nodes of a depth at once, so a forest grows all of its trees in one level
-loop. Its gini/entropy search (``_best_splits``) encodes each column once
-per fit: a two-valued column splits by two counts per node and needs no
-sort; the other columns are sorted by (node, value rank). The gains come
-from integer counts, so the order of tied rows cannot change a split.
+Two growers share those rules:
 
-``_best_split_matrix`` searches one node at a time by sorting its rows. It
-serves the squared-error stages of gradient boosting, whose float sums
-depend on that sort order, and forests that draw candidate features per
-node, which ``grow_depth_first`` grows in the depth-first order of the
-draws.
+- ``grow`` grows gini/entropy trees level by level. It keeps the rows of
+  every open node contiguous and searches all open nodes of a depth at
+  once, so a forest grows all of its trees in one level loop. Its search
+  (``_best_splits``) encodes each column once per fit: a two-valued column
+  splits by two counts per node and needs no sort; the other columns are
+  sorted by (node, value rank). The gains come from integer counts, so the
+  order of tied rows cannot change a split.
+- ``grow_depth_first`` grows one tree a node at a time, left subtree before
+  right, with the per-node search ``_best_split_matrix``. It serves forests
+  that draw candidate features per node, whose draws must follow that
+  order, and the squared-error stages of gradient boosting, whose float
+  sums follow each node's sort order.
 """
 
 from __future__ import annotations
@@ -127,30 +130,6 @@ def _best_split_matrix(X, y, criterion):
     feature, row = int(column[best]), row[best]
     threshold = (xs[row, feature] + xs[row + 1, feature]) / 2.0
     return feature, float(threshold), float(gains[best])
-
-
-def _search_each(X, y, rows, counts, criterion, draw_columns=None):
-    """Feature and threshold arrays of the best split of each node of a
-    batch, searched one node at a time over the node's rows in their order;
-    ``draw_columns``, when given, is called once per node and returns the
-    sorted feature indices that node may split on."""
-    feature = np.full(len(counts), -1)
-    threshold = np.zeros(len(counts))
-    for k, node_rows in enumerate(_per_node(rows, counts)):
-        sub = X[node_rows]
-        columns = None if draw_columns is None else draw_columns()
-        found = _best_split_matrix(sub if columns is None else sub[:, columns],
-                                   y[node_rows], criterion)
-        if found is not None:
-            feature[k] = found[0] if columns is None else columns[found[0]]
-            threshold[k] = found[1]
-    return feature, threshold
-
-
-def _per_node(rows, counts):
-    """The rows of each node of a batch."""
-    ends = np.cumsum(counts).tolist()
-    return [rows[end - count:end] for end, count in zip(ends, counts.tolist())]
 
 
 class _RankedColumns:
@@ -264,39 +243,61 @@ def best_split(feature_column, labels, criterion: str = "gini"):
     return None if feature[0] < 0 else (float(threshold[0]), float(gain[0]))
 
 
+#: Tree-row pairs routed together, at most (unless one tree has more rows):
+#: a bound on the temporaries of prediction.
+_ROUTE_CELLS = 1 << 16
+
+
 @dataclass
 class Trees:
     """One or more binary trees as flat node arrays. Node ``i`` is a leaf
     holding ``value[i]`` when ``feature[i]`` is -1; otherwise rows with
-    ``feature <= threshold`` go to ``left[i]`` and the rest to ``right[i]``.
-    ``roots`` holds each tree's root node, in tree order."""
+    ``feature <= threshold`` go to ``left[i]`` and the rest to its sibling
+    ``left[i] + 1``. ``roots`` holds each tree's root node, in tree order."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
 
     def leaf_values(self, X) -> np.ndarray:
         """(trees, rows) matrix of the leaf value each tree gives each row."""
-        n = X.shape[0]
-        node = np.repeat(self.roots, n)
-        row = np.tile(np.arange(n), len(self.roots))
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            goes_left = X[row[active], self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(goes_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] >= 0]
-        return self.value[node].reshape(len(self.roots), n)
+        out = np.empty((len(self.roots), X.shape[0]))
+        start = 0
+        for values in self.grouped_leaf_values(X):
+            out[start:start + len(values)] = values
+            start += len(values)
+        return out
+
+    def grouped_leaf_values(self, X):
+        """The rows of ``leaf_values`` for consecutive groups of trees, in
+        tree order. Each group routes all of its (tree, row) pairs one level
+        at a time, ``_ROUTE_CELLS`` of them at most unless one tree has more
+        rows."""
+        n, d = X.shape
+        flat = X.ravel()
+        per_group = max(1, _ROUTE_CELLS // max(n, 1))
+        for start in range(0, len(self.roots), per_group):
+            roots = self.roots[start:start + per_group]
+            node = np.repeat(roots, n)
+            row_start = np.tile(np.arange(0, n * d, d), len(roots))
+            while True:
+                feature = self.feature.take(node)
+                inner = feature >= 0
+                if not inner.any():
+                    break
+                # a leaf (feature -1) reads a neighbouring cell and stays put
+                goes_right = ~(flat.take(row_start + feature) <= self.threshold.take(node))
+                node = np.where(inner, self.left.take(node) + goes_right, node)
+            yield self.value.take(node).reshape(len(roots), n)
 
 
 def stack_trees(parts) -> Trees:
     """One ``Trees`` holding the trees of every part, in order."""
     if not parts:
         return Trees(*(np.empty(0, dtype=dt)
-                       for dt in (np.intp, float, np.intp, np.intp, float, np.intp)))
+                       for dt in (np.intp, float, np.intp, float, np.intp)))
     offsets = np.cumsum([0] + [len(p.value) for p in parts[:-1]])
 
     def joined(name, shift=False):
@@ -305,8 +306,7 @@ def stack_trees(parts) -> Trees:
             arrays = [np.where(a >= 0, a + o, -1) for a, o in zip(arrays, offsets)]
         return np.concatenate(arrays)
 
-    return Trees(joined("feature"), joined("threshold"), joined("left", True),
-                 joined("right", True), joined("value"),
+    return Trees(joined("feature"), joined("threshold"), joined("left", True), joined("value"),
                  np.concatenate([p.roots + o for p, o in zip(parts, offsets)]))
 
 
@@ -315,82 +315,66 @@ def stack_trees(parts) -> Trees:
 _BATCH_ROWS = 4096
 
 
-def _batches(depth, first_id, rows, positions, counts):
+def _batches(depth, first_id, rows, counts):
     """The nodes of one depth as batches of whole nodes, each holding at most
     ``_BATCH_ROWS`` rows unless a single node holds more."""
     if len(rows) <= _BATCH_ROWS:
-        yield depth, first_id, rows, positions, counts
+        yield depth, first_id, rows, counts
         return
     ends = np.cumsum(counts)
     group = (ends - 1) // _BATCH_ROWS
     cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
     for a, b in zip(np.append(0, cuts), np.append(cuts, len(counts))):
-        start = ends[a] - counts[a]
-        yield depth, first_id + a, rows[start:ends[b - 1]], positions[start:ends[b - 1]], \
-            counts[a:b]
+        yield depth, first_id + a, rows[ends[a] - counts[a]:ends[b - 1]], counts[a:b]
 
 
-def grow(rule, samples, max_depth):
-    """Grow one tree per array of training rows in ``samples``.
+def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2):
+    """Grow one gini or entropy tree on 0/1 labels ``y`` per array of
+    training rows in ``samples``, level by level.
 
-    ``rule`` supplies the feature matrix ``X`` and three functions of a
-    batch of nodes, given as their rows (node after node) and row counts:
-    ``stop`` (a mask of the nodes that become leaves unsearched), ``search``
-    (feature and threshold arrays, feature -1 where nothing splits) and
-    ``node_values`` (the value of each node as a leaf). A node also becomes
-    a leaf at ``max_depth`` and when its threshold sends every row the same
-    way (midpoint rounding). A node's rows keep the order they have in
-    ``samples``.
-
-    The open nodes of a depth are searched together, in batches of whole
-    nodes holding up to ``_BATCH_ROWS`` rows.
-
-    Returns the ``Trees`` and, for every position of the concatenated
-    ``samples``, the leaf node its row reached.
+    A node becomes a leaf holding its majority label (ties go to 0) at
+    ``max_depth``, when its labels are one class, when it has fewer than
+    ``min_samples_split`` rows, when no split has positive gain, and when
+    its threshold sends every row the same way (midpoint rounding). The
+    open nodes of a depth are searched together by ``_best_splits``, in
+    batches of whole nodes holding up to ``_BATCH_ROWS`` rows; a node's
+    rows keep the order they have in ``samples``.
     """
-    X = rule.X
-    counts = np.array([len(s) for s in samples])
-    leaf_of = np.empty(counts.sum(), dtype=np.intp)
+    y = np.asarray(y).astype(np.intp)
+    ranked = _RankedColumns(X)
+    impurity = _IMPURITY[criterion]
     n_nodes = len(samples)
-    pending = list(_batches(0, 0, np.concatenate(samples), np.arange(len(leaf_of)), counts))
+    pending = list(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples])))
     built = []
     while pending:
-        depth, first_id, rows, positions, counts = pending.pop()
+        depth, first_id, rows, counts = pending.pop()
         n = len(counts)
         node = np.repeat(np.arange(n), counts)
+        ones = np.add.reduceat(y[rows], np.cumsum(counts) - counts)
         feature = np.full(n, -1)
         threshold = np.zeros(n)
         if depth < max_depth:
-            searched = ~rule.stop(rows, counts)
+            searched = (counts >= min_samples_split) & (ones > 0) & (ones < counts)
             if searched.any():
-                feature[searched], threshold[searched] = rule.search(
-                    rows[searched[node]], counts[searched])
+                feature[searched], threshold[searched], _ = _best_splits(
+                    ranked, y, rows[searched[node]], counts[searched], impurity)
         split = feature >= 0
-        if not split.any():  # a batch of leaves
-            built.append((first_id, feature, threshold, np.full(n, -1),
-                          rule.node_values(rows, counts)))
-            leaf_of[positions] = first_id + node
-            continue
-        goes_left = (X[rows, feature[node]] <= threshold[node]) & split[node]
-        n_left = np.bincount(node, weights=goes_left, minlength=n)
-        split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
-        feature[~split] = -1
-        done = ~split[node]
-        value = np.zeros(n)
-        if done.any():
-            value[~split] = rule.node_values(rows[done], counts[~split])
-            leaf_of[positions[done]] = first_id + node[done]
+        if split.any():
+            goes_left = (X[rows, feature[node]] <= threshold[node]) & split[node]
+            n_left = np.bincount(node, weights=goes_left, minlength=n)
+            split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
+            feature[~split] = -1
+        value = np.where(split, 0.0, 2 * ones > counts)
         left = np.full(n, -1)
         left[split] = np.arange(n_nodes, n_nodes + 2 * split.sum(), 2)
         built.append((first_id, feature, threshold, left, value))
         if not split.any():
             continue
-        kept = np.flatnonzero(~done)
+        kept = np.flatnonzero(split[node])
         child = left[node[kept]] - n_nodes + ~goes_left[kept]
         kept = kept[np.argsort(child, kind="stable")]
-        rows, positions = rows[kept], positions[kept]
         counts = np.bincount(child, minlength=2 * split.sum())
-        pending.extend(_batches(depth + 1, n_nodes, rows, positions, counts))
+        pending.extend(_batches(depth + 1, n_nodes, rows[kept], counts))
         n_nodes += len(counts)
 
     feature, threshold, left, value = (np.empty(n_nodes, dtype=dt)
@@ -398,81 +382,53 @@ def grow(rule, samples, max_depth):
     for first_id, *parts in built:
         for out, part in zip((feature, threshold, left, value), parts):
             out[first_id:first_id + len(part)] = part
-    right = np.where(left >= 0, left + 1, -1)  # siblings are stored side by side
-    return Trees(feature, threshold, left, right, value, np.arange(len(samples))), leaf_of
+    return Trees(feature, threshold, left, value, np.arange(len(samples)))
 
 
-def grow_depth_first(rule, rows, max_depth):
-    """Grow one tree from ``rows`` a node at a time, left subtree before
-    right: the order in which per-node random draws must happen. Same rules
-    as ``grow``; a separate loop because batch bookkeeping for one node at a
-    time costs more than the search.
+def grow_depth_first(X, y, criterion, max_depth, stop, leaf_value, draw_columns=None):
+    """Grow one tree on every row of ``X`` (targets ``y``) a node at a time,
+    left subtree before right, each node's rows in row order, searching with
+    ``_best_split_matrix``: the order that per-node random draws and the
+    squared-error float sums need.
 
-    """
-    X = rule.X
-    feature, threshold, right, value = [], [], [], []
-    stack = [(np.arange(len(rows)), 0, None)]  # positions in ``rows``, depth, parent
-    while stack:
-        at, depth, parent = stack.pop()
-        node = len(feature)
-        if parent is not None:  # a right child: the left one follows its parent
-            right[parent] = node
-        node_rows = rows[at]
-        one = np.array([len(at)])
-        found = (-1, 0.0)
-        if depth < max_depth and not rule.stop(node_rows, one)[0]:
-            found = tuple(a[0] for a in rule.search(node_rows, one))
-        goes_left = X[node_rows, found[0]] <= found[1]
-        if found[0] >= 0 and 0 < goes_left.sum() < len(at):
-            feature.append(found[0])
-            threshold.append(found[1])
-            value.append(0.0)
-            right.append(-1)
-            stack.append((at[~goes_left], depth + 1, node))
-            stack.append((at[goes_left], depth + 1, None))
-        else:
-            feature.append(-1)
-            threshold.append(0.0)
-            value.append(rule.node_values(node_rows, one)[0])
-            right.append(-1)
-    feature = np.array(feature)
-    left = np.where(feature >= 0, np.arange(1, len(feature) + 1), -1)
-    return Trees(feature, np.array(threshold), left, np.array(right), np.array(value),
-                 np.zeros(1, dtype=np.intp))
-
-
-class _LabelRule:
-    """Gini or entropy splitting of 0/1 labels; a node whose labels are one
-    class, or that has fewer than ``min_samples_split`` rows, is a leaf. A
-    leaf holds its majority label (ties go to 0). ``draw_columns``, when
+    A node becomes a leaf holding ``leaf_value(y[rows])`` at ``max_depth``,
+    when ``stop(y[rows])`` holds, when no split has positive gain, and when
+    its threshold sends every row the same way. ``draw_columns``, when
     given, is called once per searched node and returns the sorted feature
-    indices that node may split on."""
+    indices that node may split on.
 
-    def __init__(self, X, y, criterion, min_samples_split, draw_columns=None):
-        self.X = X
-        self.y = np.asarray(y).astype(np.intp)
-        self.criterion = criterion
-        self.min_samples_split = min_samples_split
-        self.draw_columns = draw_columns
-        if draw_columns is None:
-            self.ranked = _RankedColumns(X)
-            self.impurity = _IMPURITY[criterion]
-
-    def _ones(self, rows, counts):
-        return np.add.reduceat(self.y[rows], np.cumsum(counts) - counts)
-
-    def stop(self, rows, counts):
-        ones = self._ones(rows, counts)
-        return (counts < self.min_samples_split) | (ones == 0) | (ones == counts)
-
-    def node_values(self, rows, counts):
-        return (2 * self._ones(rows, counts) > counts).astype(float)
-
-    def search(self, rows, counts):
-        if self.draw_columns is not None:
-            return _search_each(self.X, self.y, rows, counts, self.criterion, self.draw_columns)
-        feature, threshold, _ = _best_splits(self.ranked, self.y, rows, counts, self.impurity)
-        return feature, threshold
+    Returns the ``Trees`` and the leaf node each row of ``X`` reached.
+    """
+    leaf_of = np.empty(len(y), dtype=np.intp)
+    feature, threshold, left, value = [-1], [0.0], [-1], [0.0]
+    stack = [(np.arange(len(y)), 0, 0)]  # rows, depth, node
+    while stack:
+        rows, depth, node = stack.pop()
+        ys = y[rows]
+        found = None
+        if depth < max_depth and not stop(ys):
+            columns = None if draw_columns is None else draw_columns()
+            found = _best_split_matrix(X[rows] if columns is None else X[rows[:, None], columns],
+                                       ys, criterion)
+        if found is not None:
+            f = found[0] if columns is None else int(columns[found[0]])
+            goes_left = X[rows, f] <= found[1]
+            if goes_left.all() or not goes_left.any():  # midpoint rounding
+                found = None
+        if found is None:
+            value[node] = leaf_value(ys)
+            leaf_of[rows] = node
+            continue
+        feature[node], threshold[node], left[node] = f, found[1], len(feature)
+        for column in (feature, left):
+            column += [-1, -1]
+        for column in (threshold, value):
+            column += [0.0, 0.0]
+        stack.append((rows[~goes_left], depth + 1, left[node] + 1))
+        stack.append((rows[goes_left], depth + 1, left[node]))
+    trees = Trees(np.array(feature, dtype=np.intp), np.array(threshold),
+                  np.array(left, dtype=np.intp), np.array(value), np.zeros(1, dtype=np.intp))
+    return trees, leaf_of
 
 
 class DecisionTree:
@@ -490,8 +446,8 @@ class DecisionTree:
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         self.n_features_ = X.shape[1]
-        rule = _LabelRule(X, y, self.criterion, self.min_samples_split)
-        self.tree_, _ = grow(rule, [np.arange(X.shape[0])], self.max_depth)
+        self.tree_ = grow(X, y, [np.arange(X.shape[0])], self.max_depth, self.criterion,
+                          self.min_samples_split)
         return self
 
     def predict(self, X):

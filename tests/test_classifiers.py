@@ -80,7 +80,7 @@ def _preorder(trees, root):
             out.append((-1, None, float(trees.value[i])))
         else:
             out.append((int(trees.feature[i]), float(trees.threshold[i]), None))
-            stack += [trees.right[i], trees.left[i]]
+            stack += [trees.left[i] + 1, trees.left[i]]
     return out
 
 
@@ -251,9 +251,12 @@ def test_tree_matches_recursive_reference():
 # ---------------------------------------------------------------- forest
 
 
-@pytest.mark.parametrize("batch_rows", [tree_module._BATCH_ROWS, 50])  # 50: many batches
-def test_forest_matches_recursive_reference(monkeypatch, batch_rows):
+# 50 rows: many batches per level; 45 cells: one tree per routed group
+@pytest.mark.parametrize("batch_rows, route_cells",
+                         [(tree_module._BATCH_ROWS, tree_module._ROUTE_CELLS), (50, 45)])
+def test_forest_matches_recursive_reference(monkeypatch, batch_rows, route_cells):
     monkeypatch.setattr(tree_module, "_BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(tree_module, "_ROUTE_CELLS", route_cells)
     rng = np.random.default_rng(32)
     X, y = _mixed_matrix(rng, 70, 8)
     test_X, _ = _mixed_matrix(rng, 30, 8)
@@ -268,6 +271,8 @@ def test_forest_matches_recursive_reference(monkeypatch, batch_rows):
                 assert np.array_equal(
                     forest.tree_predictions(test_X),
                     np.stack([reference_predict(tree, test_X) for tree in references]))
+                votes = sum(reference_predict(tree, test_X) for tree in references)
+                assert np.array_equal(forest.predict(test_X), (2 * votes > 6).astype(np.int64))
 
 
 def test_forest_without_bootstrap_collapses_to_one_tree():
@@ -332,7 +337,9 @@ def test_single_stump_boosting_equals_a_stump():
     assert accuracy(booster.predict(data.features), data.labels) == 1.0
 
 
-def test_boosting_matches_recursive_reference():
+@pytest.mark.parametrize("route_cells", [tree_module._ROUTE_CELLS, 70])  # 70: 2 trees a group
+def test_boosting_matches_recursive_reference(monkeypatch, route_cells):
+    monkeypatch.setattr(tree_module, "_ROUTE_CELLS", route_cells)
     rng = np.random.default_rng(33)
     X, y = _mixed_matrix(rng, 80, 6)
     test_X, _ = _mixed_matrix(rng, 30, 6)
