@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import itertools
 
+from .config import SCHEMA as CONFIG_SCHEMA
+from .schema import SchemaViolation, load_schema, validate
+
+SCHEMA = load_schema("report.schema.json")
+
 _VOLATILE_KEYS = frozenset({"duration_seconds", "total_seconds", "fit_seconds", "created_unix"})
 
 _METHOD_COLORS = {"Baseline": "#7f7f7f", "GS": "#1f77b4", "RS": "#ff7f0e"}
@@ -28,35 +33,13 @@ def strip_volatile(value):
 
 
 def check_report(report) -> None:
-    """Raise ``ValueError`` naming the first field the renderers read that
-    ``report`` lacks or holds with the wrong type."""
-
-    def number(value, where):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"not a tabtune report: {where} is not a number")
-
-    def field(value, *path):
-        for key in path:
-            value = value.get(key) if isinstance(value, dict) else None
-        return value
-
-    families = field(report, "families")
-    if not isinstance(families, list):
-        raise ValueError("not a tabtune report: no families list")
-    for i, entry in enumerate(families):
-        if not isinstance(field(entry, "family"), str):
-            raise ValueError(f"not a tabtune report: families[{i}].family is not a string")
-        for path in (("baseline",), ("grid", "best"), ("random", "best")):
-            number(field(entry, *path, "mean_accuracy"),
-                   f"families[{i}].{'.'.join(path)}.mean_accuracy")
-    config = report.get("config", {})
-    references = (config.get("references") or {}) if isinstance(config, dict) else None
-    if not isinstance(references, dict) or not all(
-            isinstance(values, dict) for values in references.values()):
-        raise ValueError("not a tabtune report: config.references is not an object of objects")
-    for label, values in references.items():
-        for family, value in values.items():
-            number(value, f"config.references.{label}.{family}")
+    """Raise ``ValueError`` naming the first field that breaks
+    ``report.schema.json``, or ``config.schema.json`` for the embedded config."""
+    try:
+        validate(report, SCHEMA)
+        validate(report["config"], CONFIG_SCHEMA, "config")
+    except SchemaViolation as exc:
+        raise ValueError(f"not a tabtune report: {exc}") from None
 
 
 def _method_columns(report: dict, references: dict | None):

@@ -30,7 +30,7 @@ from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import evaluate_baseline, grid_search, random_search, shuffle_kfold
 
 FIXTURES = Path(__file__).parent / "fixtures"
-DOCS = Path(__file__).parent.parent / "docs"
+SCHEMAS = Path(__file__).parent.parent / "src" / "tabtune"
 
 
 def _criterion(name, budget_seconds, check):
@@ -297,7 +297,7 @@ def test_end_to_end_run(tmp_path):
         import jsonschema
 
         report = json.loads((tmp_path / "report.json").read_text())
-        schema = json.loads((DOCS / "report.schema.json").read_text())
+        schema = json.loads((SCHEMAS / "report.schema.json").read_text())
         jsonschema.validate(report, schema)
         assert len(report["families"]) == 7
 

@@ -8,9 +8,10 @@ from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_UNEXPECTED, ma
 from tabtune.config import ConfigError, load_run_config, parse_run_config
 from tabtune.hpspace import grid_size, space_from_config
 from tabtune.report import strip_volatile
+from tabtune.tuner import TuningReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
-DOCS = Path(__file__).parent.parent / "docs"
+SCHEMAS = Path(__file__).parent.parent / "src" / "tabtune"
 
 
 def _small_config(tmp_path, **overrides):
@@ -388,13 +389,24 @@ def test_render_and_synth_input_and_write_errors(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     table = tmp_path / "again.md"
-    not_reports = [[], {"families": "DT"}, {"families": [{"family": "DT"}]},
-                   {**report, "config": {"references": {"prior": {"DT": "high"}}}}]
-    for i, doc in enumerate(not_reports):
+    config = report["config"]
+    not_reports = [
+        ([], "top level"), ({"families": "DT"}, "field 'tool'"),
+        ({"families": [{"family": "DT"}]}, "field 'tool'"),
+        ({**report, "config": {"references": {"prior": {"DT": "high"}}}}, "field 'config.data'"),
+        ({**report, "families": [{"family": "DT"}]}, "field 'families[0].baseline'"),
+        ({**report, "config": {**config, "references": {"prior": {"DT": "high"}}}},
+         "field 'config.references.prior.DT'"),
+        ({**report, "config": {**config, "references": {"prior": {"MLP": 90.0}}}},
+         "field 'config.references.prior.MLP'"),
+        ({**report, "trials_truncated": None}, "field 'trials_truncated'"),
+        ({**report, "k": 1}, "field 'k'"),
+    ]
+    for i, (doc, field) in enumerate(not_reports):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["render", str(path), "--table", str(table)]) == EXIT_DATA
-        assert "not a tabtune report" in capsys.readouterr().err
+        assert f"not a tabtune report: {field}" in capsys.readouterr().err
     (tmp_path / "latin1.json").write_bytes(b'{"families": "\xe9"}')
     assert main(["render", str(tmp_path / "latin1.json"), "--table", str(table)]) == EXIT_DATA
     assert not table.exists()
@@ -407,6 +419,29 @@ def test_render_and_synth_input_and_write_errors(tmp_path, capsys):
     assert main(["synth", "--rows", "20", "--positive-rate", "1.5",
                  "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_render_accepts_reports_of_current_runs(tmp_path, monkeypatch, truncated):
+    if truncated:  # a run with more trials than the report keeps records for
+        to_dict = TuningReport.to_dict
+        monkeypatch.setattr(TuningReport, "to_dict",
+                            lambda self, **kwargs: to_dict(self, max_trials=1, **kwargs))
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["trials_truncated"] is truncated
+    again = tmp_path / "again.md"
+    assert main(["render", str(tmp_path / "report.json"), "--table", str(again)]) == 0
+    assert again.read_text() == (tmp_path / "table.md").read_text()
+
+
+@pytest.mark.parametrize("section", ["preprocess", "split", "tuner", "references"])
+def test_null_optional_section_is_a_config_error(tmp_path, capsys, section):
+    config_path, _ = _small_config(tmp_path, **{section: None})
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"config field '{section}': expected object, got None" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_oversized_csv_field_is_a_data_error(tmp_path, capsys):
@@ -427,7 +462,7 @@ def test_run_oversized_csv_field_is_a_data_error(tmp_path, capsys):
 def test_config_schema_accepts_configs_and_their_echo(tmp_path):
     import jsonschema
 
-    schema = json.loads((DOCS / "config.schema.json").read_text(encoding="utf-8"))
+    schema = json.loads((SCHEMAS / "config.schema.json").read_text(encoding="utf-8"))
     config_path, doc = _small_config(tmp_path)
     jsonschema.validate(doc, schema)
     assert main(["run", str(config_path)]) == 0
