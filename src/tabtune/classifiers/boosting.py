@@ -11,18 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import mean_logloss, sigmoid
-from .tree import grow_depth_first, stack_trees
-
-
-def _too_few_rows(r) -> bool:
-    # No purity stop: a node whose residuals are all equal is still searched
-    # and split whenever rounding leaves a positive gain. Stopping there would
-    # change leaf values in their last bits, and with them the reports.
-    return len(r) < 2
-
-
-def _residual_mean(r) -> float:
-    return float(r.mean())
+from .tree import grow_regression, stack_trees
 
 
 class GradientBoostedTrees:
@@ -46,8 +35,7 @@ class GradientBoostedTrees:
         self.stage_logloss_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
-            tree, leaf_of = grow_depth_first(X, residual, "sse", self.max_depth,
-                                             _too_few_rows, _residual_mean)
+            tree, leaf_of = grow_regression(X, residual, self.max_depth)
             scores = scores + self.learning_rate * tree.value[leaf_of]
             stages.append(tree)
             self.stage_logloss_.append(mean_logloss(y, scores))

@@ -6,16 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import grow, grow_depth_first, stack_trees
-
-
-def _pure_or_single(labels) -> bool:
-    ones = labels.sum()
-    return len(labels) < 2 or ones == 0 or ones == len(labels)
-
-
-def _majority(labels) -> float:
-    return float(2 * labels.sum() > len(labels))  # ties go to 0
+from .tree import grow
 
 
 class RandomForest:
@@ -42,26 +33,16 @@ class RandomForest:
         self.n_features_ = d
         m = max(1, math.ceil(self.max_features_frac * d))
         rng = np.random.default_rng(self.seed)
+        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                   for _ in range(self.n_estimators)]
 
-        def rows():
-            return rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+        def draw_columns(nodes):
+            # a node may split on the m columns with the smallest of d uniform keys
+            ranks = np.argsort(np.argsort(rng.random((nodes, d)), axis=1, kind="stable"), axis=1)
+            return ranks < m
 
-        if m < d:
-            # one draw per searched node, depth first, each tree's after its
-            # bootstrap and before the next tree's
-            def columns():
-                return np.sort(rng.choice(d, size=m, replace=False))
-
-            y = np.asarray(y).astype(np.intp)
-
-            def tree(sample):
-                return grow_depth_first(X[sample], y[sample], "gini", self.max_depth,
-                                        _pure_or_single, _majority, columns)[0]
-
-            self.trees_ = stack_trees([tree(rows()) for _ in range(self.n_estimators)])
-        else:
-            samples = [rows() for _ in range(self.n_estimators)]
-            self.trees_ = grow(X, y, samples, self.max_depth)
+        self.trees_ = grow(X, y, samples, self.max_depth,
+                           draw_columns=draw_columns if m < d else None)
         return self
 
     def tree_predictions(self, X):

@@ -10,22 +10,24 @@ through a group of trees one level at a time.
 
 Two growers share those rules:
 
-- ``grow`` grows gini/entropy trees level by level. It keeps the rows of
-  every open node contiguous and searches all open nodes of a depth at
-  once, so a forest grows all of its trees in one level loop. Its search
-  (``_best_splits``) encodes each column once per fit: a two-valued column
-  splits by two counts per node and needs no sort; the other columns are
-  sorted by (node, value rank). The gains come from integer counts, so the
-  order of tied rows cannot change a split.
-- ``grow_depth_first`` grows one tree a node at a time, left subtree before
-  right, with the per-node search ``_best_split_matrix``. It serves forests
-  that draw candidate features per node, whose draws must follow that
-  order, and the squared-error stages of gradient boosting, whose float
-  sums follow each node's sort order.
+- ``grow`` grows the gini/entropy trees of DT and RF level by level. It
+  keeps the rows of every open node contiguous and searches all open nodes
+  of a depth at once, so a forest grows all of its trees in one level loop.
+  Its search (``_best_splits``) encodes each column once per fit: a
+  two-valued column splits by two counts per node and needs no sort; the
+  other columns are sorted by (node, value rank). The gains come from
+  integer counts, so the order of tied rows cannot change a split. A forest
+  that subsamples features draws each searched node's columns in level
+  order.
+- ``grow_regression`` grows the squared-error tree of one gradient-boosting
+  stage a node at a time, left subtree before right, with the per-node
+  search ``_best_split_matrix``. Its float sums follow each node's sort
+  order, and the recorded reports depend on their last bits.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +79,24 @@ def _impurity_gain(impurity, n_left, ones_left, n, ones):
     return parent - weighted
 
 
-def _sse_gains(rs, row, column, n):
-    """Squared-error reduction of the splits after sorted position ``row``
-    of ``column``, from the targets in each column's sorted order."""
+def _best_split_matrix(X, r):
+    """(feature, threshold, gain) of the split of one node's rows (``X``,
+    regression targets ``r``) that most reduces their squared error, or None
+    when no split reduces it.
+
+    Every column is sorted with ``np.argsort``; the sums of the targets run
+    in that order, which the node's row order fixes, and their last bits
+    depend on it. Candidate thresholds and tie rules are those of
+    ``_best_splits``.
+    """
+    n, d = X.shape
+    order = np.argsort(X, axis=0)
+    xs = X[order, np.arange(d)]
+    # a split after sorted position ``row``, in (feature, threshold) order
+    column, row = np.nonzero((xs[1:] != xs[:-1]).T)
+    if not column.size:  # fewer than 2 rows, no columns, or every column constant
+        return None
+    rs = r[order]
     s = np.cumsum(rs, axis=0)
     q = np.cumsum(rs * rs, axis=0)
     n_left = row + 1.0
@@ -90,40 +107,7 @@ def _sse_gains(rs, row, column, n):
     sse_left = q_left - s_left * s_left / n_left
     sse_right = (q_total - q_left) - s_right * s_right / n_right
     sse_total = q_total - s_total * s_total / n
-    return sse_total - sse_left - sse_right
-
-
-def _label_gains(impurity):
-    def gains(ys, row, column, n):
-        ones = np.cumsum(ys, axis=0)
-        return _impurity_gain(impurity, row + 1, ones[row, column], n, ones[-1, column])
-
-    return gains
-
-
-_CRITERIA = {name: _label_gains(impurity) for name, impurity in _IMPURITY.items()}
-_CRITERIA["sse"] = _sse_gains
-
-
-def _best_split_matrix(X, y, criterion):
-    """(feature, threshold, gain) of the best split of one node's rows
-    (``X``, targets ``y``), or None when no split has positive gain.
-
-    The search of one node at a time. Every column is sorted with
-    ``np.argsort``; the squared-error sums run in that order, which the
-    node's row order fixes, and their last bits depend on it. Candidate
-    thresholds and tie rules are those of ``_best_splits``.
-    """
-    n, d = X.shape
-    if n < 2 or d == 0:
-        return None
-    order = np.argsort(X, axis=0)
-    xs = X[order, np.arange(d)]
-    # a split after sorted position ``row``, in (feature, threshold) order
-    column, row = np.nonzero((xs[1:] != xs[:-1]).T)
-    if not column.size:
-        return None
-    gains = _CRITERIA[criterion](y[order], row, column, n)
+    gains = sse_total - sse_left - sse_right
     best = int(np.argmax(gains))  # first maximum
     if not gains[best] > 0.0:
         return None
@@ -160,12 +144,13 @@ class _RankedColumns:
         self.values = xs.T[self.many][new_value.T[self.many]]
 
 
-def _best_splits(ranked, y, rows, counts, impurity):
+def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
     """(feature, threshold, gain) arrays of the best split of each node of a
     batch; feature is -1 where no split has positive gain.
 
     ``rows`` holds the training rows of every node, node after node, with
-    ``counts`` rows each.
+    ``counts`` rows each. ``allowed``, when given, is a (nodes, columns)
+    boolean mask of the columns each node may split on.
     """
     n_nodes = len(counts)
     if not ranked.two.size and not ranked.many.size:  # every column is constant
@@ -216,6 +201,8 @@ def _best_splits(ranked, y, rows, counts, impurity):
                 ranked.values[base + key[win] % width]
                 + ranked.values[base + key[win + 1] % width]) / 2.0
 
+    if allowed is not None:
+        gain[~allowed] = -np.inf
     best = np.argmax(gain, axis=1)  # first maximum: the smallest feature index
     nodes = np.arange(n_nodes)
     best_gain = gain[nodes, best]
@@ -328,7 +315,7 @@ def _batches(depth, first_id, rows, counts):
         yield depth, first_id + a, rows[ends[a] - counts[a]:ends[b - 1]], counts[a:b]
 
 
-def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2):
+def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_columns=None):
     """Grow one gini or entropy tree on 0/1 labels ``y`` per array of
     training rows in ``samples``, level by level.
 
@@ -339,15 +326,20 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2):
     open nodes of a depth are searched together by ``_best_splits``, in
     batches of whole nodes holding up to ``_BATCH_ROWS`` rows; a node's
     rows keep the order they have in ``samples``.
+
+    ``draw_columns``, when given, is called once per batch with the number
+    of nodes it searches and returns their ``allowed`` column mask. Batches
+    are searched in level order (depth by depth, tree by tree, left child
+    before right) whatever ``_BATCH_ROWS`` is, so the draws are too.
     """
     y = np.asarray(y).astype(np.intp)
     ranked = _RankedColumns(X)
     impurity = _IMPURITY[criterion]
     n_nodes = len(samples)
-    pending = list(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples])))
+    pending = deque(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples])))
     built = []
     while pending:
-        depth, first_id, rows, counts = pending.pop()
+        depth, first_id, rows, counts = pending.popleft()
         n = len(counts)
         node = np.repeat(np.arange(n), counts)
         ones = np.add.reduceat(y[rows], np.cumsum(counts) - counts)
@@ -356,8 +348,9 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2):
         if depth < max_depth:
             searched = (counts >= min_samples_split) & (ones > 0) & (ones < counts)
             if searched.any():
+                allowed = None if draw_columns is None else draw_columns(searched.sum())
                 feature[searched], threshold[searched], _ = _best_splits(
-                    ranked, y, rows[searched[node]], counts[searched], impurity)
+                    ranked, y, rows[searched[node]], counts[searched], impurity, allowed)
         split = feature >= 0
         if split.any():
             goes_left = (X[rows, feature[node]] <= threshold[node]) & split[node]
@@ -385,41 +378,38 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2):
     return Trees(feature, threshold, left, value, np.arange(len(samples)))
 
 
-def grow_depth_first(X, y, criterion, max_depth, stop, leaf_value, draw_columns=None):
-    """Grow one tree on every row of ``X`` (targets ``y``) a node at a time,
-    left subtree before right, each node's rows in row order, searching with
-    ``_best_split_matrix``: the order that per-node random draws and the
-    squared-error float sums need.
+def grow_regression(X, r, max_depth):
+    """Grow the squared-error regression tree of one gradient-boosting stage
+    on every row of ``X`` (targets ``r``) a node at a time, left subtree
+    before right, each node's rows in row order, searching with
+    ``_best_split_matrix``: the order its float sums follow.
 
-    A node becomes a leaf holding ``leaf_value(y[rows])`` at ``max_depth``,
-    when ``stop(y[rows])`` holds, when no split has positive gain, and when
-    its threshold sends every row the same way. ``draw_columns``, when
-    given, is called once per searched node and returns the sorted feature
-    indices that node may split on.
+    A node becomes a leaf holding the mean of its targets at ``max_depth``,
+    when it has fewer than 2 rows, when no split reduces the squared error,
+    and when its threshold sends every row the same way. There is no purity
+    stop: a node whose targets are all equal is still searched and split
+    whenever rounding leaves a positive gain. Stopping there would change
+    leaf values in their last bits, and with them the reports.
 
     Returns the ``Trees`` and the leaf node each row of ``X`` reached.
     """
-    leaf_of = np.empty(len(y), dtype=np.intp)
+    leaf_of = np.empty(len(r), dtype=np.intp)
     feature, threshold, left, value = [-1], [0.0], [-1], [0.0]
-    stack = [(np.arange(len(y)), 0, 0)]  # rows, depth, node
+    stack = [(np.arange(len(r)), 0, 0)]  # rows, depth, node
     while stack:
         rows, depth, node = stack.pop()
-        ys = y[rows]
         found = None
-        if depth < max_depth and not stop(ys):
-            columns = None if draw_columns is None else draw_columns()
-            found = _best_split_matrix(X[rows] if columns is None else X[rows[:, None], columns],
-                                       ys, criterion)
+        if depth < max_depth and len(rows) >= 2:
+            found = _best_split_matrix(X[rows], r[rows])
         if found is not None:
-            f = found[0] if columns is None else int(columns[found[0]])
-            goes_left = X[rows, f] <= found[1]
+            goes_left = X[rows, found[0]] <= found[1]
             if goes_left.all() or not goes_left.any():  # midpoint rounding
                 found = None
         if found is None:
-            value[node] = leaf_value(ys)
+            value[node] = float(r[rows].mean())
             leaf_of[rows] = node
             continue
-        feature[node], threshold[node], left[node] = f, found[1], len(feature)
+        feature[node], threshold[node], left[node] = found[0], found[1], len(feature)
         for column in (feature, left):
             column += [-1, -1]
         for column in (threshold, value):

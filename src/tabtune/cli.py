@@ -140,6 +140,9 @@ def cmd_render(args) -> int:
     if not args.table and not args.chart:
         print("error: render needs --table and/or --chart", file=sys.stderr)
         return EXIT_CONFIG
+    if args.table and args.chart and os.path.realpath(args.table) == os.path.realpath(args.chart):
+        print(f"error: --table and --chart are the same path: {args.chart}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         report_dict = json.loads(Path(args.report).read_text(encoding="utf-8"))
         check_report(report_dict)

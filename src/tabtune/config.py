@@ -9,8 +9,10 @@ working directory.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +106,10 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     for key, suffix in (("table", ".md"), ("chart", ".svg")):
         default = str(Path(output["report"]).with_suffix(suffix))
         output[key] = resolve(output.get(key, default), f"output.{key}")
+    # one file cannot hold two artifacts; writing them would fail only after tuning
+    for first, second in itertools.combinations(("report", "table", "chart"), 2):
+        if os.path.realpath(output[first]) == os.path.realpath(output[second]):
+            _fail(f"output.{second}", f"same path as output.{first}: {output[second]}")
 
     spaces = {}
     for family, mapping in doc["tuner"]["spaces"].items():

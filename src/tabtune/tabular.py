@@ -250,6 +250,11 @@ _MAJOR_BOOST = {"CE": 0.10, "CS": 0.20, "IT": -0.10, "SE": 0.0}
 _TARGET_LEVELS = ("no", "yes")
 _MISSING_RATE = 0.02
 
+#: Most rows ``generate_synthetic`` makes (the config schema's
+#: ``data.synthetic.rows`` maximum repeats it): a larger table is an input
+#: error, not a request for gigabytes of memory.
+MAX_SYNTHETIC_ROWS = 1_000_000
+
 
 def synthetic_schema() -> tuple[ColumnSchema, ...]:
     return (
@@ -279,6 +284,8 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
     """
     if n_rows < 0:
         raise ValueError("n_rows must be non-negative")
+    if n_rows > MAX_SYNTHETIC_ROWS:
+        raise ValueError(f"n_rows must be at most {MAX_SYNTHETIC_ROWS}, got {n_rows}")
     if not 0.0 < positive_rate < 1.0:
         raise ValueError(f"positive_rate must lie in (0, 1), got {positive_rate}")
     schema = synthetic_schema()

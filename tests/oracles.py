@@ -5,6 +5,7 @@ arithmetic, brute-force enumeration.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -112,21 +113,20 @@ def nb_oracle(train_X, train_y, test_X, exponent):
     return np.array(out)
 
 
-def reference_tree(X, y, criterion, max_depth, min_samples_split=2, draw_columns=None):
-    """Plain recursive depth-first CART, left subtree before right.
+def _reference_trees(data, criterion, max_depth, min_samples_split=2, draw_columns=None):
+    """Plain CART, one tree per ``(X, y)`` pair of ``data``, all grown
+    together breadth first from one queue: depth by depth, tree by tree,
+    left child before right.
 
     Gini/entropy gains come from label counts accumulated over each column's
     sorted values; ``criterion="sse"`` fits the regression tree of a
-    boosting stage, whose leaves are the mean target and whose gains come
-    from the targets summed in ``np.argsort`` order, the order the model's
-    float sums follow. ``draw_columns``, when given, is called at every
-    searched node for the sorted columns it may split on. Returns nested
-    dicts: ``{"value"}`` leaves, ``{"feature", "threshold", "left",
-    "right"}`` inner nodes.
+    boosting stage, whose leaves are the mean target, which has no purity
+    stop, and whose gains come from the targets summed in ``np.argsort``
+    order, the order the model's float sums follow. ``draw_columns``, when
+    given, is called at every searched node, in queue order, for the sorted
+    columns it may split on. Returns nested dicts: ``{"value"}`` leaves,
+    ``{"feature", "threshold", "left", "right"}`` inner nodes.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    n_columns = X.shape[1]
 
     def impurity(p1):
         if criterion == "gini":
@@ -137,7 +137,7 @@ def reference_tree(X, y, criterion, max_depth, min_samples_split=2, draw_columns
                 out -= p * math.log2(p)
         return out
 
-    def label_candidates(rows, column):
+    def label_candidates(X, y, rows, column):
         pairs = sorted((X[i, column], int(y[i])) for i in rows)
         n = len(pairs)
         ones = sum(label for _, label in pairs)
@@ -152,7 +152,7 @@ def reference_tree(X, y, criterion, max_depth, min_samples_split=2, draw_columns
                             + n_right * impurity((ones - ones_left) / n_right)) / n
                 yield parent - weighted, (pairs[k][0] + pairs[k + 1][0]) / 2.0
 
-    def sse_candidates(rows, column):
+    def sse_candidates(X, y, rows, column):
         x = X[rows, column]
         order = np.argsort(x)
         xs = x[order].tolist()
@@ -175,40 +175,53 @@ def reference_tree(X, y, criterion, max_depth, min_samples_split=2, draw_columns
                 sse_right = (q_total - q_left) - s_right * s_right / (n - n_left)
                 yield sse_total - sse_left - sse_right, (xs[k] + xs[k + 1]) / 2.0
 
-    def leaf(rows):
-        if criterion == "sse":
-            return {"value": float(y[rows].mean())}
-        return {"value": 1.0 if 2 * int(y[rows].sum()) > len(rows) else 0.0}
-
-    def node(rows, depth):
+    def best_split(X, y, rows):
         labels = y[rows]
-        if depth >= max_depth or len(rows) < min_samples_split or (
+        if len(rows) < min_samples_split or (
                 criterion != "sse" and labels.min() == labels.max()):
-            return leaf(rows)
-        columns = range(n_columns) if draw_columns is None else draw_columns()
+            return None
+        columns = range(X.shape[1]) if draw_columns is None else draw_columns()
         candidates = sse_candidates if criterion == "sse" else label_candidates
         best = None
         for column in columns:
-            for gain, threshold in candidates(rows, column):
+            for gain, threshold in candidates(X, y, rows, column):
                 if best is None or gain > best[0]:
                     best = (gain, int(column), threshold)
-        if best is None or not best[0] > 0:
-            return leaf(rows)
-        _, column, threshold = best
-        left = [i for i in rows if X[i, column] <= threshold]
-        right = [i for i in rows if X[i, column] > threshold]
-        if not left or not right:
-            return leaf(rows)
-        return {"feature": column, "threshold": threshold,
-                "left": node(left, depth + 1), "right": node(right, depth + 1)}
+        return best if best is not None and best[0] > 0 else None
 
-    return node(list(range(len(y))), 0)
+    trees = [{} for _ in data]
+    queue = deque((tree, np.asarray(X, dtype=float), np.asarray(y), list(range(len(y))), 0)
+                  for tree, (X, y) in zip(trees, data))
+    while queue:
+        node, X, y, rows, depth = queue.popleft()
+        best = best_split(X, y, rows) if depth < max_depth else None
+        if best is not None:
+            _, column, threshold = best
+            left = [i for i in rows if X[i, column] <= threshold]
+            right = [i for i in rows if X[i, column] > threshold]
+        if best is None or not left or not right:
+            if criterion == "sse":
+                node["value"] = float(y[rows].mean())
+            else:
+                node["value"] = 1.0 if 2 * int(y[rows].sum()) > len(rows) else 0.0
+            continue
+        node.update(feature=column, threshold=threshold, left={}, right={})
+        queue.append((node["left"], X, y, left, depth + 1))
+        queue.append((node["right"], X, y, right, depth + 1))
+    return trees
+
+
+def reference_tree(X, y, criterion, max_depth, min_samples_split=2):
+    """The plain CART of ``_reference_trees`` for one training set."""
+    return _reference_trees([(X, y)], criterion, max_depth, min_samples_split)[0]
 
 
 def reference_forest(X, y, n_estimators, max_depth, max_features_frac, seed, bootstrap):
-    """Reference trees of a random forest: per tree, the bootstrap draw and
-    then the per-node feature draws, in depth-first order, from one
-    generator."""
+    """Reference gini trees of a random forest, from one generator: first
+    every tree's bootstrap draw, then the trees grown together breadth
+    first. When m = ceil(frac * d) < d, each searched node draws d uniform
+    keys, in that order, and may split on the m columns with the smallest
+    keys."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n, d = X.shape
@@ -216,14 +229,12 @@ def reference_forest(X, y, n_estimators, max_depth, max_features_frac, seed, boo
     rng = np.random.default_rng(seed)
 
     def draw():
-        return sorted(rng.choice(d, size=m, replace=False).tolist())
+        return sorted(np.argsort(rng.random(d), kind="stable")[:m].tolist())
 
-    trees = []
-    for _ in range(n_estimators):
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(reference_tree(X[rows], y[rows], "gini", max_depth,
-                                    draw_columns=draw if m < d else None))
-    return trees
+    samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+               for _ in range(n_estimators)]
+    return _reference_trees([(X[rows], y[rows]) for rows in samples], "gini", max_depth,
+                            draw_columns=draw if m < d else None)
 
 
 def reference_preorder(tree):

@@ -195,7 +195,7 @@ def test_sse_split_matches_brute_force_on_tied_columns():
         X = np.round(rng.normal(size=(n, d)), 1)  # duplicates likely
         X[:, rng.integers(0, d)] = rng.integers(0, 2, n)  # one binary column
         r = rng.normal(size=n)
-        got = _best_split_matrix(X, r, "sse")
+        got = _best_split_matrix(X, r)
         expected = brute_force_sse_split(X, r)
         if expected is None:
             assert got is None
@@ -260,7 +260,8 @@ def test_forest_matches_recursive_reference(monkeypatch, batch_rows, route_cells
     rng = np.random.default_rng(32)
     X, y = _mixed_matrix(rng, 70, 8)
     test_X, _ = _mixed_matrix(rng, 30, 8)
-    for frac in (1.0, 0.3):  # the batched forest, then per-node feature draws
+    # 0.95 of 8 columns is 8: no draws, the same trees as 1.0
+    for frac in (1.0, 0.95, 0.3):
         for bootstrap in (True, False):
             for seed in (0, 1, 2):
                 forest = RandomForest(n_estimators=6, max_depth=7, max_features_frac=frac,
@@ -291,23 +292,33 @@ def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
     rng = np.random.default_rng(4)
     data = _random_matrix(rng, 120, 10)
     m = math.ceil(0.3 * data.n_features)
-    widths = []
-    real_search = tree_module._best_split_matrix
+    searches = []
+    real_search = tree_module._best_splits
 
-    def counting_search(X, y, criterion):
-        widths.append(X.shape[1])
-        return real_search(X, y, criterion)
+    def recording_search(ranked, y, rows, counts, impurity, allowed=None):
+        found = real_search(ranked, y, rows, counts, impurity, allowed)
+        searches.append((allowed, found[0]))
+        return found
 
-    monkeypatch.setattr(tree_module, "_best_split_matrix", counting_search)
+    monkeypatch.setattr(tree_module, "_best_splits", recording_search)
     fits = [
         RandomForest(n_estimators=6, max_depth=5, max_features_frac=0.3, seed=11)
         .fit(data.features, data.labels)
         for _ in range(2)
     ]
-    assert widths and set(widths) == {m}
-    first, second = (forest.tree_predictions(data.features) for forest in fits)
-    assert np.array_equal(first, second)
-    assert first.var(axis=0).max() > 0  # the subsampled trees differ
+    assert searches
+    for allowed, feature in searches:
+        assert allowed.shape == (len(feature), data.n_features)
+        assert np.all(allowed.sum(axis=1) == m)
+        chosen = feature >= 0
+        assert np.all(allowed[np.flatnonzero(chosen), feature[chosen]])
+    assert any((feature >= 0).any() for _, feature in searches)
+    first, second = fits
+    assert np.array_equal(first.trees_.feature, second.trees_.feature)
+    assert np.array_equal(first.trees_.threshold, second.trees_.threshold)
+    assert np.array_equal(first.tree_predictions(data.features),
+                          second.tree_predictions(data.features))
+    assert first.tree_predictions(data.features).var(axis=0).max() > 0  # the trees differ
 
 
 def test_forest_vote_tie_goes_to_zero():

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 import tabtune.cli as cli_module
+import tabtune.tabular as tabular_module
 from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_UNEXPECTED, main
 from tabtune.config import ConfigError, load_run_config, parse_run_config
 from tabtune.hpspace import grid_size, space_from_config
 from tabtune.report import strip_volatile
+from tabtune.tabular import MAX_SYNTHETIC_ROWS
 from tabtune.tuner import TuningReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -419,6 +421,51 @@ def test_render_and_synth_input_and_write_errors(tmp_path, capsys):
     assert main(["synth", "--rows", "20", "--positive-rate", "1.5",
                  "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("output, fields", [
+    ({"report": "out/r.json", "table": "out/r.json"}, ("output.table", "output.report")),
+    # the default table path of out/r.json is out/r.md
+    ({"report": "out/r.json", "chart": "out/r.md"}, ("output.chart", "output.table")),
+])
+def test_colliding_output_paths_are_a_config_error_before_tuning(tmp_path, capsys, monkeypatch,
+                                                                  output, fields):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned before the output paths were checked")
+
+    monkeypatch.setattr(cli_module, "grs_auto_hp", no_tuning)
+    config_path, _ = _small_config(tmp_path, output=output)
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config field '{fields[0]}': same path as {fields[1]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_to_one_path_for_table_and_chart_is_a_config_error(tmp_path, capsys):
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    same = tmp_path / "same.txt"
+    assert main(["render", str(tmp_path / "report.json"), "--table", str(same),
+                 "--chart", str(tmp_path / "." / "same.txt")]) == EXIT_CONFIG
+    assert "--table and --chart are the same path" in capsys.readouterr().err
+    assert not same.exists() and not list(tmp_path.glob("*.tmp-*"))
+
+
+def test_synthetic_rows_above_the_maximum_are_rejected_before_generating(tmp_path, capsys,
+                                                                         monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("rows were generated")
+
+    monkeypatch.setattr(tabular_module.np.random, "default_rng", no_draws)
+    rows = MAX_SYNTHETIC_ROWS + 1
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--rows", str(rows), "--out", str(out)]) == EXIT_DATA
+    assert f"n_rows must be at most {MAX_SYNTHETIC_ROWS}, got {rows}" in capsys.readouterr().err
+    assert not out.exists()
+    config_path, _ = _small_config(tmp_path, data={"synthetic": {"rows": rows}})
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert "config field 'data.synthetic.rows'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("truncated", [False, True])

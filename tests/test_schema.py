@@ -13,6 +13,7 @@ from tabtune.config import MAX_SEARCH_CONFIGS, SCHEMA, ConfigError, parse_run_co
 from tabtune.preprocess import DERIVED_KINDS, SCALING_MODES
 from tabtune.report import SCHEMA as REPORT_SCHEMA
 from tabtune.schema import SchemaViolation, validate
+from tabtune.tabular import MAX_SYNTHETIC_ROWS
 
 SYNTH = {"synthetic": {"rows": 100}}
 OUT = {"report": "out/report.json"}
@@ -64,6 +65,7 @@ INVALID_CONFIGS = [
     ({"data": SYNTH, "output": OUT, "references": {"p": {"MLP": 1}}}, "references.p.MLP"),
     ({"data": SYNTH, "output": OUT, "tuner": {"spaces": {"MLP": {}}}}, "tuner.spaces.MLP"),
     ({"data": {"synthetic": {"rows": 1}}, "output": OUT}, "data.synthetic.rows"),  # minimum
+    ({"data": {"synthetic": {"rows": 1_000_001}}, "output": OUT}, "data.synthetic.rows"),
     ({"data": SYNTH, "output": OUT, "tuner": {"rs_budget": 100_001}}, "tuner.rs_budget"),
     ({"data": SYNTH, "output": OUT, "split": {"train_fraction": 0}}, "split.train_fraction"),
     ({"data": SYNTH, "output": OUT, "split": {"train_fraction": 1}}, "split.train_fraction"),
@@ -173,3 +175,5 @@ def test_schema_constants_match_the_code():
     derived = sections["preprocess"]["properties"]["derived"]["properties"]
     assert derived["kind"]["enum"] == list(DERIVED_KINDS)
     assert sections["tuner"]["properties"]["rs_budget"]["maximum"] == MAX_SEARCH_CONFIGS
+    synthetic = sections["data"]["properties"]["synthetic"]["properties"]
+    assert synthetic["rows"]["maximum"] == MAX_SYNTHETIC_ROWS
