@@ -3,16 +3,19 @@
 Families: DT (decision tree), RF (random forest), NB (Gaussian naive Bayes),
 LR (logistic regression), KNN (k nearest neighbors), SVM (linear SVM), and
 GBT (gradient-boosted trees). One table maps each family to its model class
-and its ordered hyper-parameter schema (bounds and defaults); ``train``
-validates configs against the schema and passes them to the class as
-keyword arguments.
+and its ordered hyper-parameter schema (bounds and defaults).
+
+The contract is train -> model -> predict: ``train(spec, data, seed)``
+validates the config against the schema, passes it to the family's class as
+keyword arguments and returns the fitted model itself, whose attributes hold
+the config. ``predict(model, X)`` checks that ``X`` has the
+``model.n_features_`` columns the model was fitted on and returns its 0/1
+labels.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -23,12 +26,11 @@ from .boosting import GradientBoostedTrees
 from .forest import RandomForest
 from .linear import LinearSVM, LogisticRegression, logloss_gradient, logloss_value, mean_logloss
 from .neighbors import KNearestNeighbors
-from .tree import DecisionTree, best_split, entropy_impurity, gini_impurity
+from .tree import DecisionTree, best_split, gini_impurity
 
 __all__ = [
     "FAMILIES",
     "ModelSpec",
-    "TrainedModel",
     "SingleClassError",
     "hp_schema",
     "default_config",
@@ -37,7 +39,6 @@ __all__ = [
     "predict",
     "accuracy",
     "gini_impurity",
-    "entropy_impurity",
     "best_split",
     "logloss_gradient",
     "logloss_value",
@@ -136,23 +137,8 @@ class ModelSpec:
     config: dict = field(default_factory=dict)
 
 
-@dataclass
-class TrainedModel:
-    family: str
-    config: dict
-    model: Any
-    fit_seconds: float
-
-    def summary(self) -> dict:
-        return {
-            "family": self.family,
-            "config": dict(self.config),
-            "fit_seconds": self.fit_seconds,
-        }
-
-
-def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
-    """Fit one family with a validated config; deterministic given seed."""
+def train(spec: ModelSpec, data: DesignMatrix, seed: int):
+    """The family's model fitted with a validated config; deterministic given seed."""
     cfg = validate_config(spec.family, spec.config)
     if data.n_rows == 0:
         raise ValueError("cannot train on an empty design matrix")
@@ -163,25 +149,17 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int) -> TrainedModel:
         )
     family = _FAMILY_TABLE[spec.family]
     seed_arg = {"seed": seed} if family.seeded else {}
-    started = time.perf_counter()
-    model = family.model(**cfg, **seed_arg).fit(data.features, data.labels)
-    fit_seconds = time.perf_counter() - started
-    return TrainedModel(
-        family=spec.family,
-        config=cfg,
-        model=model,
-        fit_seconds=fit_seconds,
-    )
+    return family.model(**cfg, **seed_arg).fit(data.features, data.labels)
 
 
-def predict(model: TrainedModel, features) -> np.ndarray:
+def predict(model, features) -> np.ndarray:
     features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != model.model.n_features_:
+    if features.ndim != 2 or features.shape[1] != model.n_features_:
         raise ValueError(
             f"feature matrix has shape {features.shape}, "
-            f"model was trained on {model.model.n_features_} features"
+            f"model was trained on {model.n_features_} features"
         )
-    return model.model.predict(features)
+    return model.predict(features)
 
 
 def accuracy(predicted, actual) -> float:

@@ -10,20 +10,13 @@ from .tree import grow
 
 
 class RandomForest:
-    """Majority vote over trees; vote ties resolve toward label 0.
+    """Majority vote over trees; vote ties resolve toward label 0."""
 
-    ``bootstrap=False`` makes every tree see the identical training rows,
-    which collapses the ensemble onto a single deterministic tree when
-    ``max_features_frac`` is 1.0.
-    """
-
-    def __init__(self, n_estimators=50, max_depth=10, max_features_frac=1.0,
-                 seed=0, bootstrap=True):
+    def __init__(self, n_estimators=50, max_depth=10, max_features_frac=1.0, seed=0):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.max_features_frac = max_features_frac
         self.seed = seed
-        self.bootstrap = bootstrap
         self.trees_ = None
         self.n_features_ = None
 
@@ -33,8 +26,7 @@ class RandomForest:
         self.n_features_ = d
         m = max(1, math.ceil(self.max_features_frac * d))
         rng = np.random.default_rng(self.seed)
-        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-                   for _ in range(self.n_estimators)]
+        samples = [rng.integers(0, n, size=n) for _ in range(self.n_estimators)]
 
         def draw_columns(nodes):
             # a node may split on the m columns with the smallest of d uniform keys
@@ -46,7 +38,8 @@ class RandomForest:
         return self
 
     def tree_predictions(self, X):
-        return self.trees_.leaf_values(np.asarray(X, dtype=float)).astype(np.int64)
+        groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))
+        return np.concatenate(list(groups)).astype(np.int64)
 
     def predict(self, X):
         groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))

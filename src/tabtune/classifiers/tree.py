@@ -5,8 +5,8 @@ feature, threshold, left child, leaf value) with one root per tree; the
 right child is stored next to the left one. Rows with
 ``feature <= threshold`` go left; candidate thresholds are the midpoints
 between consecutive distinct values in a node, and the first maximum gain
-wins in (feature, threshold) order. ``Trees.leaf_values`` routes every row
-through a group of trees one level at a time.
+wins in (feature, threshold) order. ``Trees.grouped_leaf_values`` routes
+every row through a group of trees one level at a time.
 
 Two growers share those rules:
 
@@ -33,26 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _positive_rate(labels) -> float:
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("cannot compute impurity of an empty label vector")
-    return float(labels.mean())
+def _gini_from_p1(p1):
+    return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
 def gini_impurity(labels) -> float:
     """1 - p0^2 - p1^2 over a nonempty binary label vector."""
-    p1 = _positive_rate(labels)
-    p0 = 1.0 - p1
-    return 1.0 - p0 * p0 - p1 * p1
-
-
-def entropy_impurity(labels) -> float:
-    return float(_entropy_from_p1(np.array([_positive_rate(labels)]))[0])
-
-
-def _gini_from_p1(p1):
-    return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("cannot compute impurity of an empty label vector")
+    return float(_gini_from_p1(labels.mean()))
 
 
 def _entropy_from_p1(p1):
@@ -248,20 +238,11 @@ class Trees:
     value: np.ndarray
     roots: np.ndarray
 
-    def leaf_values(self, X) -> np.ndarray:
-        """(trees, rows) matrix of the leaf value each tree gives each row."""
-        out = np.empty((len(self.roots), X.shape[0]))
-        start = 0
-        for values in self.grouped_leaf_values(X):
-            out[start:start + len(values)] = values
-            start += len(values)
-        return out
-
     def grouped_leaf_values(self, X):
-        """The rows of ``leaf_values`` for consecutive groups of trees, in
-        tree order. Each group routes all of its (tree, row) pairs one level
-        at a time, ``_ROUTE_CELLS`` of them at most unless one tree has more
-        rows."""
+        """(trees, rows) matrices of the leaf value each tree gives each row,
+        for consecutive groups of trees in tree order. Each group routes all
+        of its (tree, row) pairs one level at a time, ``_ROUTE_CELLS`` of them
+        at most unless one tree has more rows."""
         n, d = X.shape
         flat = X.ravel()
         per_group = max(1, _ROUTE_CELLS // max(n, 1))
@@ -441,4 +422,5 @@ class DecisionTree:
         return self
 
     def predict(self, X):
-        return self.tree_.leaf_values(np.asarray(X, dtype=float))[0].astype(np.int64)
+        (group,) = self.tree_.grouped_leaf_values(np.asarray(X, dtype=float))  # one tree
+        return group[0].astype(np.int64)

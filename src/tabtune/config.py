@@ -97,7 +97,12 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
         if "\0" in path:  # no file system accepts it; open() would raise ValueError
             _fail(field_path, "path contains a NUL character")
         path = Path(path)
-        return str(path if path.is_absolute() else (base_dir / path).resolve())
+        if path.is_absolute():
+            return str(path)
+        try:
+            return str((base_dir / path).resolve())
+        except (RuntimeError, OSError) as exc:  # a symlink loop, for one
+            _fail(field_path, f"cannot resolve {path}: {exc}")
 
     if "csv" in doc["data"]:
         doc["data"]["csv"]["path"] = resolve(doc["data"]["csv"]["path"], "data.csv.path")

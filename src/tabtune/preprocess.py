@@ -61,21 +61,6 @@ class PreprocessPlan:
     target_name: str
     target_categories: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        """JSON-ready audit view of the fitted parameters."""
-        return {
-            "missing_threshold": self.missing_threshold,
-            "scaling": self.scaling,
-            "dropped_columns": list(self.dropped_columns),
-            "column_order": list(self.column_order),
-            "numeric_stats": {k: dict(v) for k, v in self.numeric_stats.items()},
-            "one_hot": {
-                col: list(levels) + [MISSING_LEVEL]
-                for col, levels in self.one_hot_levels.items()
-            },
-            "target": {"name": self.target_name, "categories": list(self.target_categories)},
-        }
-
 
 def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") -> PreprocessPlan:
     """Fit preprocessing parameters on training rows.

@@ -16,7 +16,7 @@ from .schema import SchemaViolation, load_schema, validate
 
 SCHEMA = load_schema("report.schema.json")
 
-_VOLATILE_KEYS = frozenset({"duration_seconds", "total_seconds", "fit_seconds", "created_unix"})
+_VOLATILE_KEYS = frozenset({"duration_seconds", "total_seconds", "created_unix"})
 
 _METHOD_COLORS = {"Baseline": "#7f7f7f", "GS": "#1f77b4", "RS": "#ff7f0e"}
 _REFERENCE_COLORS = ("#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2")
@@ -42,10 +42,10 @@ def check_report(report) -> None:
         raise ValueError(f"not a tabtune report: {exc}") from None
 
 
-def _method_columns(report: dict, references: dict | None):
-    """Ordered (label, {family: percent}) columns: Baseline, GS, RS, refs."""
-    if references is None:
-        references = report.get("config", {}).get("references") or {}
+def _method_columns(report: dict):
+    """Ordered (label, {family: percent}) columns: Baseline, GS, RS, then the
+    references echoed in the report's config."""
+    references = report.get("config", {}).get("references") or {}
     columns = [("Baseline", {}), ("GS", {}), ("RS", {})]
     for entry in report["families"]:
         family = entry["family"]
@@ -57,14 +57,13 @@ def _method_columns(report: dict, references: dict | None):
     return columns
 
 
-def render_table(report: dict, references: dict | None = None) -> str:
+def render_table(report: dict) -> str:
     """Markdown table, one row per family in report order.
 
-    Reference columns carry externally supplied percentages; families they
-    do not cover render as "-". When ``references`` is None the columns
-    echoed in the report config are used.
+    Reference columns carry the externally supplied percentages echoed in
+    the report config; families they do not cover render as "-".
     """
-    columns = _method_columns(report, references)
+    columns = _method_columns(report)
     families = [entry["family"] for entry in report["families"]]
 
     formatted = {}
@@ -90,11 +89,11 @@ def render_table(report: dict, references: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_chart(report: dict, references: dict | None = None) -> str:
+def render_chart(report: dict) -> str:
     """Grouped bar chart as SVG text: one group per family, one bar per
     method, y axis fixed to 0-100%. Zero accuracies keep their (zero-height)
     bar element and label."""
-    columns = _method_columns(report, references)
+    columns = _method_columns(report)
     families = [entry["family"] for entry in report["families"]]
     reference_index = itertools.count()  # reference columns cycle the palette
     colors = [

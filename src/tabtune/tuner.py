@@ -177,8 +177,8 @@ def evaluate_baseline(family, train, folds, seed) -> TrialResult:
     )
 
 
-def default_rs_budget(space: SearchSpace, cap: int = DEFAULT_RS_BUDGET_CAP) -> int:
-    return max(1, min(grid_size(space), cap))
+def default_rs_budget(space: SearchSpace) -> int:
+    return max(1, min(grid_size(space), DEFAULT_RS_BUDGET_CAP))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -226,7 +225,9 @@ def test_tree_training_accuracy_monotone_in_depth():
         previous = score
 
 
-def test_tree_matches_recursive_reference():
+def test_tree_matches_recursive_reference(monkeypatch):
+    # 16 cells: fewer than the 40 test rows, so the one tree still forms one group
+    route_bounds = (tree_module._ROUTE_CELLS, 16)
     rng = np.random.default_rng(31)
     for n, d in ((90, 6), (60, 9)):
         X, y = _mixed_matrix(rng, n, d)
@@ -238,8 +239,10 @@ def test_tree_matches_recursive_reference():
                                          criterion=criterion).fit(X, y)
                     reference = reference_tree(X, y, criterion, depth, min_samples_split)
                     assert _preorder(model.tree_, 0) == reference_preorder(reference)
-                    assert np.array_equal(model.predict(test_X),
-                                          reference_predict(reference, test_X))
+                    for route_cells in route_bounds:
+                        monkeypatch.setattr(tree_module, "_ROUTE_CELLS", route_cells)
+                        assert np.array_equal(model.predict(test_X),
+                                              reference_predict(reference, test_X))
     # adjacent floats whose midpoint rounds to the larger one: no row goes right
     X = np.array([[np.nextafter(1.0, 0.0)], [1.0]] * 3)
     y = np.array([0, 1] * 3)
@@ -262,30 +265,17 @@ def test_forest_matches_recursive_reference(monkeypatch, batch_rows, route_cells
     test_X, _ = _mixed_matrix(rng, 30, 8)
     # 0.95 of 8 columns is 8: no draws, the same trees as 1.0
     for frac in (1.0, 0.95, 0.3):
-        for bootstrap in (True, False):
-            for seed in (0, 1, 2):
-                forest = RandomForest(n_estimators=6, max_depth=7, max_features_frac=frac,
-                                      seed=seed, bootstrap=bootstrap).fit(X, y)
-                references = reference_forest(X, y, 6, 7, frac, seed, bootstrap)
-                assert ([_preorder(forest.trees_, root) for root in forest.trees_.roots]
-                        == [reference_preorder(tree) for tree in references])
-                assert np.array_equal(
-                    forest.tree_predictions(test_X),
-                    np.stack([reference_predict(tree, test_X) for tree in references]))
-                votes = sum(reference_predict(tree, test_X) for tree in references)
-                assert np.array_equal(forest.predict(test_X), (2 * votes > 6).astype(np.int64))
-
-
-def test_forest_without_bootstrap_collapses_to_one_tree():
-    rng = np.random.default_rng(3)
-    data = _random_matrix(rng, 80, 4)
-    forest = RandomForest(
-        n_estimators=7, max_depth=6, max_features_frac=1.0, seed=5, bootstrap=False
-    ).fit(data.features, data.labels)
-    per_tree = forest.tree_predictions(data.features)
-    assert np.all(per_tree.var(axis=0) == 0.0)
-    solo = DecisionTree(max_depth=6).fit(data.features, data.labels)
-    assert np.array_equal(forest.predict(data.features), solo.predict(data.features))
+        for seed in (0, 1, 2):
+            forest = RandomForest(n_estimators=6, max_depth=7, max_features_frac=frac,
+                                  seed=seed).fit(X, y)
+            references = reference_forest(X, y, 6, 7, frac, seed, bootstrap=True)
+            assert ([_preorder(forest.trees_, root) for root in forest.trees_.roots]
+                    == [reference_preorder(tree) for tree in references])
+            assert np.array_equal(
+                forest.tree_predictions(test_X),
+                np.stack([reference_predict(tree, test_X) for tree in references]))
+            votes = sum(reference_predict(tree, test_X) for tree in references)
+            assert np.array_equal(forest.predict(test_X), (2 * votes > 6).astype(np.int64))
 
 
 def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
@@ -544,18 +534,9 @@ def test_predict_rejects_wrong_width():
         predict(model, np.zeros((3, 4)))
 
 
-def test_trained_model_summary_is_json_ready():
-    data = _stump_data()
-    model = train(ModelSpec("NB", {}), data, seed=0)
-    summary = json.loads(json.dumps(model.summary()))
-    assert summary["family"] == "NB"
-    assert set(summary) == {"family", "config", "fit_seconds"}
-    assert summary["fit_seconds"] >= 0.0
-    assert summary["config"] == {"var_smoothing_exp": -9.0}
-
-
 def test_default_config_round_trips_through_train():
     data = _stump_data()
     for family in FAMILIES:
         model = train(ModelSpec(family, {}), data, seed=3)
-        assert model.config == default_config(family)
+        config = default_config(family)
+        assert {name: getattr(model, name) for name in config} == config

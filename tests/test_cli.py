@@ -441,6 +441,19 @@ def test_colliding_output_paths_are_a_config_error_before_tuning(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["output.report", "data.csv.path"])
+def test_unresolvable_config_path_is_a_config_error(tmp_path, capsys, field):
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")  # a -> b -> a
+    overrides = {
+        "output.report": {"output": {"report": "a/r.json"}},
+        "data.csv.path": {"data": {"csv": {"path": "a/d.csv", "target": "y"}}},
+    }[field]
+    config_path, _ = _small_config(tmp_path, **overrides)
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"config field '{field}': cannot resolve a/" in capsys.readouterr().err
+
+
 def test_render_to_one_path_for_table_and_chart_is_a_config_error(tmp_path, capsys):
     config_path, _ = _small_config(tmp_path)
     assert main(["run", str(config_path)]) == 0

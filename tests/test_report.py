@@ -1,4 +1,4 @@
-from tabtune.report import render_chart, render_table, strip_volatile
+from tabtune.report import _VOLATILE_KEYS, SCHEMA, render_chart, render_table, strip_volatile
 
 
 def _trial(mean):
@@ -74,7 +74,8 @@ def test_table_rows_follow_report_family_order():
 
 def test_table_reference_columns():
     report = _report([("DT", 0.8, 0.82, 0.81), ("NB", 0.6, 0.65, 0.64)])
-    text = render_table(report, references={"prior work": {"DT": 86.78}})
+    report["config"]["references"] = {"prior work": {"DT": 86.78}}
+    text = render_table(report)
     header = text.splitlines()[0]
     assert "prior work" in header
     rows = text.splitlines()[2:]
@@ -123,3 +124,23 @@ def test_strip_volatile_removes_timing_fields():
     assert "total_seconds" not in stripped["families"][0]["grid"]
     # non-volatile content is preserved
     assert stripped["families"][0]["baseline"]["mean_accuracy"] == 0.7
+
+
+def _schema_property_names(node):
+    if isinstance(node, dict):
+        names = set(node.get("properties", {}))
+        for value in node.values():
+            names |= _schema_property_names(value)
+        return names
+    if isinstance(node, list):
+        return set().union(*map(_schema_property_names, node))
+    return set()
+
+
+def test_volatile_keys_are_the_schema_timing_fields():
+    # a misspelt volatile key would leave a timing in the compared report
+    defined = _schema_property_names(SCHEMA)
+    assert _VOLATILE_KEYS <= defined
+    timings = {name for name in defined
+               if name.endswith("_seconds") or name == "created_unix"}
+    assert timings <= _VOLATILE_KEYS

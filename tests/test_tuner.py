@@ -97,9 +97,7 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
             return np.zeros(X.shape[0], dtype=np.int64)
 
     def fake_train(spec, part, seed):
-        from tabtune.classifiers import TrainedModel
-
-        return TrainedModel(spec.family, dict(spec.config), _AlwaysZero(), 0.0)
+        return _AlwaysZero()
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
     trial = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
