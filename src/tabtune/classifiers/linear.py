@@ -7,13 +7,16 @@ import numpy as np
 
 
 def sigmoid(z):
+    """Logistic function: 1/(1+exp(-z)) for z >= 0, else exp(z)/(1+exp(z)).
+
+    Both branches are computed for every entry and chosen by ``where``, which
+    is faster than gathering each branch's entries. ``exp`` sees only
+    ``minimum(z, -z)``, so it never overflows; that is -|z|, except that a
+    NaN keeps its sign, as the second branch's ``exp(z)`` would see it.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def mean_logloss(y, scores) -> float:
@@ -122,9 +125,12 @@ class LinearSVM:
         for t in range(self.epochs):
             eta = 1.0 / (lam * (t + 1))
             margins = y_signed * (Z @ w + b)
-            violating = margins < 1.0
-            grad_w = lam * w - (y_signed[violating] @ Z[violating]) / n
-            grad_b = -float(y_signed[violating].sum()) / n
+            # take() gathers the same rows, in the same order, as a boolean
+            # mask but faster, so the product's sums do not change
+            violating = np.flatnonzero(margins < 1.0)
+            y_violating = y_signed.take(violating)
+            grad_w = lam * w - (y_violating @ Z.take(violating, axis=0)) / n
+            grad_b = -float(y_violating.sum()) / n
             w = w - eta * grad_w
             b = b - eta * grad_b
         self.weights_ = w

@@ -111,6 +111,18 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
     for key, suffix in (("table", ".md"), ("chart", ".svg")):
         default = str(Path(output["report"]).with_suffix(suffix))
         output[key] = resolve(output.get(key, default), f"output.{key}")
+    for key in ("report", "table", "chart"):
+        # an absolute path is kept as given (the report echoes it), so a
+        # symlink loop on its way would otherwise fail only after tuning;
+        # a directory still to be made, or a file in its place, is left to
+        # the write, which reports it as an output error
+        parent = os.path.dirname(output[key])
+        try:
+            os.stat(parent)
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        except OSError as exc:
+            _fail(f"output.{key}", f"cannot reach directory {parent}: {exc.strerror}")
     # one file cannot hold two artifacts; writing them would fail only after tuning
     for first, second in itertools.combinations(("report", "table", "chart"), 2):
         if os.path.realpath(output[first]) == os.path.realpath(output[second]):

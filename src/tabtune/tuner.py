@@ -124,8 +124,19 @@ def cross_val_trial(
     )
 
 
-def _trial_task(args):
-    family, config, train, folds, seed, index = args
+#: (train, folds, seed) of the pool this worker process serves; set once per
+#: worker by ``_init_worker``, so a task carries only its config.
+_worker_data = None
+
+
+def _init_worker(train, folds, seed):
+    global _worker_data
+    _worker_data = (train, folds, seed)
+
+
+def _trial_task(task):
+    family, config, index = task
+    train, folds, seed = _worker_data
     return cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
 
 
@@ -135,15 +146,21 @@ def _evaluate_configs(family, configs, train, folds, seed, workers):
 
     The pool has ``min(workers, len(configs), os.cpu_count())`` processes: a
     pool forks all of its processes when it starts, so more would sit idle.
+    Each worker receives ``(train, folds, seed)`` once, through the pool's
+    initializer, and each task carries only ``(family, config, index)``. A
+    forked worker inherits the data; under ``spawn`` or ``forkserver`` it is
+    pickled once per worker. Results do not depend on the start method.
     """
-    tasks = [
-        (family, config, train, folds, seed, index)
-        for index, config in enumerate(configs)
-    ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(configs), os.cpu_count() or 1)
     if workers <= 1:
-        return [_trial_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [
+            cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
+            for index, config in enumerate(configs)
+        ]
+    tasks = [(family, config, index) for index, config in enumerate(configs)]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
+    ) as pool:
         return list(pool.map(_trial_task, tasks))  # map keeps task order
 
 

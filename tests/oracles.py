@@ -255,3 +255,55 @@ def reference_predict(tree, X):
             node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
         out.append(node["value"])
     return np.array(out)
+
+
+def reference_sigmoid(z):
+    """The logistic function as two masked branches, gathered and scattered
+    with boolean indexing; the library's unmasked form must match it bit for
+    bit."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_lr_fit(X, y, l2_strength, learning_rate, epochs):
+    """Weights (bias last) of full-batch gradient descent on L2 log-loss,
+    with ``reference_sigmoid``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.zeros(X.shape[1] + 1)
+    for _ in range(epochs):
+        err = reference_sigmoid(X @ w[:-1] + w[-1]) - y
+        grad = np.empty_like(w)
+        grad[:-1] = X.T @ err / len(y) + l2_strength * w[:-1]
+        grad[-1] = err.mean()
+        w -= learning_rate * grad
+    return w
+
+
+def reference_svm_fit(X, y, c, epochs):
+    """(weights, bias, violating rows per epoch) of the linear SVM's
+    subgradient descent, gathering the violating rows with a boolean mask."""
+    X = np.asarray(X, dtype=float)
+    y_signed = 2.0 * np.asarray(y, dtype=float) - 1.0
+    n, d = X.shape
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    Z = (X - X.mean(axis=0)) / scale
+    lam = 1.0 / c
+    w = np.zeros(d)
+    b = 0.0
+    counts = []
+    for t in range(epochs):
+        eta = 1.0 / (lam * (t + 1))
+        violating = y_signed * (Z @ w + b) < 1.0
+        counts.append(int(violating.sum()))
+        grad_w = lam * w - (y_signed[violating] @ Z[violating]) / n
+        grad_b = -float(y_signed[violating].sum()) / n
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+    return w, b, counts

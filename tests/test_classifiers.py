@@ -21,7 +21,7 @@ from tabtune.classifiers import (
 from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
-from tabtune.classifiers.linear import LogisticRegression, mean_logloss, sigmoid
+from tabtune.classifiers.linear import LinearSVM, LogisticRegression, mean_logloss, sigmoid
 from tabtune.classifiers.neighbors import KNearestNeighbors
 from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
 from tabtune.preprocess import make_design_matrix
@@ -32,8 +32,11 @@ from oracles import (
     knn_oracle,
     nb_oracle,
     reference_forest,
+    reference_lr_fit,
     reference_predict,
     reference_preorder,
+    reference_sigmoid,
+    reference_svm_fit,
     reference_tree,
 )
 
@@ -429,6 +432,62 @@ def test_zero_weight_model_predicts_label_zero():
     model.fit(np.zeros((4, 2)) + np.arange(8).reshape(4, 2), np.array([0, 1, 0, 1]))
     assert np.all(model.weights_ == 0.0)
     assert np.all(model.predict(np.random.default_rng(0).normal(size=(6, 2))) == 0)
+
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sigmoid_matches_masked_reference_bit_for_bit():
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(scale=10.0, size=n) for n in range(71)]
+    arrays.append(rng.normal(scale=10.0, size=16_500))
+    arrays.append(rng.uniform(-800.0, 800.0, size=16_384))
+    tiny = np.finfo(float).smallest_subnormal
+    arrays.append(np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+        tiny, -tiny, 1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny,
+        745.2, -745.2, 746.0, -746.0, 1e4, -1e4, 1.7e308, -1.7e308,
+        36.0, -36.0, 709.9, -709.9,
+    ]))
+    for z in arrays:
+        assert _same_bits(sigmoid(z), reference_sigmoid(z)), len(z)
+    assert _same_bits(sigmoid(-3.5), reference_sigmoid(-3.5))  # 0-d input
+
+
+def test_logistic_regression_weights_match_reference_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for n, d, l2, rate, epochs in ((40, 3, 0.0, 0.1, 100), (250, 6, 0.01, 0.5, 60),
+                                   (7, 1, 1.0, 2.0, 30), (120, 4, 0.0, 5.0, 80)):
+        X = rng.normal(scale=3.0, size=(n, d))
+        y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+        model = LogisticRegression(l2_strength=l2, learning_rate=rate, epochs=epochs).fit(X, y)
+        assert _same_bits(model.weights_, reference_lr_fit(X, y, l2, rate, epochs))
+
+
+def test_linear_svm_weights_match_reference_bit_for_bit():
+    rng = np.random.default_rng(47)
+    shares = set()
+    separable = rng.normal(size=(60, 3))
+    separable[:, 0] += np.where(np.arange(60) < 30, -4.0, 4.0)
+    cases = [
+        # large c: the first step clears every margin, then the shrinking
+        # weights let rows back in
+        (separable, (np.arange(60) >= 30).astype(np.int64), 1000.0, 60),
+        # small c on noise: every row violates in every epoch
+        (rng.normal(size=(50, 4)), rng.integers(0, 2, 50), 1e-4, 20),
+        (rng.normal(size=(300, 5)), rng.integers(0, 2, 300), 1.0, 100),
+        (np.column_stack([np.ones(9), rng.normal(size=9)]), rng.integers(0, 2, 9), 3.0, 15),
+    ]
+    for X, y, c, epochs in cases:
+        model = LinearSVM(c=c, epochs=epochs).fit(X, y)
+        w, b, counts = reference_svm_fit(X, y, c, epochs)
+        assert _same_bits(model.weights_, w) and _same_bits(model.bias_, b)
+        shares.update("none" if k == 0 else "all" if k == len(y) else "some" for k in counts)
+    assert shares == {"none", "some", "all"}
 
 
 # ---------------------------------------------------------------- knn

@@ -454,6 +454,33 @@ def test_unresolvable_config_path_is_a_config_error(tmp_path, capsys, field):
     assert f"config field '{field}': cannot resolve a/" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["output.report", "output.table"])
+def test_absolute_output_path_through_a_symlink_loop_fails_before_any_work(
+        tmp_path, capsys, caplog, field):
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")  # a -> b -> a
+    looped = str(tmp_path / "a" / "sub" / "r.out")
+    output = {"report": looped} if field == "output.report" else {
+        "report": str(tmp_path / "report.json"), "table": looped}
+    config_path, _ = _small_config(tmp_path, output=output)
+    with caplog.at_level("INFO", logger="tabtune"):
+        assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"config field '{field}': cannot reach directory {tmp_path / 'a' / 'sub'}" in (
+        capsys.readouterr().err)
+    assert not any("data ready" in record.getMessage() for record in caplog.records)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_absolute_output_path_is_kept_as_given(tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    report = str(tmp_path / "link" / "new" / "r.json")  # "new" is made at write time
+    _, doc = _small_config(tmp_path, output={"report": report})
+    config = parse_run_config(doc, base_dir=tmp_path)
+    assert config.output["report"] == report
+    assert config.echo()["output"]["table"] == str(tmp_path / "link" / "new" / "r.md")
+
+
 def test_render_to_one_path_for_table_and_chart_is_a_config_error(tmp_path, capsys):
     config_path, _ = _small_config(tmp_path)
     assert main(["run", str(config_path)]) == 0

@@ -1,4 +1,10 @@
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ import pytest
 import tabtune.tuner as tuner_module
 from tabtune.classifiers import ModelSpec, default_config
 from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
-from tabtune.preprocess import make_design_matrix, preprocess_split
+from tabtune.preprocess import DesignMatrix, make_design_matrix, preprocess_split
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
     FoldPlan,
@@ -271,8 +277,9 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
     class FakePool:  # runs tasks in this process; records the requested size
         sizes = []
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             FakePool.sizes.append(max_workers)
+            initializer(*initargs)  # once, before any task, as in a real worker
 
         def __enter__(self):
             return self
@@ -284,6 +291,7 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(tuner_module, "_worker_data", None)
     data = _noisy(30, seed=4)
     folds = shuffle_kfold(30, 3, seed=1)
     configs = [{"max_depth": depth} for depth in range(1, 6)]
@@ -303,6 +311,80 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
         assert [t.fold_accuracies for t in trials] == [
             t.fold_accuracies for t in expected[:n_configs]
         ]
+
+
+def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch):
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            calls.append(("init", initargs))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            calls.append(("map", tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(tuner_module, "_worker_data", None)
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 4)
+    data = _noisy(30, seed=4)
+    folds = shuffle_kfold(30, 3, seed=1)
+    configs = [{"max_depth": depth} for depth in range(1, 5)]
+    trials = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 2)
+    (init, (train, fold_plan, seed)), (kind, tasks) = calls
+    assert (init, kind) == ("init", "map")
+    assert train is data and fold_plan is folds and seed == 7
+    assert tasks == [("DT", config, index) for index, config in enumerate(configs)]
+    heavy = (np.ndarray, DesignMatrix, FoldPlan)
+    assert not any(isinstance(item, heavy) for task in tasks for item in task)
+    serial = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 1)
+    assert [t.fold_accuracies for t in trials] == [t.fold_accuracies for t in serial]
+    assert [t.trial_index for t in trials] == [0, 1, 2, 3]
+
+
+def test_pool_results_do_not_depend_on_the_start_method():
+    # spawn pickles the initializer's arguments; run it in a child process
+    # so this process keeps its own start method
+    script = textwrap.dedent("""
+        import multiprocessing
+        import numpy as np
+        import tabtune.tuner as tuner
+        from tabtune.preprocess import make_design_matrix
+        from tabtune.tuner import shuffle_kfold
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            tuner.os.cpu_count = lambda: 2  # a pool even on a 1-CPU host
+            rng = np.random.default_rng(4)
+            X = rng.normal(size=(60, 3))
+            y = (X[:, 0] + rng.normal(size=60) > 0).astype(np.int64)
+            data = make_design_matrix(X, ("f0", "f1", "f2"), y)
+            folds = shuffle_kfold(60, 3, seed=1)
+            configs = [{"max_depth": depth} for depth in range(1, 5)]
+            serial = tuner._evaluate_configs("DT", configs, data, folds, 0, 1)
+            pooled = tuner._evaluate_configs("DT", configs, data, folds, 0, 2)
+            assert multiprocessing.get_start_method() == "spawn"
+            assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in serial]
+            assert [t.trial_index for t in pooled] == [0, 1, 2, 3]
+            print("spawned pool ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tuner_module.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    before = multiprocessing.get_start_method(allow_none=True)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "spawned pool ok"
+    assert multiprocessing.get_start_method(allow_none=True) == before
 
 
 def test_default_rs_budget_caps_at_200():
