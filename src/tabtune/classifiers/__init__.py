@@ -11,6 +11,10 @@ keyword arguments and returns the fitted model itself, whose attributes hold
 the config. ``predict(model, X)`` checks that ``X`` has the
 ``model.n_features_`` columns the model was fitted on and returns its 0/1
 labels.
+
+The table also names each family's budgets, the parameters whose smaller
+values a larger fit already holds; ``train(spec, data, seed, grown=model)``
+reads the model ``spec`` would fit off such a larger ``model``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "hp_schema",
     "default_config",
     "validate_config",
+    "budget_axes",
     "train",
     "predict",
     "accuracy",
@@ -62,6 +67,9 @@ class _Family:
     model: type  # constructor keywords are the schema names
     schema: tuple[ParamSpec, ...]
     seeded: bool = False  # the constructor also takes the training seed
+    #: schema names whose smaller values the model's ``cut(**budgets)``
+    #: reads off a larger fit
+    budgets: tuple[str, ...] = ()
 
 
 _FAMILY_TABLE: dict[str, _Family] = {
@@ -69,12 +77,12 @@ _FAMILY_TABLE: dict[str, _Family] = {
         ParamSpec("max_depth", INTEGER, 1, 20, default=10),
         ParamSpec("min_samples_split", INTEGER, 2, 10, default=2),
         ParamSpec("criterion", CATEGORICAL, choices=("gini", "entropy"), default="gini"),
-    )),
+    ), budgets=("max_depth",)),
     "RF": _Family(RandomForest, (
         ParamSpec("n_estimators", INTEGER, 5, 100, default=50),
         ParamSpec("max_depth", INTEGER, 1, 20, default=10),
         ParamSpec("max_features_frac", CONTINUOUS, 0.1, 1.0, default=1.0),
-    ), seeded=True),
+    ), seeded=True, budgets=("n_estimators", "max_depth")),
     "NB": _Family(GaussianNaiveBayes, (
         ParamSpec("var_smoothing_exp", CONTINUOUS, -12.0, -6.0, default=-9.0),
     )),
@@ -82,7 +90,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
         ParamSpec("l2_strength", CONTINUOUS, 0.0, 2.0, default=0.0),
         ParamSpec("learning_rate", CONTINUOUS, 0.01, 1.0, default=0.1),
         ParamSpec("epochs", INTEGER, 10, 200, default=100),
-    )),
+    ), budgets=("epochs",)),
     "KNN": _Family(KNearestNeighbors, (
         ParamSpec("n_neighbors", INTEGER, 1, 25, default=5),
         ParamSpec("weighting", CATEGORICAL, choices=("uniform", "distance"), default="uniform"),
@@ -90,12 +98,12 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "SVM": _Family(LinearSVM, (
         ParamSpec("c", CONTINUOUS, 0.5, 4.0, default=1.0),
         ParamSpec("epochs", INTEGER, 10, 200, default=100),
-    )),
+    ), budgets=("epochs",)),
     "GBT": _Family(GradientBoostedTrees, (
         ParamSpec("n_estimators", INTEGER, 5, 100, default=50),
         ParamSpec("learning_rate", CONTINUOUS, 0.05, 1.0, default=0.3),
         ParamSpec("max_depth", INTEGER, 1, 6, default=3),
-    )),
+    ), budgets=("n_estimators",)),  # later stages fit earlier residuals: depth is no budget
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
@@ -131,14 +139,35 @@ def validate_config(family: str, config) -> dict:
     return full
 
 
+def budget_axes(family: str, config: dict) -> tuple[str, ...]:
+    """The budget axes of a validated ``config``: the parameters whose
+    smaller values ``train(..., grown=...)`` reads off a fit with larger
+    ones. A forest that subsamples columns (``max_features_frac`` below 1)
+    draws them across all of its trees at each level, so its first trees
+    are no smaller forest and only its depth is a budget."""
+    if family == "RF" and config["max_features_frac"] < 1.0:
+        return ("max_depth",)
+    return _FAMILY_TABLE[family].budgets
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
     config: dict = field(default_factory=dict)
 
 
-def train(spec: ModelSpec, data: DesignMatrix, seed: int):
-    """The family's model fitted with a validated config; deterministic given seed."""
+def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
+    """The family's model fitted with a validated config; deterministic given seed.
+
+    With ``grown``, a model that ``train`` fitted on the same ``data``
+    (which is the caller's to ensure) and ``seed``, the model ``spec`` would
+    fit is read off it instead of fitted: ``grown`` itself when the configs
+    are equal, else ``grown.cut`` at ``spec``'s budgets. A ``grown`` that
+    cannot serve ``spec`` raises ValueError: another family or column
+    count, another value of a parameter outside ``budget_axes`` (the RF
+    seed included), or a smaller budget. Empty and single-class data raise
+    before ``grown`` is read.
+    """
     cfg = validate_config(spec.family, spec.config)
     if data.n_rows == 0:
         raise ValueError("cannot train on an empty design matrix")
@@ -149,7 +178,24 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int):
         )
     family = _FAMILY_TABLE[spec.family]
     seed_arg = {"seed": seed} if family.seeded else {}
-    return family.model(**cfg, **seed_arg).fit(data.features, data.labels)
+    if grown is None:
+        return family.model(**cfg, **seed_arg).fit(data.features, data.labels)
+    if type(grown) is not family.model:
+        raise ValueError(f"{spec.family}: cannot read a model off a {type(grown).__name__}")
+    if grown.n_features_ != data.n_features:
+        raise ValueError(f"{spec.family}: cannot read a model of {data.n_features} columns "
+                         f"off one fitted on {grown.n_features_}")
+    wanted = {**cfg, **seed_arg}
+    axes = budget_axes(spec.family, cfg)
+    unserved = {name: getattr(grown, name) for name, value in wanted.items()
+                if (getattr(grown, name) < value if name in axes
+                    else getattr(grown, name) != value)}
+    if unserved:
+        raise ValueError(f"{spec.family}: cannot read {wanted} off a model with {unserved}; "
+                         f"the budgets of this config are {list(axes)}")
+    if all(getattr(grown, name) == value for name, value in wanted.items()):
+        return grown
+    return grown.cut(**{name: cfg[name] for name in family.budgets})
 
 
 def predict(model, features) -> np.ndarray:

@@ -8,6 +8,9 @@ non-increasing stage over stage for any learning rate up to 1.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 
 from .linear import mean_logloss, sigmoid
@@ -41,6 +44,15 @@ class GradientBoostedTrees:
             self.stage_logloss_.append(mean_logloss(y, scores))
         self.trees_ = stack_trees(stages)
         return self
+
+    def cut(self, n_estimators):
+        """The model this one's config would fit with ``n_estimators``
+        stages, read off this longer one: its first stages."""
+        model = copy.copy(self)
+        model.n_estimators = n_estimators
+        model.trees_ = replace(self.trees_, roots=self.trees_.roots[:n_estimators])
+        model.stage_logloss_ = self.stage_logloss_[:n_estimators + 1]
+        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +38,18 @@ class RandomForest:
         self.trees_ = grow(X, y, samples, self.max_depth,
                            draw_columns=draw_columns if m < d else None)
         return self
+
+    def cut(self, n_estimators, max_depth):
+        """The forest this model would fit with ``n_estimators`` trees of
+        ``max_depth``, read off this larger one: its first trees, cut at that
+        depth. A forest that subsamples columns draws them across all of its
+        trees at each level, so only a full-column forest's first trees are
+        a smaller forest; ``classifiers.train`` keeps to that."""
+        model = copy.copy(self)
+        model.n_estimators, model.max_depth = n_estimators, max_depth
+        trees = self.trees_.cut(max_depth)
+        model.trees_ = replace(trees, roots=trees.roots[:n_estimators])
+        return model
 
     def tree_predictions(self, X):
         groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))

@@ -3,6 +3,8 @@ L2-regularized log-loss and a linear SVM on hinge loss."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 
@@ -62,13 +64,17 @@ def logloss_value(weights, data, l2_strength: float) -> float:
 
 
 class LogisticRegression:
-    """Full-batch gradient descent from zero weights; bias unregularized."""
+    """Full-batch gradient descent from zero weights; bias unregularized.
+
+    ``path_[e]`` holds the weights after ``e`` epochs, so ``cut`` reads a
+    shorter fit off a longer one."""
 
     def __init__(self, l2_strength=0.0, learning_rate=0.1, epochs=100):
         self.l2_strength = l2_strength
         self.learning_rate = learning_rate
         self.epochs = epochs
         self.weights_ = None
+        self.path_ = None
         self.n_features_ = None
 
     def fit(self, X, y):
@@ -76,10 +82,20 @@ class LogisticRegression:
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         w = np.zeros(X.shape[1] + 1)
-        for _ in range(self.epochs):
+        self.path_ = np.zeros((self.epochs + 1, len(w)))
+        for epoch in range(self.epochs):
             w -= self.learning_rate * _gradient(w, X, y, self.l2_strength)
+            self.path_[epoch + 1] = w
         self.weights_ = w
         return self
+
+    def cut(self, epochs):
+        """The model this one's config would fit in ``epochs`` epochs."""
+        model = copy.copy(self)
+        model.epochs = epochs
+        model.path_ = self.path_[:epochs + 1]
+        model.weights_ = self.path_[epochs].copy()
+        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)
@@ -97,7 +113,9 @@ class LinearSVM:
     lambda = 1/c; the bias term is unregularized. Features are centered and
     variance-scaled internally before optimization (the affine conditioning
     is absorbed back into the learned hyperplane), which keeps the decaying
-    schedule effective whatever the input scaling.
+    schedule effective whatever the input scaling. ``path_[e]`` holds the
+    weights and then the bias after ``e`` epochs, so ``cut`` reads a
+    shorter fit off a longer one.
     """
 
     def __init__(self, c=1.0, epochs=100):
@@ -105,6 +123,7 @@ class LinearSVM:
         self.epochs = epochs
         self.weights_ = None
         self.bias_ = 0.0
+        self.path_ = None
         self.shift_ = None
         self.scale_ = None
         self.n_features_ = None
@@ -122,6 +141,7 @@ class LinearSVM:
         lam = 1.0 / self.c
         w = np.zeros(d)
         b = 0.0
+        self.path_ = np.zeros((self.epochs + 1, d + 1))
         for t in range(self.epochs):
             eta = 1.0 / (lam * (t + 1))
             margins = y_signed * (Z @ w + b)
@@ -133,9 +153,19 @@ class LinearSVM:
             grad_b = -float(y_violating.sum()) / n
             w = w - eta * grad_w
             b = b - eta * grad_b
+            self.path_[t + 1, :d], self.path_[t + 1, d] = w, b
         self.weights_ = w
         self.bias_ = b
         return self
+
+    def cut(self, epochs):
+        """The model this one's config would fit in ``epochs`` epochs."""
+        model = copy.copy(self)
+        model.epochs = epochs
+        model.path_ = self.path_[:epochs + 1]
+        model.weights_ = self.path_[epochs, :-1].copy()
+        model.bias_ = float(self.path_[epochs, -1])
+        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)

@@ -27,6 +27,7 @@ Two growers share those rules:
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -230,13 +231,35 @@ class Trees:
     """One or more binary trees as flat node arrays. Node ``i`` is a leaf
     holding ``value[i]`` when ``feature[i]`` is -1; otherwise rows with
     ``feature <= threshold`` go to ``left[i]`` and the rest to its sibling
-    ``left[i] + 1``. ``roots`` holds each tree's root node, in tree order."""
+    ``left[i] + 1``. ``roots`` holds each tree's root node, in tree order;
+    the trees of ``roots[:n]`` are the first ``n`` trees. Prediction reads
+    ``value`` at leaves only; ``grow`` stores every node's majority there,
+    which ``cut`` needs."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
     roots: np.ndarray
+
+    def cut(self, depth):
+        """The trees ``grow`` grows with ``max_depth=depth``, read off these
+        deeper ones: every node at ``depth`` becomes a leaf holding its
+        majority. ``grow`` numbers nodes level by level, and no split above
+        ``depth`` depends on ``max_depth``, so the nodes down to ``depth``
+        come first and keep their numbers."""
+        level = self.roots
+        for _ in range(depth):
+            inner = self.left.take(level)
+            inner = inner[inner >= 0]
+            if not inner.size:  # no tree reaches ``depth``
+                return self
+            level = np.concatenate([inner, inner + 1])
+        end = int(level.max()) + 1
+        feature, threshold, left = (a[:end].copy() for a in (self.feature, self.threshold,
+                                                              self.left))
+        feature[level], threshold[level], left[level] = -1, 0.0, -1
+        return Trees(feature, threshold, left, self.value[:end], self.roots)
 
     def grouped_leaf_values(self, X):
         """(trees, rows) matrices of the leaf value each tree gives each row,
@@ -300,7 +323,8 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     """Grow one gini or entropy tree on 0/1 labels ``y`` per array of
     training rows in ``samples``, level by level.
 
-    A node becomes a leaf holding its majority label (ties go to 0) at
+    Every node stores its majority label (ties go to 0) as its value, so
+    ``Trees.cut`` can make any node a leaf. A node becomes a leaf at
     ``max_depth``, when its labels are one class, when it has fewer than
     ``min_samples_split`` rows, when no split has positive gain, and when
     its threshold sends every row the same way (midpoint rounding). The
@@ -338,7 +362,7 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
             n_left = np.bincount(node, weights=goes_left, minlength=n)
             split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
             feature[~split] = -1
-        value = np.where(split, 0.0, 2 * ones > counts)
+        value = (2 * ones > counts).astype(float)  # every node's majority: see Trees.cut
         left = np.full(n, -1)
         left[split] = np.arange(n_nodes, n_nodes + 2 * split.sum(), 2)
         built.append((first_id, feature, threshold, left, value))
@@ -420,6 +444,14 @@ class DecisionTree:
         self.tree_ = grow(X, y, [np.arange(X.shape[0])], self.max_depth, self.criterion,
                           self.min_samples_split)
         return self
+
+    def cut(self, max_depth):
+        """The tree this model would fit at ``max_depth``, read off this
+        deeper one."""
+        model = copy.copy(self)
+        model.max_depth = max_depth
+        model.tree_ = self.tree_.cut(max_depth)
+        return model
 
     def predict(self, X):
         (group,) = self.tree_.grouped_leaf_values(np.asarray(X, dtype=float))  # one tree

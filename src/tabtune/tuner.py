@@ -6,6 +6,12 @@ config always scores identically: grid search provably dominates the
 baseline whenever the default config lies on the grid, and trial order
 (sequential or parallel) cannot change any result. Durations are the only
 non-deterministic fields.
+
+Each search evaluates its configs staged: configs that differ only in their
+budgets (``classifiers.budget_axes``: tree counts, depths, epochs) form a
+group, each group's largest budgets are fitted once per fold, and the
+smaller configs' models are read off those fits. Every trial's numbers are
+those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -86,17 +92,24 @@ def cross_val_trial(
     folds: FoldPlan,
     seed: int,
     trial_index: int = 0,
+    grown=None,
+    models=None,
 ) -> TrialResult:
     """Accuracy of one config averaged over the folds, with wall time.
 
     A fold whose training part collapses to a single class scores 0 with a
-    warning instead of aborting the sweep.
+    warning instead of aborting the sweep. ``grown``, when given, holds each
+    fold's model of a config that covers this one, and each fold's model is
+    read off it (``classifiers.train(..., grown=...)``) instead of fitted.
+    ``models``, when given, is a list that receives each fold's model (None
+    for a single-class fold).
     """
     if folds.n_rows != train.n_rows:
         raise ValueError(
             f"fold plan covers {folds.n_rows} rows, matrix has {train.n_rows}"
         )
     config = classifiers.validate_config(spec.family, spec.config)
+    validated = ModelSpec(spec.family, config)
     started = time.perf_counter()
     accuracies = []
     for fold in range(folds.k):
@@ -104,11 +117,18 @@ def cross_val_trial(
         fit_part = train.take(~held_out)
         eval_part = train.take(held_out)
         try:
-            model = classifiers.train(ModelSpec(spec.family, config), fit_part, seed)
+            if grown is None:
+                model = classifiers.train(validated, fit_part, seed)
+            else:
+                model = classifiers.train(validated, fit_part, seed, grown=grown[fold])
         except SingleClassError:
             logger.warning(
                 "%s fold %d: training part is single-class, scoring 0", spec.family, fold
             )
+            model = None
+        if models is not None:
+            models.append(model)
+        if model is None:
             accuracies.append(0.0)
             continue
         predicted = classifiers.predict(model, eval_part.features)
@@ -125,7 +145,7 @@ def cross_val_trial(
 
 
 #: (train, folds, seed) of the pool this worker process serves; set once per
-#: worker by ``_init_worker``, so a task carries only its config.
+#: worker by ``_init_worker``, so a task carries only its configs.
 _worker_data = None
 
 
@@ -134,34 +154,77 @@ def _init_worker(train, folds, seed):
     _worker_data = (train, folds, seed)
 
 
-def _trial_task(task):
-    family, config, index = task
+def _group_task(task):
+    family, members = task
     train, folds, seed = _worker_data
-    return cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
+    return _evaluate_group(family, members, train, folds, seed)
+
+
+def _config_groups(family, configs):
+    """The (config, index) pairs of validated ``configs``, grouped by their
+    parameters outside ``classifiers.budget_axes``, in order of first
+    appearance."""
+    groups = {}
+    for index, config in enumerate(configs):
+        axes = classifiers.budget_axes(family, config)
+        key = tuple((name, value) for name, value in config.items() if name not in axes)
+        groups.setdefault(key, []).append((config, index))
+    return list(groups.values())
+
+
+def _evaluate_group(family, members, train, folds, seed):
+    """The trials of one group's (config, index) members, largest budgets
+    first. A member is fitted only when no member fitted before it covers
+    it (each of its budgets at least as large); otherwise each fold's model
+    is read off the first such member's model of that fold."""
+    axes = classifiers.budget_axes(family, members[0][0])
+    fitted = []  # (budgets, per-fold models) of each member fitted so far
+    trials = []
+    for config, index in sorted(members, key=lambda m: [-m[0][axis] for axis in axes]):
+        budgets = [config[axis] for axis in axes]
+        grown = next((models for big, models in fitted
+                      if all(b >= s for b, s in zip(big, budgets))), None)
+        models = [] if grown is None else None
+        trials.append(cross_val_trial(ModelSpec(family, config), train, folds, seed,
+                                      trial_index=index, grown=grown, models=models))
+        if grown is None:
+            fitted.append((budgets, models))
+    return trials
 
 
 def _evaluate_configs(family, configs, train, folds, seed, workers):
-    """All configs evaluated in trial-index order; parallelism cannot change
-    results because configs are pre-generated and every trial shares the seed.
+    """All configs evaluated, results in trial-index order; neither the
+    order of evaluation nor parallelism can change a result, because
+    configs are pre-generated and every trial shares the seed.
 
-    The pool has ``min(workers, len(configs), os.cpu_count())`` processes: a
-    pool forks all of its processes when it starts, so more would sit idle.
-    Each worker receives ``(train, folds, seed)`` once, through the pool's
-    initializer, and each task carries only ``(family, config, index)``. A
+    Staged evaluation: the configs are grouped by their parameters outside
+    ``classifiers.budget_axes`` (``_config_groups``), and each group is
+    evaluated from its largest budgets down (``_evaluate_group``), so a
+    config that a larger one covers gets each fold's model read off that
+    one's instead of fitted. A trial so served reports its own, shorter
+    ``duration_seconds``.
+
+    The pool has ``min(workers, groups, os.cpu_count())`` processes: a pool
+    forks all of its processes when it starts, so more would sit idle. Each
+    worker receives ``(train, folds, seed)`` once, through the pool's
+    initializer, and each task carries one group, ``(family, [(config,
+    index), ...])``, so fitted models never cross a process boundary. A
     forked worker inherits the data; under ``spawn`` or ``forkserver`` it is
     pickled once per worker. Results do not depend on the start method.
     """
-    workers = min(workers, len(configs), os.cpu_count() or 1)
+    configs = [classifiers.validate_config(family, config) for config in configs]
+    groups = _config_groups(family, configs)
+    workers = min(workers, len(groups), os.cpu_count() or 1)
     if workers <= 1:
-        return [
-            cross_val_trial(ModelSpec(family, config), train, folds, seed, trial_index=index)
-            for index, config in enumerate(configs)
-        ]
-    tasks = [(family, config, index) for index, config in enumerate(configs)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
-    ) as pool:
-        return list(pool.map(_trial_task, tasks))  # map keeps task order
+        trials = [trial for members in groups
+                  for trial in _evaluate_group(family, members, train, folds, seed)]
+    else:
+        tasks = [(family, members) for members in groups]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
+        ) as pool:
+            trials = [trial for group in pool.map(_group_task, tasks) for trial in group]
+    return sorted(trials, key=lambda trial: trial.trial_index)
 
 
 def _best_trial(trials):

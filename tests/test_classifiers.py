@@ -573,6 +573,147 @@ def test_nb_posterior_tie_resolves_to_zero():
     assert model.predict(np.array([[0.0]]))[0] == 0
 
 
+# ---------------------------------------------------------------- staged evaluation
+
+
+def _fresh_and_read_off(family, big_config, config, data, seed=0):
+    """(a fresh fit of ``config``, the model read off a fit of ``big_config``)."""
+    big = train(ModelSpec(family, big_config), data, seed)
+    return (train(ModelSpec(family, config), data, seed),
+            train(ModelSpec(family, config), data, seed, grown=big))
+
+
+def test_tree_read_off_a_deeper_tree_equals_a_fresh_fit():
+    rng = np.random.default_rng(51)
+    X, y = _mixed_matrix(rng, 90, 6)
+    data, probe = _matrix(X, y), _mixed_matrix(rng, 40, 6)[0]
+    for criterion in ("gini", "entropy"):
+        for min_samples_split in (2, 7):
+            fixed = {"criterion": criterion, "min_samples_split": min_samples_split}
+            big = train(ModelSpec("DT", {**fixed, "max_depth": 20}), data, 0)
+            for depth in range(1, 21):
+                config = {**fixed, "max_depth": depth}
+                fresh = train(ModelSpec("DT", config), data, 0)
+                cut = train(ModelSpec("DT", config), data, 0, grown=big)
+                assert cut.max_depth == depth
+                for name in ("feature", "threshold", "left", "value", "roots"):
+                    assert np.array_equal(getattr(cut.tree_, name), getattr(fresh.tree_, name))
+                assert _preorder(cut.tree_, 0) == reference_preorder(
+                    reference_tree(X, y, criterion, depth, min_samples_split))
+                assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.95, 0.3])
+def test_forest_read_off_a_larger_forest_equals_a_fresh_fit(frac):
+    # 20 columns: 0.95 keeps 19 and 0.3 keeps 6, so both draw columns
+    rng = np.random.default_rng(52)
+    X, y = _mixed_matrix(rng, 50, 20)
+    data, probe = _matrix(X, y), _mixed_matrix(rng, 30, 20)[0]
+    big_config = {"n_estimators": 7, "max_depth": 6, "max_features_frac": frac}
+    big = train(ModelSpec("RF", big_config), data, 3)
+    # only a full-column forest's first trees are a smaller forest
+    sizes = (5, 6, 7) if frac == 1.0 else (7,)
+    for depth in range(1, 7):
+        references = reference_forest(X, y, 7, depth, frac, 3, bootstrap=True)
+        for n in sizes:
+            config = {**big_config, "n_estimators": n, "max_depth": depth}
+            fresh = train(ModelSpec("RF", config), data, 3)
+            cut = train(ModelSpec("RF", config), data, 3, grown=big)
+            assert (cut.n_estimators, cut.max_depth) == (n, depth)
+            trees = [_preorder(cut.trees_, root) for root in cut.trees_.roots]
+            assert trees == [_preorder(fresh.trees_, root) for root in fresh.trees_.roots]
+            # at frac 1.0 the first n of 7 reference trees are the n-tree forest
+            assert trees == [reference_preorder(tree) for tree in references[:n]]
+            assert np.array_equal(cut.tree_predictions(probe), fresh.tree_predictions(probe))
+            assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+
+
+def test_boosting_read_off_more_stages_equals_a_fresh_fit():
+    rng = np.random.default_rng(53)
+    X, y = _mixed_matrix(rng, 80, 6)
+    data, probe = _matrix(X, y), _mixed_matrix(rng, 30, 6)[0]
+    for rate, depth in ((0.3, 3), (1.0, 1)):
+        fixed = {"learning_rate": rate, "max_depth": depth}
+        for n in range(5, 13):
+            fresh, cut = _fresh_and_read_off("GBT", {**fixed, "n_estimators": 12},
+                                             {**fixed, "n_estimators": n}, data)
+            assert len(cut.trees_.roots) == n and cut.n_estimators == n
+            assert ([_preorder(cut.trees_, root) for root in cut.trees_.roots]
+                    == [_preorder(fresh.trees_, root) for root in fresh.trees_.roots])
+            assert cut.stage_logloss_ == fresh.stage_logloss_
+            assert _same_bits(cut.decision_scores(probe), fresh.decision_scores(probe))
+            assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+
+
+def test_linear_models_read_off_more_epochs_equal_a_fresh_fit():
+    rng = np.random.default_rng(54)
+    data = _random_matrix(rng, 120, 4, separation=0.5)
+    probe = rng.normal(size=(40, 4))
+    for epochs in range(10, 61, 5):
+        for fixed in ({"l2_strength": 0.0, "learning_rate": 0.5},
+                      {"l2_strength": 0.3, "learning_rate": 1.0}):
+            fresh, cut = _fresh_and_read_off("LR", {**fixed, "epochs": 60},
+                                             {**fixed, "epochs": epochs}, data)
+            assert cut.epochs == epochs
+            assert _same_bits(cut.weights_, fresh.weights_)
+            assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+        for c in (0.5, 4.0):
+            fresh, cut = _fresh_and_read_off("SVM", {"c": c, "epochs": 60},
+                                             {"c": c, "epochs": epochs}, data)
+            assert cut.epochs == epochs
+            assert _same_bits(cut.weights_, fresh.weights_)
+            assert _same_bits(cut.bias_, fresh.bias_)
+            assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+
+
+def test_an_equal_config_reads_off_the_grown_model_itself():
+    data = _random_matrix(np.random.default_rng(55), 60, 3)
+    for family in FAMILIES:
+        grown = train(ModelSpec(family, {}), data, 2)
+        assert train(ModelSpec(family, {}), data, 2, grown=grown) is grown
+
+
+def test_a_grown_model_that_cannot_serve_the_config_is_refused():
+    data = _random_matrix(np.random.default_rng(56), 60, 3)
+    dt = train(ModelSpec("DT", {"max_depth": 4}), data, 0)
+    rf = train(ModelSpec("RF", {"n_estimators": 10}), data, 0)
+    subsampled = train(ModelSpec("RF", {"n_estimators": 10, "max_features_frac": 0.3}),
+                       data, 0)
+    gbt = train(ModelSpec("GBT", {"n_estimators": 10, "max_depth": 3}), data, 0)
+    lr = train(ModelSpec("LR", {"epochs": 50, "learning_rate": 0.1}), data, 0)
+    cases = [
+        ("DT", {"max_depth": 4}, 0, rf),  # another model class
+        ("DT", {"max_depth": 4}, 0, object()),
+        ("DT", {"max_depth": 3, "criterion": "entropy"}, 0, dt),  # a non-budget parameter
+        ("DT", {"max_depth": 5}, 0, dt),  # a larger budget
+        ("RF", {"n_estimators": 5}, 1, rf),  # another seed
+        ("RF", {"n_estimators": 12}, 0, rf),
+        ("RF", {"n_estimators": 5, "max_features_frac": 0.3}, 0, subsampled),
+        ("GBT", {"n_estimators": 5, "max_depth": 2}, 0, gbt),  # depth is no GBT budget
+        ("LR", {"epochs": 20, "learning_rate": 0.2}, 0, lr),
+        ("LR", {"epochs": 60, "learning_rate": 0.1}, 0, lr),
+        ("NB", {"var_smoothing_exp": -8.0}, 0, train(ModelSpec("NB", {}), data, 0)),
+        ("KNN", {"n_neighbors": 3}, 0, train(ModelSpec("KNN", {}), data, 0)),
+    ]
+    for family, config, seed, grown in cases:
+        with pytest.raises(ValueError, match=f"^{family}: "):
+            train(ModelSpec(family, config), data, seed, grown=grown)
+    other_columns = _random_matrix(np.random.default_rng(57), 60, 4)
+    with pytest.raises(ValueError, match="^DT: "):
+        train(ModelSpec("DT", {"max_depth": 2}), other_columns, 0, grown=dt)
+    # the subsampled forest still serves a shallower forest of as many trees
+    cut = train(ModelSpec("RF", {"n_estimators": 10, "max_depth": 2, "max_features_frac": 0.3}),
+                data, 0, grown=subsampled)
+    assert cut.max_depth == 2
+
+
+def test_single_class_data_raises_before_the_grown_model_is_read():
+    data = _matrix(np.random.default_rng(58).normal(size=(12, 3)), np.ones(12, dtype=np.int64))
+    for family in FAMILIES:
+        with pytest.raises(SingleClassError):
+            train(ModelSpec(family, {}), data, 0, grown=object())
+
+
 # ---------------------------------------------------------------- contract
 
 

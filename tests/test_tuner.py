@@ -266,7 +266,9 @@ def test_grid_dominates_baseline_when_default_on_grid():
 def test_parallel_equals_sequential():
     data = _noisy(60, seed=4)
     folds = shuffle_kfold(60, 3, seed=1)
-    space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 6}})
+    # two criteria: two groups of staged configs, so two pool tasks
+    space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 6},
+                                     "criterion": {"choices": ["gini", "entropy"]}})
     _, seq = grid_search("DT", space, data, folds, seed=0, workers=1)
     _, par = grid_search("DT", space, data, folds, seed=0, workers=2)
     assert [t.config for t in seq] == [t.config for t in par]
@@ -294,9 +296,10 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
     monkeypatch.setattr(tuner_module, "_worker_data", None)
     data = _noisy(30, seed=4)
     folds = shuffle_kfold(30, 3, seed=1)
-    configs = [{"max_depth": depth} for depth in range(1, 6)]
+    # min_samples_split is no budget: every config is a group of its own
+    configs = [{"max_depth": 3, "min_samples_split": split} for split in range(2, 7)]
     expected = tuner_module._evaluate_configs("DT", configs, data, folds, 0, 1)
-    # (workers, configs, cpu_count) -> pool size; None means no pool
+    # (workers, groups, cpu_count) -> pool size; None means no pool
     cases = [
         (8, 3, 16, 3), (8, 5, 2, 2), (3, 5, 16, 3), (2, 5, None, None),
         (1, 5, 16, None), (8, 1, 16, None), (64, 5, 4, 4),
@@ -311,6 +314,13 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
         assert [t.fold_accuracies for t in trials] == [
             t.fold_accuracies for t in expected[:n_configs]
         ]
+    # max_depth is a budget: five depths are one group, which needs no pool
+    depths = [{"max_depth": depth} for depth in range(1, 6)]
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 16)
+    FakePool.sizes = []
+    trials = tuner_module._evaluate_configs("DT", depths, data, folds, 0, 8)
+    assert FakePool.sizes == []
+    assert [t.trial_index for t in trials] == [0, 1, 2, 3, 4]
 
 
 def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch):
@@ -337,14 +347,17 @@ def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch
     monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 4)
     data = _noisy(30, seed=4)
     folds = shuffle_kfold(30, 3, seed=1)
-    configs = [{"max_depth": depth} for depth in range(1, 5)]
+    configs = [{"max_depth": depth, "criterion": criterion}
+               for depth in range(1, 3) for criterion in ("gini", "entropy")]
     trials = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 2)
     (init, (train, fold_plan, seed)), (kind, tasks) = calls
     assert (init, kind) == ("init", "map")
     assert train is data and fold_plan is folds and seed == 7
-    assert tasks == [("DT", config, index) for index, config in enumerate(configs)]
+    full = [{**default_config("DT"), **config} for config in configs]
+    assert tasks == [("DT", [(full[0], 0), (full[2], 2)]), ("DT", [(full[1], 1), (full[3], 3)])]
     heavy = (np.ndarray, DesignMatrix, FoldPlan)
-    assert not any(isinstance(item, heavy) for task in tasks for item in task)
+    items = [item for family, members in tasks for member in members for item in member]
+    assert not any(isinstance(item, heavy) for item in items + [family for family, _ in tasks])
     serial = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 1)
     assert [t.fold_accuracies for t in trials] == [t.fold_accuracies for t in serial]
     assert [t.trial_index for t in trials] == [0, 1, 2, 3]
@@ -368,12 +381,20 @@ def test_pool_results_do_not_depend_on_the_start_method():
             y = (X[:, 0] + rng.normal(size=60) > 0).astype(np.int64)
             data = make_design_matrix(X, ("f0", "f1", "f2"), y)
             folds = shuffle_kfold(60, 3, seed=1)
-            configs = [{"max_depth": depth} for depth in range(1, 5)]
-            serial = tuner._evaluate_configs("DT", configs, data, folds, 0, 1)
-            pooled = tuner._evaluate_configs("DT", configs, data, folds, 0, 2)
+            for family, configs in (
+                ("DT", [{"max_depth": depth} for depth in range(1, 5)]),
+                ("LR", [{"epochs": epochs, "learning_rate": rate}
+                        for epochs in (40, 10, 30) for rate in (0.1, 0.5)]),
+            ):
+                serial = tuner._evaluate_configs(family, configs, data, folds, 0, 1)
+                pooled = tuner._evaluate_configs(family, configs, data, folds, 0, 2)
+                naive = [tuner.cross_val_trial(tuner.ModelSpec(family, config), data,
+                                               folds, 0, trial_index=index)
+                         for index, config in enumerate(configs)]
+                assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in serial]
+                assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in naive]
+                assert [t.trial_index for t in pooled] == list(range(len(configs)))
             assert multiprocessing.get_start_method() == "spawn"
-            assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in serial]
-            assert [t.trial_index for t in pooled] == [0, 1, 2, 3]
             print("spawned pool ok")
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -385,6 +406,74 @@ def test_pool_results_do_not_depend_on_the_start_method():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "spawned pool ok"
     assert multiprocessing.get_start_method(allow_none=True) == before
+
+
+#: Per family, a space whose grid mixes budgets and other parameters.
+_STAGED_SPACES = {
+    "DT": {"max_depth": {"lo": 1, "hi": 7, "step": 2}, "min_samples_split": {"lo": 2, "hi": 8,
+                                                                            "step": 6},
+           "criterion": {"choices": ["gini", "entropy"]}},
+    "RF": {"n_estimators": {"lo": 5, "hi": 8, "step": 1}, "max_depth": {"lo": 1, "hi": 5,
+                                                                         "step": 2},
+           "max_features_frac": {"lo": 0.5, "hi": 1.0, "step": 0.5}},
+    "NB": {"var_smoothing_exp": {"lo": -12, "hi": -6, "step": 3}},
+    "LR": {"l2_strength": {"lo": 0.0, "hi": 0.5}, "learning_rate": {"lo": 0.1, "hi": 0.5,
+                                                                     "step": 0.4},
+           "epochs": {"lo": 10, "hi": 40, "step": 10}},
+    "KNN": {"n_neighbors": {"lo": 1, "hi": 5, "step": 2},
+            "weighting": {"choices": ["uniform", "distance"]}},
+    "SVM": {"c": {"lo": 0.5, "hi": 1.0}, "epochs": {"lo": 10, "hi": 40, "step": 10}},
+    "GBT": {"n_estimators": {"lo": 5, "hi": 8, "step": 1}, "learning_rate": {"lo": 0.3, "hi": 1.0,
+                                                                              "step": 0.7},
+            "max_depth": {"lo": 1, "hi": 2}},
+}
+
+
+def _single_class_fold_data(n=45):
+    """Noisy data whose only positives sit in fold 0 of the returned plan, so
+    fold 0's training part is single-class."""
+    folds = shuffle_kfold(n, 3, seed=6)
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(n, 3))
+    in_fold0 = np.flatnonzero(folds.assignments == 0)
+    y = np.zeros(n, dtype=np.int64)
+    y[in_fold0[: len(in_fold0) // 2]] = 1
+    X[y == 1, 0] += 1.5
+    return _matrix(X, y), folds
+
+
+@pytest.mark.parametrize("family", list(_STAGED_SPACES))
+def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
+    grid = tuner_module.grid_enumerate(space_from_config(family, _STAGED_SPACES[family]))
+    rng = np.random.default_rng(sorted(_STAGED_SPACES).index(family))
+    # drawn with replacement: duplicates, and budgets in no particular order
+    configs = [grid[i] for i in rng.integers(len(grid), size=14)]
+    configs.append(dict(configs[3]))
+    if family == "RF":  # two budgets, and neither config covers the other
+        configs += [{"n_estimators": 9, "max_depth": 1, "max_features_frac": 1.0},
+                    {"n_estimators": 5, "max_depth": 6, "max_features_frac": 1.0}]
+    noisy_folds = shuffle_kfold(48, 3, seed=2)
+    read_off = []
+    real_train = tuner_module.classifiers.train
+
+    def counting_train(spec, data, seed, **grown):
+        read_off.append(bool(grown))
+        return real_train(spec, data, seed, **grown)
+
+    for data, folds in ((_noisy(48, seed=8), noisy_folds), _single_class_fold_data()):
+        naive = [cross_val_trial(ModelSpec(family, config), data, folds, 5, trial_index=index)
+                 for index, config in enumerate(configs)]
+        monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
+        serial = tuner_module._evaluate_configs(family, configs, data, folds, 5, 1)
+        monkeypatch.setattr(tuner_module.classifiers, "train", real_train)
+        monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
+        pooled = tuner_module._evaluate_configs(family, configs, data, folds, 5, 2)
+        for staged in (serial, pooled):
+            assert [t.trial_index for t in staged] == list(range(len(configs)))
+            assert [t.config for t in staged] == [t.config for t in naive]
+            assert [t.fold_accuracies for t in staged] == [t.fold_accuracies for t in naive]
+    assert naive[0].fold_accuracies[0] == 0.0  # the single-class fold scores 0
+    assert any(read_off) and not all(read_off)
 
 
 def test_default_rs_budget_caps_at_200():
