@@ -136,13 +136,18 @@ def cmd_run(args) -> int:
 
 def cmd_render(args) -> int:
     """Like ``cmd_run``: only an unreadable or non-report input (exit 3) and
-    a failed write (exit 5) are caught."""
+    a failed write (exit 5) are caught. An output path equal to the other
+    output or to the report is refused (exit 2) before anything is read."""
     if not args.table and not args.chart:
         print("error: render needs --table and/or --chart", file=sys.stderr)
         return EXIT_CONFIG
     if args.table and args.chart and os.path.realpath(args.table) == os.path.realpath(args.chart):
         print(f"error: --table and --chart are the same path: {args.chart}", file=sys.stderr)
         return EXIT_CONFIG
+    for flag, path in (("--table", args.table), ("--chart", args.chart)):
+        if path and os.path.realpath(path) == os.path.realpath(args.report):
+            print(f"error: {flag} is the same path as the report: {path}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         report_dict = json.loads(Path(args.report).read_text(encoding="utf-8"))
         check_report(report_dict)

@@ -123,10 +123,14 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
             pass
         except OSError as exc:
             _fail(f"output.{key}", f"cannot reach directory {parent}: {exc.strerror}")
-    # one file cannot hold two artifacts; writing them would fail only after tuning
-    for first, second in itertools.combinations(("report", "table", "chart"), 2):
-        if os.path.realpath(output[first]) == os.path.realpath(output[second]):
-            _fail(f"output.{second}", f"same path as output.{first}: {output[second]}")
+    # one file cannot hold two artifacts, and an artifact written over the
+    # input CSV would destroy it; both would surface only after tuning
+    paths = {f"output.{key}": output[key] for key in ("report", "table", "chart")}
+    if "csv" in doc["data"]:
+        paths = {"data.csv.path": doc["data"]["csv"]["path"], **paths}
+    for (first, path), (second, other) in itertools.combinations(paths.items(), 2):
+        if os.path.realpath(path) == os.path.realpath(other):
+            _fail(second, f"same path as {first}: {other}")
 
     spaces = {}
     for family, mapping in doc["tuner"]["spaces"].items():

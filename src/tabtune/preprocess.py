@@ -84,13 +84,13 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
     numeric_stats = {}
     one_hot_levels = {}
     for col in train.feature_schemas():
-        fraction = float(train.missing[col.name].mean())
-        if fraction > missing_threshold:
+        missing = train.is_missing(col.name)
+        if float(missing.mean()) > missing_threshold:
             dropped.append(col.name)
             continue
         order.append(col.name)
+        values = train.columns[col.name][~missing]
         if col.kind == NUMERIC:
-            values = train.columns[col.name][~train.missing[col.name]]
             if values.size:
                 with np.errstate(over="ignore", invalid="ignore"):
                     numeric_stats[col.name] = {
@@ -103,10 +103,7 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
             else:
                 numeric_stats[col.name] = {"mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
         else:
-            observed = np.unique(
-                train.columns[col.name][~train.missing[col.name]]
-            )
-            one_hot_levels[col.name] = tuple(col.categories[int(i)] for i in observed)
+            one_hot_levels[col.name] = tuple(col.categories[int(i)] for i in np.unique(values))
     if not order:
         raise PlanError("every feature column was dropped; plan is degenerate")
     target = train.target
@@ -170,7 +167,7 @@ def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
         if expect_numeric:
             stats = plan.numeric_stats[name]
             x = np.array(table.columns[name], dtype=float)
-            x[table.missing[name]] = stats["mean"]
+            x[table.is_missing(name)] = stats["mean"]
             with np.errstate(over="ignore", invalid="ignore"):
                 if plan.scaling != "none" and stats["max"] == stats["min"]:
                     x = np.zeros(n)
@@ -190,11 +187,11 @@ def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
             levels = plan.one_hot_levels[name]
             position = {level: j for j, level in enumerate(levels)}
             missing_slot = len(levels)
-            lut = np.full(max(len(col.categories), 1), missing_slot, dtype=np.int64)
-            for i, level in enumerate(col.categories):
-                lut[i] = position.get(level, missing_slot)
-            raw = np.maximum(table.columns[name], 0)
-            slots = np.where(table.missing[name], missing_slot, lut[raw])
+            lut = np.array([position.get(level, missing_slot) for level in col.categories],
+                           dtype=np.int64)
+            slots = np.full(n, missing_slot)
+            present_cells = ~table.is_missing(name)
+            slots[present_cells] = lut[table.columns[name][present_cells]]
             block = np.zeros((n, len(levels) + 1))
             block[np.arange(n), slots] = 1.0
             blocks.append(block)
@@ -209,7 +206,7 @@ def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
             f"target categories {target.categories} differ from the fitted plan "
             f"{plan.target_categories}"
         )
-    if table.missing[plan.target_name].any():
+    if table.is_missing(plan.target_name).any():
         raise PlanError("table has missing target labels")
     labels = table.columns[plan.target_name]
 
@@ -232,7 +229,8 @@ def add_derived_column(table: Table, name: str, kind: str, left: str, right: str
     """Append a numeric column computed row-wise from two numeric columns.
 
     ``ratio`` is left/right (missing where right is 0), ``difference`` is
-    left-right. The result is missing wherever either operand is missing.
+    left-right. The result is missing wherever either operand is missing,
+    because a missing operand's NaN propagates.
     """
     if kind not in DERIVED_KINDS:
         raise PlanError(f"unknown derived kind {kind!r}, expected one of {DERIVED_KINDS}")
@@ -243,17 +241,9 @@ def add_derived_column(table: Table, name: str, kind: str, left: str, right: str
             raise PlanError(f"derived columns need numeric operands, {operand!r} is not")
     a = table.columns[left]
     b = table.columns[right]
-    mask = table.missing[left] | table.missing[right]
     if kind == "ratio":
-        mask = mask | (b == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(mask, np.nan, a / np.where(b == 0, 1.0, b))
+        values = np.divide(a, b, out=np.full(len(a), np.nan), where=b != 0)
     else:
-        values = np.where(mask, np.nan, a - b)
-
-    schema = table.schema + (ColumnSchema(name, NUMERIC),)
-    columns = dict(table.columns)
-    missing = dict(table.missing)
-    columns[name] = values
-    missing[name] = mask
-    return make_table(schema, columns, missing)
+        values = a - b
+    return make_table(table.schema + (ColumnSchema(name, NUMERIC),),
+                      {**table.columns, name: values})

@@ -1,10 +1,11 @@
 """Column-typed tabular data: CSV ingestion, row filtering, train/test
 splitting, and a synthetic student-records generator for desk-scale runs.
 
-Storage conventions: numeric cells are float64 (NaN where missing),
-categorical cells are indices into the column's sorted level list (-1 where
-missing). The per-column boolean masks in ``Table.missing`` are authoritative;
-the sentinel values are never fed to any statistic.
+Storage conventions: numeric cells are float64, categorical and target cells
+are indices into the column's sorted level list. A missing cell is stored as
+its column's sentinel, NaN in a numeric column and -1 in any other, and the
+sentinel is the only record of it. ``Table.is_missing`` is the one rule that
+decides missingness; callers mask with it, so no statistic sees a sentinel.
 """
 
 from __future__ import annotations
@@ -45,14 +46,21 @@ class ColumnSchema:
 class Table:
     schema: tuple[ColumnSchema, ...]
     columns: dict[str, np.ndarray]
-    missing: dict[str, np.ndarray]
-    n_rows: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.columns[self.schema[0].name])
 
     def column_schema(self, name: str) -> ColumnSchema:
         for col in self.schema:
             if col.name == name:
                 return col
         raise SchemaError(f"unknown column {name!r}")
+
+    def is_missing(self, name: str) -> np.ndarray:
+        """Boolean mask of the column's missing cells (its sentinel cells)."""
+        values = self.columns[name]
+        return np.isnan(values) if self.column_schema(name).kind == NUMERIC else values == -1
 
     @property
     def target(self) -> ColumnSchema:
@@ -64,15 +72,15 @@ class Table:
     def take(self, indices) -> "Table":
         """Row subset in the given order; schema is shared unchanged."""
         indices = np.asarray(indices)
-        columns = {name: col[indices] for name, col in self.columns.items()}
-        missing = {name: mask[indices] for name, mask in self.missing.items()}
-        return make_table(self.schema, columns, missing)
+        return make_table(self.schema, {name: col[indices] for name, col in self.columns.items()})
 
     def row_values(self, row: int) -> tuple:
-        """One row as (value or None) per column, categoricals as level strings."""
+        """One row as (value or None) per column, categoricals as level strings.
+
+        Each call reads whole columns; ``write_csv`` exports column-wise."""
         out = []
         for col in self.schema:
-            if self.missing[col.name][row]:
+            if self.is_missing(col.name)[row]:
                 out.append(None)
             elif col.kind == NUMERIC:
                 out.append(float(self.columns[col.name][row]))
@@ -81,7 +89,7 @@ class Table:
         return tuple(out)
 
 
-def make_table(schema, columns, missing) -> Table:
+def make_table(schema, columns) -> Table:
     """Validate invariants, freeze the arrays, and assemble a Table."""
     schema = tuple(schema)
     targets = [col for col in schema if col.kind == TARGET]
@@ -94,7 +102,6 @@ def make_table(schema, columns, missing) -> Table:
         )
     n_rows = None
     cols = {}
-    masks = {}
     for col in schema:
         if col.kind not in (NUMERIC, CATEGORICAL, TARGET):
             raise SchemaError(f"column {col.name!r}: unknown kind {col.kind!r}")
@@ -102,20 +109,17 @@ def make_table(schema, columns, missing) -> Table:
             if list(col.categories) != sorted(set(col.categories)):
                 raise SchemaError(f"column {col.name!r}: categories must be sorted and distinct")
         values = np.asarray(columns[col.name], dtype=float if col.kind == NUMERIC else np.int64)
-        mask = np.asarray(missing[col.name], dtype=bool)
         if n_rows is None:
             n_rows = len(values)
-        if len(values) != n_rows or len(mask) != n_rows:
+        if len(values) != n_rows:
             raise SchemaError(f"column {col.name!r}: length mismatch")
-        if col.kind != NUMERIC and n_rows:
-            present = values[~mask]
-            if present.size and (present.min() < 0 or present.max() >= len(col.categories)):
-                raise SchemaError(f"column {col.name!r}: level index out of range")
+        if col.kind != NUMERIC and values.size and (
+            values.min() < -1 or values.max() >= len(col.categories)
+        ):
+            raise SchemaError(f"column {col.name!r}: level index out of range")
         values.setflags(write=False)
-        mask.setflags(write=False)
         cols[col.name] = values
-        masks[col.name] = mask
-    return Table(schema=schema, columns=cols, missing=masks, n_rows=n_rows or 0)
+    return Table(schema=schema, columns=cols)
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def load_csv(path, target_column: str) -> Table:
     raises CsvParseError naming its row and column; CSV the reader rejects
     (a field over ``csv.field_size_limit()``) raises CsvParseError naming the
     line. The target column must carry exactly two distinct values and no
-    missing cells.
+    missing cells. Each column's kind and cell values are decided once per
+    distinct cell text; the cells are then decoded by lookup.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -161,50 +166,48 @@ def load_csv(path, target_column: str) -> Table:
 
     schema = []
     columns = {}
-    missing = {}
     for j, name in enumerate(header):
         raw = [row[j] for row in raw_rows]
-        mask = np.array([cell in MISSING_MARKERS for cell in raw], dtype=bool)
-        present = [cell for cell, m in zip(raw, mask) if not m]
+        distinct = set(raw)
+        present = distinct.difference(MISSING_MARKERS)
         is_target = name == target_column
-        if is_target and mask.any():
+        if is_target and len(present) != len(distinct):
             raise SchemaError(f"{path}: target column {name!r} has missing values")
         if not is_target and all(_is_decimal(cell) for cell in present):
-            values = np.array(
-                [float(cell) if not m else math.nan for cell, m in zip(raw, mask)]
-            )
-            overflow = np.flatnonzero(~np.isfinite(values) & ~mask)
-            if overflow.size:
-                row = int(overflow[0])
+            decode = {cell: float(cell) for cell in present}
+            overflow = {cell for cell, value in decode.items() if math.isinf(value)}
+            if overflow:
+                row = next(i for i, cell in enumerate(raw) if cell in overflow)
                 raise CsvParseError(
                     f"{path}: row {row + 1}, column {name!r}: {raw[row]!r} is not a finite number"
                 )
             schema.append(ColumnSchema(name, NUMERIC))
+            sentinel, dtype = math.nan, float
         else:
-            levels = sorted(set(present))
+            levels = sorted(present)
             if is_target and len(levels) != 2:
                 raise SchemaError(
                     f"{path}: target column {name!r} has {len(levels)} distinct values, expected 2"
                 )
-            index = {level: i for i, level in enumerate(levels)}
-            values = np.array(
-                [index[cell] if not m else -1 for cell, m in zip(raw, mask)], dtype=np.int64
-            )
+            decode = {level: i for i, level in enumerate(levels)}
             schema.append(ColumnSchema(name, TARGET if is_target else CATEGORICAL, tuple(levels)))
-        columns[name] = values
-        missing[name] = mask
-    return make_table(schema, columns, missing)
+            sentinel, dtype = -1, np.int64
+        decode.update(dict.fromkeys(MISSING_MARKERS, sentinel))
+        columns[name] = np.fromiter(map(decode.__getitem__, raw), dtype=dtype, count=len(raw))
+    return make_table(schema, columns)
 
 
 def write_csv(table: Table, path) -> None:
     """Serialize back to CSV; missing cells become empty fields."""
+    columns = [(col, table.columns[col.name], table.is_missing(col.name)) for col in table.schema]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([col.name for col in table.schema])
         for i in range(table.n_rows):
             writer.writerow(
-                "" if value is None else repr(value) if isinstance(value, float) else value
-                for value in table.row_values(i)
+                "" if missing[i] else repr(float(values[i])) if col.kind == NUMERIC
+                else col.categories[values[i]]
+                for col, values, missing in columns
             )
 
 
@@ -218,18 +221,21 @@ def filter_rows(table: Table, column: str, allowed) -> Table:
         raise SchemaError(f"column {column!r} is numeric, filtering needs a categorical column")
     allowed = set(allowed)
     keep_levels = [i for i, level in enumerate(col.categories) if level in allowed]
-    keep = ~table.missing[column] & np.isin(table.columns[column], keep_levels)
-    return table.take(np.nonzero(keep)[0])
+    return table.take(np.flatnonzero(np.isin(table.columns[column], keep_levels)))
 
 
 def split_train_test(table: Table, train_fraction: float, seed: int) -> SplitPair:
-    """Deterministic seeded shuffle split; train size rounds half up."""
+    """Deterministic seeded shuffle split; train size rounds half up. A split
+    that would leave either part empty raises ValueError."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    if table.n_rows < 2:
-        raise ValueError(f"need at least 2 rows to split, got {table.n_rows}")
-    perm = np.random.default_rng(seed).permutation(table.n_rows)
     n_train = int(math.floor(train_fraction * table.n_rows + 0.5))
+    if not 0 < n_train < table.n_rows:
+        raise ValueError(
+            f"train_fraction {train_fraction} of {table.n_rows} rows leaves "
+            f"{n_train} train and {table.n_rows - n_train} test rows; both parts need a row"
+        )
+    perm = np.random.default_rng(seed).permutation(table.n_rows)
     return SplitPair(
         train=table.take(perm[:n_train]),
         test=table.take(perm[n_train:]),
@@ -308,9 +314,6 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
     threshold = np.quantile(score, 1.0 - positive_rate) if n_rows else 0.0
     graduated = (score >= threshold).astype(np.int64)
 
-    feature_names = [col.name for col in schema if col.kind != TARGET]
-    miss = rng.random((n_rows, len(feature_names))) < _MISSING_RATE
-
     columns = {
         "entry_gpa": gpa,
         "credits_attempted": credits,
@@ -320,10 +323,8 @@ def generate_synthetic(n_rows: int, seed: int, positive_rate: float = 0.5) -> Ta
         "first_major": major,
         "graduated": graduated,
     }
-    missing = {name: miss[:, j].copy() for j, name in enumerate(feature_names)}
-    missing["graduated"] = np.zeros(n_rows, dtype=bool)
-    for name in feature_names:
-        values = columns[name].copy()
-        values[missing[name]] = -1 if values.dtype == np.int64 else math.nan
-        columns[name] = values
-    return make_table(schema, columns, missing)
+    features = [col for col in schema if col.kind != TARGET]
+    miss = rng.random((n_rows, len(features))) < _MISSING_RATE
+    for j, col in enumerate(features):
+        columns[col.name][miss[:, j]] = math.nan if col.kind == NUMERIC else -1
+    return make_table(schema, columns)

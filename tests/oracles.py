@@ -4,10 +4,14 @@ These deliberately avoid the library's own code paths: plain loops, explicit
 arithmetic, brute-force enumeration.
 """
 
+import csv
 import math
+import re
 from collections import deque
 
 import numpy as np
+
+from tabtune.tabular import CATEGORICAL, NUMERIC, TARGET, ColumnSchema, CsvParseError, SchemaError
 
 
 def brute_force_split(x, y, criterion="gini"):
@@ -307,3 +311,64 @@ def reference_svm_fit(X, y, c, epochs):
         w = w - eta * grad_w
         b = b - eta * grad_b
     return w, b, counts
+
+
+def reference_load_csv(path, target_column):
+    """(schema, columns) of a CSV decoded cell by cell: a missing mask per
+    column, the decimal test and ``float`` run on every present cell, and
+    the sentinel (NaN or -1) written where the mask is set. Raises the
+    library's error types with the library's messages."""
+    decimal = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            raw_rows = []
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}"
+                    )
+                raw_rows.append(row)
+        except StopIteration:
+            raise CsvParseError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    if target_column not in header:
+        raise SchemaError(f"{path}: target column {target_column!r} not in header")
+
+    schema = []
+    columns = {}
+    for j, name in enumerate(header):
+        raw = [row[j] for row in raw_rows]
+        mask = np.array([cell in ("", "NA") for cell in raw], dtype=bool)
+        present = [cell for cell, m in zip(raw, mask) if not m]
+        is_target = name == target_column
+        if is_target and mask.any():
+            raise SchemaError(f"{path}: target column {name!r} has missing values")
+        if not is_target and all(decimal.fullmatch(cell.strip()) for cell in present):
+            values = np.array(
+                [float(cell) if not m else math.nan for cell, m in zip(raw, mask)]
+            )
+            overflow = np.flatnonzero(~np.isfinite(values) & ~mask)
+            if overflow.size:
+                row = int(overflow[0])
+                raise CsvParseError(
+                    f"{path}: row {row + 1}, column {name!r}: {raw[row]!r} is not a finite number"
+                )
+            schema.append(ColumnSchema(name, NUMERIC))
+        else:
+            levels = sorted(set(present))
+            if is_target and len(levels) != 2:
+                raise SchemaError(
+                    f"{path}: target column {name!r} has {len(levels)} distinct values, expected 2"
+                )
+            index = {level: i for i, level in enumerate(levels)}
+            values = np.array(
+                [index[cell] if not m else -1 for cell, m in zip(raw, mask)], dtype=np.int64
+            )
+            schema.append(ColumnSchema(name, TARGET if is_target else CATEGORICAL, tuple(levels)))
+        columns[name] = values
+    return tuple(schema), columns

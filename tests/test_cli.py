@@ -441,6 +441,26 @@ def test_colliding_output_paths_are_a_config_error_before_tuning(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["output.report", "output.table", "output.chart"])
+def test_output_over_the_input_csv_is_a_config_error_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch, field):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("data was loaded before the output paths were checked")
+
+    monkeypatch.setattr(cli_module, "load_csv", no_loading)
+    data = tmp_path / "data.csv"
+    original = (FIXTURES / "students_500.csv").read_text(encoding="utf-8")
+    data.write_text(original, encoding="utf-8")
+    key = field.split(".")[1]
+    output = {"report": "out/r.json", key: "./data.csv"}
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": "data.csv", "target": "graduated"}}, output=output)
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"config field '{field}': same path as data.csv.path" in capsys.readouterr().err
+    assert data.read_text(encoding="utf-8") == original
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["output.report", "data.csv.path"])
 def test_unresolvable_config_path_is_a_config_error(tmp_path, capsys, field):
     (tmp_path / "a").symlink_to(tmp_path / "b")
@@ -489,6 +509,31 @@ def test_render_to_one_path_for_table_and_chart_is_a_config_error(tmp_path, caps
                  "--chart", str(tmp_path / "." / "same.txt")]) == EXIT_CONFIG
     assert "--table and --chart are the same path" in capsys.readouterr().err
     assert not same.exists() and not list(tmp_path.glob("*.tmp-*"))
+
+
+@pytest.mark.parametrize("flag", ["--table", "--chart"])
+def test_render_over_its_own_report_is_a_config_error(tmp_path, capsys, flag):
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    report = tmp_path / "report.json"
+    before = report.read_bytes()
+    assert main(["render", str(report), flag, str(tmp_path / "." / "report.json")]) == EXIT_CONFIG
+    assert f"{flag} is the same path as the report" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp-*"))
+
+
+def test_split_with_an_empty_part_is_a_data_error_before_tuning(tmp_path, capsys, monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned on an empty split")
+
+    monkeypatch.setattr(cli_module, "grs_auto_hp", no_tuning)
+    config_path, _ = _small_config(
+        tmp_path, data={"synthetic": {"rows": 9}}, split={"train_fraction": 0.95})
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert ("data error: train_fraction 0.95 of 9 rows leaves 9 train and 0 test rows"
+            in capsys.readouterr().err)
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_synthetic_rows_above_the_maximum_are_rejected_before_generating(tmp_path, capsys,

@@ -23,12 +23,10 @@ from tabtune.tabular import (
 )
 
 
-def _table(columns, missing=None, categories=None):
-    """Small table builder; `columns` maps name -> (kind, values)."""
+def _table(columns, categories=None):
+    """Small table builder; `columns` maps name -> (kind, values), None is missing."""
     schema = []
     cols = {}
-    masks = {}
-    n = None
     for name, (kind, values) in columns.items():
         if kind == NUMERIC:
             schema.append(ColumnSchema(name, NUMERIC))
@@ -42,16 +40,7 @@ def _table(columns, missing=None, categories=None):
             cols[name] = np.array(
                 [index[v] if v is not None else -1 for v in values], dtype=np.int64
             )
-        n = len(values)
-        if missing and name in missing:
-            masks[name] = np.array(missing[name], dtype=bool)
-        elif kind == NUMERIC:
-            masks[name] = np.isnan(cols[name])
-        else:
-            masks[name] = cols[name] == -1
-    for name in cols:
-        masks.setdefault(name, np.zeros(n, dtype=bool))
-    return make_table(schema, cols, masks)
+    return make_table(schema, cols)
 
 
 def _simple(n=10, missing_x=0):
@@ -121,7 +110,7 @@ def test_zscore_train_rows_standardized():
             continue
         # imputed cells sit exactly at the mean; the invariant is about the
         # observed training values
-        observed = ~split.train.missing[name]
+        observed = ~split.train.is_missing(name)
         column = train.features[observed, j]
         assert abs(column.mean()) < 1e-9
         assert abs(column.var() - 1.0) < 1e-9
@@ -246,7 +235,7 @@ def test_derived_ratio_column():
     assert out.column_schema("a_over_b").kind == NUMERIC
     assert out.columns["a_over_b"][0] == 3.0
     assert out.columns["a_over_b"][1] == 3.0
-    assert out.missing["a_over_b"].tolist() == [False, False, True, True]  # missing, div by 0
+    assert out.is_missing("a_over_b").tolist() == [False, False, True, True]  # missing, div by 0
     diff = add_derived_column(table, "a_minus_b", "difference", "a", "b")
     assert diff.columns["a_minus_b"][1] == 6.0
 
