@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -98,7 +99,7 @@ def cmd_run(args) -> int:
 
     tuner = config.tuner
     try:
-        report = grs_auto_hp(
+        tuning = grs_auto_hp(
             tuner["families"],
             config.spaces,
             train_matrix,
@@ -108,28 +109,33 @@ def cmd_run(args) -> int:
             search_seed=tuner["search_seed"],
             rs_budget=tuner["rs_budget"],
             workers=tuner["workers"],
-            config_echo=config.echo(),
         )
     except (TuningError, ValueError, ArithmeticError) as exc:
         print(f"tuning error: {exc}", file=sys.stderr)
         return EXIT_TUNING
 
+    report = {
+        "tool": {"name": "tabtune", "version": __version__},
+        "created_unix": time.time(),
+        "config": config.echo(),
+        **tuning,
+    }
     try:
-        report_dict = report.to_dict(tool_version=__version__)
         paths = {key: Path(path) for key, path in config.output.items()}
         _write_all([
-            (paths["report"], json.dumps(report_dict, indent=2, sort_keys=True) + "\n"),
-            (paths["table"], render_table(report_dict)),
-            (paths["chart"], render_chart(report_dict)),
+            (paths["report"], json.dumps(report, indent=2, sort_keys=True) + "\n"),
+            (paths["table"], render_table(report)),
+            (paths["chart"], render_chart(report)),
         ])
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
 
+    final = report["final"]
     print(
-        f"final: family={report.final_family} "
-        f"config={json.dumps(report.final_config, sort_keys=True)} "
-        f"test_accuracy={report.final_test_accuracy:.4f}"
+        f"final: family={final['family']} "
+        f"config={json.dumps(final['config'], sort_keys=True)} "
+        f"test_accuracy={final['test_accuracy']:.4f}"
     )
     return EXIT_OK
 

@@ -83,10 +83,12 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return parse_run_config(doc, base_dir=path.parent)
+    return parse_run_config(doc, base_dir=path.parent, config_path=path)
 
 
-def parse_run_config(doc: dict, base_dir) -> RunConfig:
+def parse_run_config(doc: dict, base_dir, config_path=None) -> RunConfig:
+    """``config_path``, the file ``doc`` was read from, is checked with the
+    input CSV and the outputs: no two of them may resolve to one file."""
     try:
         doc = validate(doc, SCHEMA)
     except SchemaViolation as exc:
@@ -124,10 +126,13 @@ def parse_run_config(doc: dict, base_dir) -> RunConfig:
         except OSError as exc:
             _fail(f"output.{key}", f"cannot reach directory {parent}: {exc.strerror}")
     # one file cannot hold two artifacts, and an artifact written over the
-    # input CSV would destroy it; both would surface only after tuning
+    # input CSV or the config file would destroy it; all would surface only
+    # after tuning
     paths = {f"output.{key}": output[key] for key in ("report", "table", "chart")}
     if "csv" in doc["data"]:
         paths = {"data.csv.path": doc["data"]["csv"]["path"], **paths}
+    if config_path is not None:
+        paths = {"the config file": str(config_path), **paths}
     for (first, path), (second, other) in itertools.combinations(paths.items(), 2):
         if os.path.realpath(path) == os.path.realpath(other):
             _fail(second, f"same path as {first}: {other}")

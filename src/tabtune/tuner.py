@@ -20,7 +20,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 
 #: Random search evaluates min(grid_size, this cap) configs unless overridden.
 DEFAULT_RS_BUDGET_CAP = 200
+
+#: A run with more grid and random trials than this reports no per-trial
+#: records: ``trials`` is empty and ``trials_truncated`` is true.
+MAX_REPORTED_TRIALS = 10_000
 
 
 class TuningError(RuntimeError):
@@ -261,87 +265,6 @@ def default_rs_budget(space: SearchSpace) -> int:
     return max(1, min(grid_size(space), DEFAULT_RS_BUDGET_CAP))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    best: TrialResult
-    trials: tuple[TrialResult, ...]
-    total_seconds: float
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.trials)
-
-    def to_dict(self) -> dict:
-        return {
-            "best": self.best.to_dict(),
-            "n_trials": self.n_trials,
-            "total_seconds": self.total_seconds,
-        }
-
-
-@dataclass(frozen=True)
-class FamilyOutcome:
-    family: str
-    baseline: TrialResult
-    grid: SearchOutcome
-    random: SearchOutcome
-    winner_method: str  # "grid" or "random"
-
-    @property
-    def winner(self) -> TrialResult:
-        return self.grid.best if self.winner_method == "grid" else self.random.best
-
-
-@dataclass(frozen=True)
-class TuningReport:
-    families: tuple[FamilyOutcome, ...]
-    errors: dict[str, str]
-    final_family: str
-    final_config: dict
-    final_test_accuracy: float
-    k: int
-    seeds: dict[str, int]
-    config_echo: dict = field(default_factory=dict)
-
-    def to_dict(self, tool_version: str = "", max_trials: int = 10_000) -> dict:
-        """JSON-ready report; per-trial records are dropped past ``max_trials``."""
-        total_trials = sum(o.grid.n_trials + o.random.n_trials for o in self.families)
-        truncated = total_trials > max_trials
-        families = []
-        trials = {}
-        for outcome in self.families:
-            families.append(
-                {
-                    "family": outcome.family,
-                    "baseline": outcome.baseline.to_dict(),
-                    "grid": outcome.grid.to_dict(),
-                    "random": outcome.random.to_dict(),
-                    "winner": outcome.winner_method,
-                }
-            )
-            if not truncated:
-                trials[outcome.family] = {
-                    "grid": [t.to_dict() for t in outcome.grid.trials],
-                    "random": [t.to_dict() for t in outcome.random.trials],
-                }
-        return {
-            "tool": {"name": "tabtune", "version": tool_version},
-            "created_unix": time.time(),
-            "k": self.k,
-            "seeds": dict(self.seeds),
-            "config": self.config_echo,
-            "families": families,
-            "errors": dict(self.errors),
-            "final": {
-                "family": self.final_family,
-                "config": dict(self.final_config),
-                "test_accuracy": self.final_test_accuracy,
-            },
-            "trials": trials,
-            "trials_truncated": truncated,
-        }
-
-
 def grs_auto_hp(
     families,
     spaces,
@@ -352,12 +275,17 @@ def grs_auto_hp(
     search_seed: int = 0,
     rs_budget: int | None = None,
     workers: int = 1,
-    config_echo: dict | None = None,
-) -> TuningReport:
+) -> dict:
     """Run baseline, grid search and random search per family, keep the
     better search per family (grid wins ties), pick the best family overall
     (earlier input order wins ties), refit it on the full training matrix,
     and score that single model once on the held-out test matrix.
+
+    Returns the report's tuning fields as ``report.schema.json`` states them:
+    ``k``, ``seeds``, ``families``, ``errors``, ``final``, ``trials`` and
+    ``trials_truncated`` (the CLI adds ``tool``, ``created_unix`` and
+    ``config``). Past ``MAX_REPORTED_TRIALS`` grid and random trials,
+    ``trials`` is empty; each search's ``n_trials`` still counts them all.
 
     ``spaces`` maps family name to a SearchSpace; families without an entry
     search the single default configuration. A family whose evaluation
@@ -372,7 +300,8 @@ def grs_auto_hp(
         raise TuningError("train and test matrices disagree on feature names")
     folds = shuffle_kfold(train.n_rows, k, fold_seed)
 
-    outcomes = []
+    entries = []
+    searched = {}  # family -> (grid trials, random trials)
     errors = {}
     for family in families:
         space = spaces.get(family) or fixed_space(family)
@@ -397,34 +326,41 @@ def grs_auto_hp(
             raise TuningError(
                 f"family {family} failed with {type(exc).__name__}: {exc}"
             ) from exc
-        winner_method = "grid" if gs_best.mean_accuracy >= rs_best.mean_accuracy else "random"
-        outcomes.append(
-            FamilyOutcome(
-                family=family,
-                baseline=baseline,
-                grid=SearchOutcome(gs_best, tuple(gs_trials), gs_seconds),
-                random=SearchOutcome(rs_best, tuple(rs_trials), rs_seconds),
-                winner_method=winner_method,
-            )
-        )
+        entries.append({
+            "family": family,
+            "baseline": baseline.to_dict(),
+            "grid": {"best": gs_best.to_dict(), "n_trials": len(gs_trials),
+                     "total_seconds": gs_seconds},
+            "random": {"best": rs_best.to_dict(), "n_trials": len(rs_trials),
+                       "total_seconds": rs_seconds},
+            "winner": "grid" if gs_best.mean_accuracy >= rs_best.mean_accuracy else "random",
+        })
+        searched[family] = (gs_trials, rs_trials)
 
-    if not outcomes:
+    if not entries:
         raise TuningError(f"every family failed: {errors}")
 
     # max keeps the first of equal maxima: ties keep the earlier family
-    overall = max(outcomes, key=lambda outcome: outcome.winner.mean_accuracy)
-    final_spec = ModelSpec(overall.family, overall.winner.config)
-    final_model = classifiers.train(final_spec, train, search_seed)
+    overall = max(entries, key=lambda entry: entry[entry["winner"]]["best"]["mean_accuracy"])
+    final_config = overall[overall["winner"]]["best"]["config"]
+    final_model = classifiers.train(ModelSpec(overall["family"], final_config), train, search_seed)
     test_accuracy = classifiers.accuracy(
         classifiers.predict(final_model, test.features), test.labels
     )
-    return TuningReport(
-        families=tuple(outcomes),
-        errors=errors,
-        final_family=overall.family,
-        final_config=overall.winner.config,
-        final_test_accuracy=test_accuracy,
-        k=k,
-        seeds={"fold": fold_seed, "search": search_seed},
-        config_echo=config_echo or {},
-    )
+    truncated = sum(len(gs) + len(rs) for gs, rs in searched.values()) > MAX_REPORTED_TRIALS
+    return {
+        "k": k,
+        "seeds": {"fold": fold_seed, "search": search_seed},
+        "families": entries,
+        "errors": errors,
+        "final": {
+            "family": overall["family"],
+            "config": dict(final_config),
+            "test_accuracy": test_accuracy,
+        },
+        "trials": {} if truncated else {
+            family: {"grid": [t.to_dict() for t in gs], "random": [t.to_dict() for t in rs]}
+            for family, (gs, rs) in searched.items()
+        },
+        "trials_truncated": truncated,
+    }

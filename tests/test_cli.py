@@ -5,12 +5,13 @@ import pytest
 
 import tabtune.cli as cli_module
 import tabtune.tabular as tabular_module
+import tabtune.tuner as tuner_module
+from tabtune import __version__
 from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_UNEXPECTED, main
 from tabtune.config import ConfigError, load_run_config, parse_run_config
 from tabtune.hpspace import grid_size, space_from_config
 from tabtune.report import strip_volatile
 from tabtune.tabular import MAX_SYNTHETIC_ROWS
-from tabtune.tuner import TuningReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMAS = Path(__file__).parent.parent / "src" / "tabtune"
@@ -461,6 +462,25 @@ def test_output_over_the_input_csv_is_a_config_error_before_any_work(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["output.report", "output.table", "output.chart"])
+def test_output_over_the_config_file_is_a_config_error_before_any_work(tmp_path, capsys,
+                                                                       caplog, field):
+    key = field.split(".")[1]
+    if key == "chart":  # reaches the config file through a symlink
+        (tmp_path / "link.svg").symlink_to(tmp_path / "config.json")
+        output = {"report": "out/r.json", "chart": "link.svg"}
+    else:
+        output = {"report": "out/r.json", key: "config.json"}
+    config_path, _ = _small_config(tmp_path, output=output)
+    before = config_path.read_bytes()
+    with caplog.at_level("INFO", logger="tabtune"):
+        assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"config field '{field}': same path as the config file" in capsys.readouterr().err
+    assert config_path.read_bytes() == before
+    assert not any("data ready" in record.getMessage() for record in caplog.records)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["output.report", "data.csv.path"])
 def test_unresolvable_config_path_is_a_config_error(tmp_path, capsys, field):
     (tmp_path / "a").symlink_to(tmp_path / "b")
@@ -556,9 +576,7 @@ def test_synthetic_rows_above_the_maximum_are_rejected_before_generating(tmp_pat
 @pytest.mark.parametrize("truncated", [False, True])
 def test_render_accepts_reports_of_current_runs(tmp_path, monkeypatch, truncated):
     if truncated:  # a run with more trials than the report keeps records for
-        to_dict = TuningReport.to_dict
-        monkeypatch.setattr(TuningReport, "to_dict",
-                            lambda self, **kwargs: to_dict(self, max_trials=1, **kwargs))
+        monkeypatch.setattr(tuner_module, "MAX_REPORTED_TRIALS", 1)
     config_path, _ = _small_config(tmp_path)
     assert main(["run", str(config_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -566,6 +584,28 @@ def test_render_accepts_reports_of_current_runs(tmp_path, monkeypatch, truncated
     again = tmp_path / "again.md"
     assert main(["render", str(tmp_path / "report.json"), "--table", str(again)]) == 0
     assert again.read_text() == (tmp_path / "table.md").read_text()
+
+
+def test_report_is_the_cli_envelope_plus_the_tuning_fields(tmp_path, monkeypatch):
+    tuned = []
+
+    def recording(*args, **kwargs):
+        tuned.append(tuner_module.grs_auto_hp(*args, **kwargs))
+        return tuned[-1]
+
+    monkeypatch.setattr(cli_module, "grs_auto_hp", recording)
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    (tuning,) = tuned
+    envelope = {
+        "tool": {"name": "tabtune", "version": __version__},
+        "created_unix": 0.0,
+        "config": load_run_config(config_path).echo(),
+    }
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text(encoding="utf-8"))
+    assert sorted([*tuning, *envelope]) == sorted(schema["required"])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert strip_volatile(report) == strip_volatile({**envelope, **tuning})
 
 
 @pytest.mark.parametrize("section", ["preprocess", "split", "tuner", "references"])

@@ -524,13 +524,13 @@ def test_grs_prefers_grid_on_win_and_tie(monkeypatch):
     data = _separable(30)
     _patch_search_results(monkeypatch, {"DT": (0.5, 0.9, 0.8)})
     report = grs_auto_hp(["DT"], {}, data, data, k=3)
-    assert report.families[0].winner_method == "grid"
+    assert report["families"][0]["winner"] == "grid"
     _patch_search_results(monkeypatch, {"DT": (0.5, 0.8, 0.8)})
     report = grs_auto_hp(["DT"], {}, data, data, k=3)
-    assert report.families[0].winner_method == "grid"
+    assert report["families"][0]["winner"] == "grid"
     _patch_search_results(monkeypatch, {"DT": (0.5, 0.7, 0.8)})
     report = grs_auto_hp(["DT"], {}, data, data, k=3)
-    assert report.families[0].winner_method == "random"
+    assert report["families"][0]["winner"] == "random"
 
 
 def test_grs_cross_family_tie_keeps_input_order(monkeypatch):
@@ -539,7 +539,7 @@ def test_grs_cross_family_tie_keeps_input_order(monkeypatch):
         monkeypatch, {"KNN": (0.5, 0.8, 0.7), "DT": (0.5, 0.8, 0.8)}
     )
     report = grs_auto_hp(["KNN", "DT"], {}, data, data, k=3)
-    assert report.final_family == "KNN"
+    assert report["final"]["family"] == "KNN"
 
 
 def test_grs_skips_failing_family(monkeypatch):
@@ -554,9 +554,9 @@ def test_grs_skips_failing_family(monkeypatch):
 
     monkeypatch.setattr(tuner_module, "evaluate_baseline", exploding_baseline)
     report = grs_auto_hp(["KNN", "DT"], {}, data, data, k=3)
-    assert "KNN" in report.errors
-    assert [o.family for o in report.families] == ["DT"]
-    assert report.final_family == "DT"
+    assert "KNN" in report["errors"]
+    assert [entry["family"] for entry in report["families"]] == ["DT"]
+    assert report["final"]["family"] == "DT"
 
 
 def test_grs_fails_the_run_on_an_unexpected_exception(monkeypatch):
@@ -609,7 +609,7 @@ def test_grs_end_to_end_improves_over_default_baselines():
         model = classifiers.train(ModelSpec(family, {}), train, seed=7)
         score = classifiers.accuracy(classifiers.predict(model, test.features), test.labels)
         baseline_test.append(score)
-    assert report.final_test_accuracy >= max(baseline_test) - 0.02
+    assert report["final"]["test_accuracy"] >= max(baseline_test) - 0.02
 
 
 def test_grs_report_deterministic_modulo_durations():
@@ -621,7 +621,7 @@ def test_grs_report_deterministic_modulo_durations():
     spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 6, "step": 2}})}
     a = grs_auto_hp(["DT", "NB"], spaces, train, test, k=3, fold_seed=1, search_seed=2)
     b = grs_auto_hp(["DT", "NB"], spaces, train, test, k=3, fold_seed=1, search_seed=2)
-    assert strip_volatile(a.to_dict("x")) == strip_volatile(b.to_dict("x"))
+    assert strip_volatile(a) == strip_volatile(b)
 
 
 def test_search_time_accounting():
@@ -630,20 +630,37 @@ def test_search_time_accounting():
     train, test = preprocess_split(split, 0.6, "minmax")
     spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3}})}
     report = grs_auto_hp(["DT"], spaces, train, test, k=3)
-    outcome = report.families[0]
-    assert outcome.grid.n_trials == 3
-    assert outcome.grid.total_seconds >= max(t.duration_seconds for t in outcome.grid.trials)
-    assert outcome.random.total_seconds >= max(t.duration_seconds for t in outcome.random.trials)
+    entry, trials = report["families"][0], report["trials"]["DT"]
+    assert entry["grid"]["n_trials"] == 3
+    assert entry["grid"]["total_seconds"] >= max(t["duration_seconds"] for t in trials["grid"])
+    assert entry["random"]["total_seconds"] >= max(
+        t["duration_seconds"] for t in trials["random"])
 
 
-def test_report_trials_truncation():
+def test_report_trials_truncation(monkeypatch):
+    from tabtune.report import strip_volatile
+
     table = generate_synthetic(100, seed=5)
     split = split_train_test(table, 0.75, seed=5)
     train, test = preprocess_split(split, 0.6, "minmax")
-    report = grs_auto_hp(["NB"], {}, train, test, k=3)
-    full = report.to_dict("v")
+    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3}})}
+    # DT: 3 grid + 3 random trials; NB searches its one default config twice
+    n_trials = {"DT": 6, "NB": 2}
+
+    def run(cap):
+        monkeypatch.setattr(tuner_module, "MAX_REPORTED_TRIALS", cap)
+        report = grs_auto_hp(["DT", "NB"], spaces, train, test, k=3)
+        for entry in report["families"]:
+            searches = entry["grid"]["n_trials"] + entry["random"]["n_trials"]
+            assert searches == n_trials[entry["family"]]
+        return report
+
+    full = run(8)  # exactly the run's trial count
     assert full["trials_truncated"] is False
     assert "NB" in full["trials"]
-    tiny = report.to_dict("v", max_trials=1)
+    assert {family: len(t["grid"]) + len(t["random"])
+            for family, t in full["trials"].items()} == n_trials
+    tiny = run(7)
     assert tiny["trials_truncated"] is True
     assert tiny["trials"] == {}
+    assert strip_volatile(tiny["families"]) == strip_volatile(full["families"])
