@@ -139,14 +139,9 @@ def validate_config(family: str, config) -> dict:
     return full
 
 
-def budget_axes(family: str, config: dict) -> tuple[str, ...]:
-    """The budget axes of a validated ``config``: the parameters whose
-    smaller values ``train(..., grown=...)`` reads off a fit with larger
-    ones. A forest that subsamples columns (``max_features_frac`` below 1)
-    draws them across all of its trees at each level, so its first trees
-    are no smaller forest and only its depth is a budget."""
-    if family == "RF" and config["max_features_frac"] < 1.0:
-        return ("max_depth",)
+def budget_axes(family: str) -> tuple[str, ...]:
+    """The family's budget axes: the parameters whose smaller values
+    ``train(..., grown=...)`` reads off a fit with larger ones."""
     return _FAMILY_TABLE[family].budgets
 
 
@@ -186,16 +181,16 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
         raise ValueError(f"{spec.family}: cannot read a model of {data.n_features} columns "
                          f"off one fitted on {grown.n_features_}")
     wanted = {**cfg, **seed_arg}
-    axes = budget_axes(spec.family, cfg)
+    axes = budget_axes(spec.family)
     unserved = {name: getattr(grown, name) for name, value in wanted.items()
                 if (getattr(grown, name) < value if name in axes
                     else getattr(grown, name) != value)}
     if unserved:
         raise ValueError(f"{spec.family}: cannot read {wanted} off a model with {unserved}; "
-                         f"the budgets of this config are {list(axes)}")
+                         f"the budgets of {spec.family} are {list(axes)}")
     if all(getattr(grown, name) == value for name, value in wanted.items()):
         return grown
-    return grown.cut(**{name: cfg[name] for name in family.budgets})
+    return grown.cut(**{name: cfg[name] for name in axes})
 
 
 def predict(model, features) -> np.ndarray:

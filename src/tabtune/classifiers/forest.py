@@ -29,22 +29,26 @@ class RandomForest:
         m = max(1, math.ceil(self.max_features_frac * d))
         rng = np.random.default_rng(self.seed)
         samples = [rng.integers(0, n, size=n) for _ in range(self.n_estimators)]
-
-        def draw_columns(nodes):
-            # a node may split on the m columns with the smallest of d uniform keys
-            ranks = np.argsort(np.argsort(rng.random((nodes, d)), axis=1, kind="stable"), axis=1)
-            return ranks < m
-
         self.trees_ = grow(X, y, samples, self.max_depth,
-                           draw_columns=draw_columns if m < d else None)
+                           draw_columns=self._column_draws(d, m) if m < d else None)
         return self
+
+    def _column_draws(self, d, m):
+        """``grow``'s ``draw_columns``: a node may split on the m columns with
+        the smallest of d uniform keys, drawn from its tree's own stream."""
+        streams = [np.random.default_rng([self.seed, t]) for t in range(self.n_estimators)]
+
+        def draw_columns(tree_of):  # the nodes come tree by tree
+            keys = np.concatenate([streams[t].random((count, d))
+                                   for t, count in zip(*np.unique(tree_of, return_counts=True))])
+            return np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1) < m
+
+        return draw_columns
 
     def cut(self, n_estimators, max_depth):
         """The forest this model would fit with ``n_estimators`` trees of
         ``max_depth``, read off this larger one: its first trees, cut at that
-        depth. A forest that subsamples columns draws them across all of its
-        trees at each level, so only a full-column forest's first trees are
-        a smaller forest; ``classifiers.train`` keeps to that."""
+        depth."""
         model = copy.copy(self)
         model.n_estimators, model.max_depth = n_estimators, max_depth
         trees = self.trees_.cut(max_depth)

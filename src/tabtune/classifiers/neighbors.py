@@ -9,10 +9,12 @@ class KNearestNeighbors:
     """Stores the training matrix; votes among the k nearest rows.
 
     Neighbor ranking orders rows by (distance, training index), so among
-    equidistant rows the earlier one ranks first. Vote ties resolve toward
-    label 0. With distance weighting, votes are weighted 1/d; if any of the
-    k neighbors sits at distance exactly 0, only those zero-distance
-    neighbors vote.
+    equidistant rows the earlier one ranks first; it ranks by the expanded
+    squared distance |x|^2 + |y|^2 - 2x.y. Vote ties resolve toward label 0.
+    With distance weighting, votes are weighted 1/d, where d is computed
+    from the differences to each of the k chosen neighbors, so a query equal
+    to a training row sits at distance exactly 0; if any of the k neighbors
+    does, only those zero-distance neighbors vote.
     """
 
     def __init__(self, n_neighbors=5, weighting="uniform"):
@@ -44,7 +46,8 @@ class KNearestNeighbors:
         if self.weighting == "uniform":
             return (2 * labels.sum(axis=1) > k).astype(np.int64)
 
-        dist = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
+        diff = X[:, None, :] - self.X_[nearest]
+        dist = np.sqrt((diff * diff).sum(axis=2))
         zero = dist == 0.0
         ones = labels == 1
         n_zero = zero.sum(axis=1)

@@ -8,7 +8,8 @@ between consecutive distinct values in a node, and the first maximum gain
 wins in (feature, threshold) order. ``Trees.grouped_leaf_values`` routes
 every row through a group of trees one level at a time.
 
-Two growers share those rules:
+Two growers share those rules, and both number nodes level by level
+(depth by depth, tree by tree, left child before right):
 
 - ``grow`` grows the gini/entropy trees of DT and RF level by level. It
   keeps the rows of every open node contiguous and searches all open nodes
@@ -17,12 +18,13 @@ Two growers share those rules:
   two-valued column splits by two counts per node and needs no sort; the
   other columns are sorted by (node, value rank). The gains come from
   integer counts, so the order of tied rows cannot change a split. A forest
-  that subsamples features draws each searched node's columns in level
-  order.
+  that subsamples features draws each searched node's columns from that
+  node's tree's own stream, in the tree's level order, so a forest's first
+  trees are a smaller forest.
 - ``grow_regression`` grows the squared-error tree of one gradient-boosting
-  stage a node at a time, left subtree before right, with the per-node
-  search ``_best_split_matrix``. Its float sums follow each node's sort
-  order, and the recorded reports depend on their last bits.
+  stage a node at a time, in level order, with the per-node search
+  ``_best_split_matrix``. Its float sums follow each node's sort order, and
+  the recorded reports depend on their last bits.
 """
 
 from __future__ import annotations
@@ -306,17 +308,19 @@ def stack_trees(parts) -> Trees:
 _BATCH_ROWS = 4096
 
 
-def _batches(depth, first_id, rows, counts):
-    """The nodes of one depth as batches of whole nodes, each holding at most
-    ``_BATCH_ROWS`` rows unless a single node holds more."""
+def _batches(depth, first_id, rows, counts, tree_of):
+    """The nodes of one depth (``tree_of``: each node's tree) as batches of
+    whole nodes, each holding at most ``_BATCH_ROWS`` rows unless a single
+    node holds more."""
     if len(rows) <= _BATCH_ROWS:
-        yield depth, first_id, rows, counts
+        yield depth, first_id, rows, counts, tree_of
         return
     ends = np.cumsum(counts)
     group = (ends - 1) // _BATCH_ROWS
     cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
     for a, b in zip(np.append(0, cuts), np.append(cuts, len(counts))):
-        yield depth, first_id + a, rows[ends[a] - counts[a]:ends[b - 1]], counts[a:b]
+        yield (depth, first_id + a, rows[ends[a] - counts[a]:ends[b - 1]], counts[a:b],
+               tree_of[a:b])
 
 
 def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_columns=None):
@@ -332,19 +336,21 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     batches of whole nodes holding up to ``_BATCH_ROWS`` rows; a node's
     rows keep the order they have in ``samples``.
 
-    ``draw_columns``, when given, is called once per batch with the number
-    of nodes it searches and returns their ``allowed`` column mask. Batches
-    are searched in level order (depth by depth, tree by tree, left child
-    before right) whatever ``_BATCH_ROWS`` is, so the draws are too.
+    ``draw_columns``, when given, is called once per batch with the tree
+    of each node it searches and returns their ``allowed`` column mask.
+    Batches are searched in level order (depth by depth, tree by tree, left
+    child before right) whatever ``_BATCH_ROWS`` is, so each tree's nodes
+    reach ``draw_columns`` in that tree's level order.
     """
     y = np.asarray(y).astype(np.intp)
     ranked = _RankedColumns(X)
     impurity = _IMPURITY[criterion]
     n_nodes = len(samples)
-    pending = deque(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples])))
+    pending = deque(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples]),
+                             np.arange(n_nodes)))
     built = []
     while pending:
-        depth, first_id, rows, counts = pending.popleft()
+        depth, first_id, rows, counts, tree_of = pending.popleft()
         n = len(counts)
         node = np.repeat(np.arange(n), counts)
         ones = np.add.reduceat(y[rows], np.cumsum(counts) - counts)
@@ -353,7 +359,7 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
         if depth < max_depth:
             searched = (counts >= min_samples_split) & (ones > 0) & (ones < counts)
             if searched.any():
-                allowed = None if draw_columns is None else draw_columns(searched.sum())
+                allowed = None if draw_columns is None else draw_columns(tree_of[searched])
                 feature[searched], threshold[searched], _ = _best_splits(
                     ranked, y, rows[searched[node]], counts[searched], impurity, allowed)
         split = feature >= 0
@@ -372,7 +378,8 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
         child = left[node[kept]] - n_nodes + ~goes_left[kept]
         kept = kept[np.argsort(child, kind="stable")]
         counts = np.bincount(child, minlength=2 * split.sum())
-        pending.extend(_batches(depth + 1, n_nodes, rows[kept], counts))
+        pending.extend(_batches(depth + 1, n_nodes, rows[kept], counts,
+                                np.repeat(tree_of[split], 2)))
         n_nodes += len(counts)
 
     feature, threshold, left, value = (np.empty(n_nodes, dtype=dt)
@@ -385,33 +392,32 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
 
 def grow_regression(X, r, max_depth):
     """Grow the squared-error regression tree of one gradient-boosting stage
-    on every row of ``X`` (targets ``r``) a node at a time, left subtree
-    before right, each node's rows in row order, searching with
-    ``_best_split_matrix``: the order its float sums follow.
+    on every row of ``X`` (targets ``r``) a node at a time, in level order,
+    each node's rows in row order, searching with ``_best_split_matrix``:
+    the order its float sums follow.
 
     A node becomes a leaf holding the mean of its targets at ``max_depth``,
-    when it has fewer than 2 rows, when no split reduces the squared error,
-    and when its threshold sends every row the same way. There is no purity
-    stop: a node whose targets are all equal is still searched and split
-    whenever rounding leaves a positive gain. Stopping there would change
-    leaf values in their last bits, and with them the reports.
+    when it has fewer than 2 rows, when its targets are all equal, when no
+    split reduces the squared error, and when its threshold sends every row
+    the same way.
 
     Returns the ``Trees`` and the leaf node each row of ``X`` reached.
     """
     leaf_of = np.empty(len(r), dtype=np.intp)
     feature, threshold, left, value = [-1], [0.0], [-1], [0.0]
-    stack = [(np.arange(len(r)), 0, 0)]  # rows, depth, node
-    while stack:
-        rows, depth, node = stack.pop()
+    queue = deque([(np.arange(len(r)), 0, 0)])  # rows, depth, node
+    while queue:
+        rows, depth, node = queue.popleft()
+        targets = r[rows]
         found = None
-        if depth < max_depth and len(rows) >= 2:
-            found = _best_split_matrix(X[rows], r[rows])
+        if depth < max_depth and len(rows) >= 2 and targets.min() < targets.max():
+            found = _best_split_matrix(X[rows], targets)
         if found is not None:
             goes_left = X[rows, found[0]] <= found[1]
             if goes_left.all() or not goes_left.any():  # midpoint rounding
                 found = None
         if found is None:
-            value[node] = float(r[rows].mean())
+            value[node] = float(targets.mean())
             leaf_of[rows] = node
             continue
         feature[node], threshold[node], left[node] = found[0], found[1], len(feature)
@@ -419,8 +425,8 @@ def grow_regression(X, r, max_depth):
             column += [-1, -1]
         for column in (threshold, value):
             column += [0.0, 0.0]
-        stack.append((rows[~goes_left], depth + 1, left[node] + 1))
-        stack.append((rows[goes_left], depth + 1, left[node]))
+        queue.append((rows[goes_left], depth + 1, left[node]))
+        queue.append((rows[~goes_left], depth + 1, left[node] + 1))
     trees = Trees(np.array(feature, dtype=np.intp), np.array(threshold),
                   np.array(left, dtype=np.intp), np.array(value), np.zeros(1, dtype=np.intp))
     return trees, leaf_of

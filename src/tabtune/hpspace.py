@@ -135,9 +135,7 @@ class SearchSpace:
 def grid_enumerate(space: SearchSpace) -> list[dict]:
     """Every grid config, lexicographic in (param order, value order)."""
     names = [p.name for p in space.params]
-    value_lists = [p.grid_values() for p in space.params]
-    assert all(value_lists) or not value_lists, "grid with an empty value list"
-    return [dict(zip(names, combo)) for combo in product(*value_lists)]
+    return [dict(zip(names, combo)) for combo in product(*(p.grid_values() for p in space.params))]
 
 
 def grid_size(space: SearchSpace) -> int:
@@ -151,13 +149,6 @@ def random_sample(space: SearchSpace, budget: int, seed: int) -> list[dict]:
         raise ValueError(f"budget must be non-negative, got {budget}")
     rng = np.random.default_rng(seed)
     return [{p.name: p.sample(rng) for p in space.params} for _ in range(budget)]
-
-
-def fixed_space(family: str) -> SearchSpace:
-    """Search space pinning every parameter of a family at its default."""
-    from .classifiers import hp_schema
-
-    return SearchSpace(family=family, params=tuple(s.pinned() for s in hp_schema(family)))
 
 
 def space_from_config(family: str, mapping: dict) -> SearchSpace:

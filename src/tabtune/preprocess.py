@@ -52,7 +52,6 @@ def make_design_matrix(features, names, labels) -> DesignMatrix:
 
 @dataclass(frozen=True)
 class PreprocessPlan:
-    missing_threshold: float
     scaling: str
     dropped_columns: tuple[str, ...]
     column_order: tuple[str, ...]
@@ -108,7 +107,6 @@ def fit_plan(train: Table, missing_threshold: float, scaling: str = "minmax") ->
         raise PlanError("every feature column was dropped; plan is degenerate")
     target = train.target
     return PreprocessPlan(
-        missing_threshold=missing_threshold,
         scaling=scaling,
         dropped_columns=tuple(dropped),
         column_order=tuple(order),

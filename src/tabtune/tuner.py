@@ -26,7 +26,7 @@ import numpy as np
 
 from . import classifiers
 from .classifiers import ModelSpec, SingleClassError
-from .hpspace import SearchSpace, fixed_space, grid_enumerate, grid_size, random_sample
+from .hpspace import SearchSpace, grid_enumerate, grid_size, random_sample, space_from_config
 from .preprocess import DesignMatrix
 
 logger = logging.getLogger(__name__)
@@ -168,9 +168,9 @@ def _config_groups(family, configs):
     """The (config, index) pairs of validated ``configs``, grouped by their
     parameters outside ``classifiers.budget_axes``, in order of first
     appearance."""
+    axes = classifiers.budget_axes(family)
     groups = {}
     for index, config in enumerate(configs):
-        axes = classifiers.budget_axes(family, config)
         key = tuple((name, value) for name, value in config.items() if name not in axes)
         groups.setdefault(key, []).append((config, index))
     return list(groups.values())
@@ -181,7 +181,7 @@ def _evaluate_group(family, members, train, folds, seed):
     first. A member is fitted only when no member fitted before it covers
     it (each of its budgets at least as large); otherwise each fold's model
     is read off the first such member's model of that fold."""
-    axes = classifiers.budget_axes(family, members[0][0])
+    axes = classifiers.budget_axes(family)
     fitted = []  # (budgets, per-fold models) of each member fitted so far
     trials = []
     for config, index in sorted(members, key=lambda m: [-m[0][axis] for axis in axes]):
@@ -238,10 +238,7 @@ def _best_trial(trials):
 
 def grid_search(family, space, train, folds, seed, workers=1):
     """Evaluate every grid config; returns (best, all trials)."""
-    configs = grid_enumerate(space)
-    if not configs:
-        raise ValueError(f"{family}: empty grid")
-    trials = _evaluate_configs(family, configs, train, folds, seed, workers)
+    trials = _evaluate_configs(family, grid_enumerate(space), train, folds, seed, workers)
     return _best_trial(trials), trials
 
 
@@ -304,7 +301,7 @@ def grs_auto_hp(
     searched = {}  # family -> (grid trials, random trials)
     errors = {}
     for family in families:
-        space = spaces.get(family) or fixed_space(family)
+        space = spaces.get(family) or space_from_config(family, {})
         try:
             baseline = evaluate_baseline(family, train, folds, search_seed)
             started = time.perf_counter()

@@ -124,11 +124,12 @@ def _reference_trees(data, criterion, max_depth, min_samples_split=2, draw_colum
 
     Gini/entropy gains come from label counts accumulated over each column's
     sorted values; ``criterion="sse"`` fits the regression tree of a
-    boosting stage, whose leaves are the mean target, which has no purity
-    stop, and whose gains come from the targets summed in ``np.argsort``
-    order, the order the model's float sums follow. ``draw_columns``, when
-    given, is called at every searched node, in queue order, for the sorted
-    columns it may split on. Returns nested dicts: ``{"value"}`` leaves,
+    boosting stage, whose leaves are the mean target, and whose gains come
+    from the targets summed in ``np.argsort`` order, the order the model's
+    float sums follow. A node whose labels or targets are all equal is a
+    leaf. ``draw_columns``, when given, is called at every searched node, in
+    queue order, with the index of the node's tree, for the sorted columns
+    it may split on. Returns nested dicts: ``{"value"}`` leaves,
     ``{"feature", "threshold", "left", "right"}`` inner nodes.
     """
 
@@ -179,12 +180,11 @@ def _reference_trees(data, criterion, max_depth, min_samples_split=2, draw_colum
                 sse_right = (q_total - q_left) - s_right * s_right / (n - n_left)
                 yield sse_total - sse_left - sse_right, (xs[k] + xs[k + 1]) / 2.0
 
-    def best_split(X, y, rows):
+    def best_split(X, y, rows, tree):
         labels = y[rows]
-        if len(rows) < min_samples_split or (
-                criterion != "sse" and labels.min() == labels.max()):
+        if len(rows) < min_samples_split or labels.min() == labels.max():
             return None
-        columns = range(X.shape[1]) if draw_columns is None else draw_columns()
+        columns = range(X.shape[1]) if draw_columns is None else draw_columns(tree)
         candidates = sse_candidates if criterion == "sse" else label_candidates
         best = None
         for column in columns:
@@ -194,11 +194,11 @@ def _reference_trees(data, criterion, max_depth, min_samples_split=2, draw_colum
         return best if best is not None and best[0] > 0 else None
 
     trees = [{} for _ in data]
-    queue = deque((tree, np.asarray(X, dtype=float), np.asarray(y), list(range(len(y))), 0)
-                  for tree, (X, y) in zip(trees, data))
+    queue = deque((node, np.asarray(X, dtype=float), np.asarray(y), list(range(len(y))), 0, tree)
+                  for tree, (node, (X, y)) in enumerate(zip(trees, data)))
     while queue:
-        node, X, y, rows, depth = queue.popleft()
-        best = best_split(X, y, rows) if depth < max_depth else None
+        node, X, y, rows, depth, tree = queue.popleft()
+        best = best_split(X, y, rows, tree) if depth < max_depth else None
         if best is not None:
             _, column, threshold = best
             left = [i for i in rows if X[i, column] <= threshold]
@@ -210,8 +210,8 @@ def _reference_trees(data, criterion, max_depth, min_samples_split=2, draw_colum
                 node["value"] = 1.0 if 2 * int(y[rows].sum()) > len(rows) else 0.0
             continue
         node.update(feature=column, threshold=threshold, left={}, right={})
-        queue.append((node["left"], X, y, left, depth + 1))
-        queue.append((node["right"], X, y, right, depth + 1))
+        queue.append((node["left"], X, y, left, depth + 1, tree))
+        queue.append((node["right"], X, y, right, depth + 1, tree))
     return trees
 
 
@@ -221,19 +221,20 @@ def reference_tree(X, y, criterion, max_depth, min_samples_split=2):
 
 
 def reference_forest(X, y, n_estimators, max_depth, max_features_frac, seed, bootstrap):
-    """Reference gini trees of a random forest, from one generator: first
-    every tree's bootstrap draw, then the trees grown together breadth
-    first. When m = ceil(frac * d) < d, each searched node draws d uniform
-    keys, in that order, and may split on the m columns with the smallest
-    keys."""
+    """Reference gini trees of a random forest: every tree's bootstrap draw
+    from ``default_rng(seed)``, then the trees grown together breadth first.
+    When m = ceil(frac * d) < d, each searched node of tree t draws d uniform
+    keys from tree t's own ``default_rng([seed, t])``, in the tree's breadth
+    first order, and may split on the m columns with the smallest keys."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n, d = X.shape
     m = max(1, math.ceil(max_features_frac * d))
     rng = np.random.default_rng(seed)
+    streams = [np.random.default_rng([seed, t]) for t in range(n_estimators)]
 
-    def draw():
-        return sorted(np.argsort(rng.random(d), kind="stable")[:m].tolist())
+    def draw(tree):
+        return sorted(np.argsort(streams[tree].random(d), kind="stable")[:m].tolist())
 
     samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n)
                for _ in range(n_estimators)]

@@ -24,7 +24,8 @@ from tabtune.classifiers.forest import RandomForest
 from tabtune.classifiers.linear import LinearSVM, LogisticRegression, mean_logloss, sigmoid
 from tabtune.classifiers.neighbors import KNearestNeighbors
 from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
-from tabtune.preprocess import make_design_matrix
+from tabtune.preprocess import make_design_matrix, preprocess_split
+from tabtune.tabular import generate_synthetic, split_train_test
 
 from oracles import (
     brute_force_split,
@@ -362,6 +363,41 @@ def test_boosting_matches_recursive_reference(monkeypatch, route_cells):
         assert np.array_equal(booster.decision_scores(test_X), test_scores)
 
 
+def _synthetic_train(rows, seed):
+    split = split_train_test(generate_synthetic(rows, seed=seed), 0.75, seed=seed)
+    return preprocess_split(split, 0.6, "minmax")[0]
+
+
+def test_boosting_never_searches_a_node_whose_targets_are_all_equal(monkeypatch):
+    data = _synthetic_train(500, 1)
+    searched = []
+    real_search = tree_module._best_split_matrix
+
+    def recording_search(X, r):
+        searched.append(r.min() < r.max())
+        return real_search(X, r)
+
+    monkeypatch.setattr(tree_module, "_best_split_matrix", recording_search)
+    GradientBoostedTrees(n_estimators=50, learning_rate=0.3, max_depth=6).fit(
+        data.features, data.labels)
+    assert searched and all(searched)
+
+
+def test_boosting_stages_number_their_nodes_level_by_level():
+    data = _synthetic_train(300, 2)
+    booster = GradientBoostedTrees(n_estimators=10, learning_rate=0.5, max_depth=5).fit(
+        data.features, data.labels)
+    trees = booster.trees_
+    assert len(trees.value) > 10 * 3  # the stages split
+    for root in trees.roots:
+        level, numbers = [int(root)], []
+        while level:
+            numbers += level
+            level = [child for node in level if trees.feature[node] >= 0
+                     for child in (int(trees.left[node]), int(trees.left[node]) + 1)]
+        assert numbers == list(range(root, root + len(numbers)))
+
+
 def test_boosting_training_logloss_non_increasing():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -548,6 +584,19 @@ def test_knn_zero_distance_dominates_distance_weighting():
     assert model.predict(np.array([[0.0, 0.0]]))[0] == 1
 
 
+def test_knn_query_equal_to_a_training_row_sits_at_distance_zero():
+    # each row has a twin 1e-8 away with the other label: the row itself,
+    # at distance exactly 0, must decide the vote
+    rng = np.random.default_rng(59)
+    X = rng.normal(0.0, 3.0, size=(200, 5))
+    y = rng.integers(0, 2, 200)
+    twins = X.copy()
+    twins[:, 0] += 1e-8
+    model = KNearestNeighbors(n_neighbors=3, weighting="distance").fit(
+        np.vstack([X, twins]), np.concatenate([y, 1 - y]))
+    assert np.array_equal(model.predict(X), y)
+
+
 # ---------------------------------------------------------------- naive bayes
 
 
@@ -611,18 +660,16 @@ def test_forest_read_off_a_larger_forest_equals_a_fresh_fit(frac):
     data, probe = _matrix(X, y), _mixed_matrix(rng, 30, 20)[0]
     big_config = {"n_estimators": 7, "max_depth": 6, "max_features_frac": frac}
     big = train(ModelSpec("RF", big_config), data, 3)
-    # only a full-column forest's first trees are a smaller forest
-    sizes = (5, 6, 7) if frac == 1.0 else (7,)
     for depth in range(1, 7):
         references = reference_forest(X, y, 7, depth, frac, 3, bootstrap=True)
-        for n in sizes:
+        for n in (5, 6, 7):
             config = {**big_config, "n_estimators": n, "max_depth": depth}
             fresh = train(ModelSpec("RF", config), data, 3)
             cut = train(ModelSpec("RF", config), data, 3, grown=big)
             assert (cut.n_estimators, cut.max_depth) == (n, depth)
             trees = [_preorder(cut.trees_, root) for root in cut.trees_.roots]
             assert trees == [_preorder(fresh.trees_, root) for root in fresh.trees_.roots]
-            # at frac 1.0 the first n of 7 reference trees are the n-tree forest
+            # the first n of 7 reference trees are the n-tree forest
             assert trees == [reference_preorder(tree) for tree in references[:n]]
             assert np.array_equal(cut.tree_predictions(probe), fresh.tree_predictions(probe))
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
@@ -688,7 +735,6 @@ def test_a_grown_model_that_cannot_serve_the_config_is_refused():
         ("DT", {"max_depth": 5}, 0, dt),  # a larger budget
         ("RF", {"n_estimators": 5}, 1, rf),  # another seed
         ("RF", {"n_estimators": 12}, 0, rf),
-        ("RF", {"n_estimators": 5, "max_features_frac": 0.3}, 0, subsampled),
         ("GBT", {"n_estimators": 5, "max_depth": 2}, 0, gbt),  # depth is no GBT budget
         ("LR", {"epochs": 20, "learning_rate": 0.2}, 0, lr),
         ("LR", {"epochs": 60, "learning_rate": 0.1}, 0, lr),

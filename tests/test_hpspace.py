@@ -4,7 +4,6 @@ import pytest
 from tabtune.hpspace import (
     ParamSpec,
     SearchSpace,
-    fixed_space,
     grid_enumerate,
     grid_size,
     random_sample,
@@ -181,9 +180,9 @@ def test_param_spec_check_returns_the_stored_value():
             spec.check(value)
 
 
-def test_fixed_space_is_a_single_default_config():
+def test_an_empty_space_mapping_is_a_single_default_config():
     for family in ("DT", "RF", "NB", "LR", "KNN", "SVM", "GBT"):
-        space = fixed_space(family)
+        space = space_from_config(family, {})
         configs = grid_enumerate(space)
         assert len(configs) == 1
         assert grid_size(space) == 1

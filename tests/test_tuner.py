@@ -452,12 +452,15 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
     if family == "RF":  # two budgets, and neither config covers the other
         configs += [{"n_estimators": 9, "max_depth": 1, "max_features_frac": 1.0},
                     {"n_estimators": 5, "max_depth": 6, "max_features_frac": 1.0}]
+        # a subsampling forest's tree counts: smaller forests read off larger ones
+        configs += [{"n_estimators": n, "max_depth": 4, "max_features_frac": 0.3}
+                    for n in (5, 12, 8)]
     noisy_folds = shuffle_kfold(48, 3, seed=2)
     read_off = []
     real_train = tuner_module.classifiers.train
 
     def counting_train(spec, data, seed, **grown):
-        read_off.append(bool(grown))
+        read_off.append((spec.config, bool(grown)))
         return real_train(spec, data, seed, **grown)
 
     for data, folds in ((_noisy(48, seed=8), noisy_folds), _single_class_fold_data()):
@@ -473,7 +476,10 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
             assert [t.config for t in staged] == [t.config for t in naive]
             assert [t.fold_accuracies for t in staged] == [t.fold_accuracies for t in naive]
     assert naive[0].fold_accuracies[0] == 0.0  # the single-class fold scores 0
-    assert any(read_off) and not all(read_off)
+    assert any(r for _, r in read_off) and not all(r for _, r in read_off)
+    if family == "RF":  # the subsampling forests of 5 and 8 trees: read off the one of 12
+        served = {c["n_estimators"] for c, r in read_off if r and c["max_features_frac"] == 0.3}
+        assert served == {5, 8}
 
 
 def test_default_rs_budget_caps_at_200():
