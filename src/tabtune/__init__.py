@@ -29,7 +29,6 @@ from .hpspace import (  # noqa: F401
 )
 from .tuner import (  # noqa: F401
     FoldPlan,
-    TrialResult,
     cross_val_trial,
     evaluate_baseline,
     grid_search,

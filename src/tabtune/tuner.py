@@ -71,25 +71,6 @@ def shuffle_kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    family: str
-    config: dict
-    fold_accuracies: tuple[float, ...]
-    mean_accuracy: float
-    duration_seconds: float
-    trial_index: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "config": dict(self.config),
-            "fold_accuracies": list(self.fold_accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "duration_seconds": self.duration_seconds,
-        }
-
-
 def cross_val_trial(
     spec: ModelSpec,
     train: DesignMatrix,
@@ -97,16 +78,13 @@ def cross_val_trial(
     seed: int,
     trial_index: int = 0,
     grown=None,
-    models=None,
-) -> TrialResult:
-    """Accuracy of one config averaged over the folds, with wall time.
-
-    A fold whose training part collapses to a single class scores 0 with a
-    warning instead of aborting the sweep. ``grown``, when given, holds each
-    fold's model of a config that covers this one, and each fold's model is
-    read off it (``classifiers.train(..., grown=...)``) instead of fitted.
-    ``models``, when given, is a list that receives each fold's model (None
-    for a single-class fold).
+) -> tuple[dict, list]:
+    """``(record, models)``: the trial's report record (``trial_index``, the
+    validated ``config``, ``fold_accuracies``, their mean, wall time) and each
+    fold's model. A fold whose training part is single-class scores 0 with a
+    warning, and its model is None, instead of aborting the sweep.
+    ``grown``, when given, holds each fold's model of a config that covers
+    this one, and each fold's model is read off it instead of fitted.
     """
     if folds.n_rows != train.n_rows:
         raise ValueError(
@@ -115,7 +93,7 @@ def cross_val_trial(
     config = classifiers.validate_config(spec.family, spec.config)
     validated = ModelSpec(spec.family, config)
     started = time.perf_counter()
-    accuracies = []
+    accuracies, models = [], []
     for fold in range(folds.k):
         held_out = folds.assignments == fold
         fit_part = train.take(~held_out)
@@ -130,22 +108,16 @@ def cross_val_trial(
                 "%s fold %d: training part is single-class, scoring 0", spec.family, fold
             )
             model = None
-        if models is not None:
-            models.append(model)
-        if model is None:
-            accuracies.append(0.0)
-            continue
-        predicted = classifiers.predict(model, eval_part.features)
-        accuracies.append(classifiers.accuracy(predicted, eval_part.labels))
-    duration = time.perf_counter() - started
-    return TrialResult(
-        family=spec.family,
-        config=config,
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        duration_seconds=duration,
-        trial_index=trial_index,
-    )
+        models.append(model)
+        accuracies.append(0.0 if model is None else classifiers.accuracy(
+            classifiers.predict(model, eval_part.features), eval_part.labels))
+    return {
+        "trial_index": trial_index,
+        "config": config,
+        "fold_accuracies": accuracies,
+        "mean_accuracy": float(np.mean(accuracies)),
+        "duration_seconds": time.perf_counter() - started,
+    }, models
 
 
 #: (train, folds, seed) of the pool this worker process serves; set once per
@@ -183,17 +155,17 @@ def _evaluate_group(family, members, train, folds, seed):
     is read off the first such member's model of that fold."""
     axes = classifiers.budget_axes(family)
     fitted = []  # (budgets, per-fold models) of each member fitted so far
-    trials = []
+    records = []
     for config, index in sorted(members, key=lambda m: [-m[0][axis] for axis in axes]):
         budgets = [config[axis] for axis in axes]
         grown = next((models for big, models in fitted
                       if all(b >= s for b, s in zip(big, budgets))), None)
-        models = [] if grown is None else None
-        trials.append(cross_val_trial(ModelSpec(family, config), train, folds, seed,
-                                      trial_index=index, grown=grown, models=models))
+        record, models = cross_val_trial(ModelSpec(family, config), train, folds, seed,
+                                         trial_index=index, grown=grown)
+        records.append(record)
         if grown is None:
             fitted.append((budgets, models))
-    return trials
+    return records
 
 
 def _evaluate_configs(family, configs, train, folds, seed, workers):
@@ -228,12 +200,12 @@ def _evaluate_configs(family, configs, train, folds, seed, workers):
             max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
         ) as pool:
             trials = [trial for group in pool.map(_group_task, tasks) for trial in group]
-    return sorted(trials, key=lambda trial: trial.trial_index)
+    return sorted(trials, key=lambda trial: trial["trial_index"])
 
 
 def _best_trial(trials):
     # max keeps the first of equal maxima: ties keep the lowest index
-    return max(trials, key=lambda trial: trial.mean_accuracy)
+    return max(trials, key=lambda trial: trial["mean_accuracy"])
 
 
 def grid_search(family, space, train, folds, seed, workers=1):
@@ -251,11 +223,11 @@ def random_search(family, space, budget, train, folds, seed, workers=1):
     return _best_trial(trials), trials
 
 
-def evaluate_baseline(family, train, folds, seed) -> TrialResult:
-    """Cross-validate the family's default configuration."""
+def evaluate_baseline(family, train, folds, seed) -> dict:
+    """The trial record of the family's default configuration."""
     return cross_val_trial(
         ModelSpec(family, classifiers.default_config(family)), train, folds, seed
-    )
+    )[0]
 
 
 def default_rs_budget(space: SearchSpace) -> int:
@@ -285,7 +257,8 @@ def grs_auto_hp(
     ``trials`` is empty; each search's ``n_trials`` still counts them all.
 
     ``spaces`` maps family name to a SearchSpace; families without an entry
-    search the single default configuration. A family whose evaluation
+    search the single default configuration. A family requested twice
+    raises TuningError before any work. A family whose evaluation
     raises ValueError or ArithmeticError is skipped and recorded under
     ``errors`` as "<Type>: <message>"; any other exception fails the run
     with a TuningError naming the family and the exception type.
@@ -293,12 +266,15 @@ def grs_auto_hp(
     families = list(families)
     if not families:
         raise TuningError("no classifier families requested")
+    repeated = next((f for i, f in enumerate(families) if f in families[:i]), None)
+    if repeated is not None:
+        raise TuningError(f"family {repeated} is requested more than once")
     if train.feature_names != test.feature_names:
         raise TuningError("train and test matrices disagree on feature names")
     folds = shuffle_kfold(train.n_rows, k, fold_seed)
 
     entries = []
-    searched = {}  # family -> (grid trials, random trials)
+    searched = {}  # family -> {"grid": trials, "random": trials}
     errors = {}
     for family in families:
         space = spaces.get(family) or space_from_config(family, {})
@@ -325,14 +301,12 @@ def grs_auto_hp(
             ) from exc
         entries.append({
             "family": family,
-            "baseline": baseline.to_dict(),
-            "grid": {"best": gs_best.to_dict(), "n_trials": len(gs_trials),
-                     "total_seconds": gs_seconds},
-            "random": {"best": rs_best.to_dict(), "n_trials": len(rs_trials),
-                       "total_seconds": rs_seconds},
-            "winner": "grid" if gs_best.mean_accuracy >= rs_best.mean_accuracy else "random",
+            "baseline": baseline,
+            "grid": {"best": gs_best, "n_trials": len(gs_trials), "total_seconds": gs_seconds},
+            "random": {"best": rs_best, "n_trials": len(rs_trials), "total_seconds": rs_seconds},
+            "winner": "grid" if gs_best["mean_accuracy"] >= rs_best["mean_accuracy"] else "random",
         })
-        searched[family] = (gs_trials, rs_trials)
+        searched[family] = {"grid": gs_trials, "random": rs_trials}
 
     if not entries:
         raise TuningError(f"every family failed: {errors}")
@@ -344,7 +318,7 @@ def grs_auto_hp(
     test_accuracy = classifiers.accuracy(
         classifiers.predict(final_model, test.features), test.labels
     )
-    truncated = sum(len(gs) + len(rs) for gs, rs in searched.values()) > MAX_REPORTED_TRIALS
+    n_trials = sum(len(trials) for both in searched.values() for trials in both.values())
     return {
         "k": k,
         "seeds": {"fold": fold_seed, "search": search_seed},
@@ -355,9 +329,6 @@ def grs_auto_hp(
             "config": dict(final_config),
             "test_accuracy": test_accuracy,
         },
-        "trials": {} if truncated else {
-            family: {"grid": [t.to_dict() for t in gs], "random": [t.to_dict() for t in rs]}
-            for family, (gs, rs) in searched.items()
-        },
-        "trials_truncated": truncated,
+        "trials": {} if n_trials > MAX_REPORTED_TRIALS else searched,
+        "trials_truncated": n_trials > MAX_REPORTED_TRIALS,
     }

@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 
+from tabtune import classifiers
+from tabtune.hpspace import grid_enumerate, random_sample, space_from_config
 from tabtune.tabular import CATEGORICAL, NUMERIC, TARGET, ColumnSchema, CsvParseError, SchemaError
 
 
@@ -373,3 +375,92 @@ def reference_load_csv(path, target_column):
             schema.append(ColumnSchema(name, TARGET if is_target else CATEGORICAL, tuple(levels)))
         columns[name] = values
     return tuple(schema), columns
+
+
+def reference_grs(families, spaces, train, test, k=3, fold_seed=0, search_seed=0,
+                  rs_budget=None):
+    """The tuning fields ``tuner.grs_auto_hp`` returns, from a plain serial
+    loop: every trial takes each fold's parts afresh and fits each fold alone
+    (``classifiers.train`` with no ``grown``); no groups, no read-offs, no
+    pool. Durations read 0, and every trial is reported (a run below the
+    tuner's trial cap).
+
+    The fold plan deals a ``default_rng(fold_seed)`` permutation into k
+    contiguous blocks. Each search's best is its first maximum, grid wins a
+    tie with random, the earlier family wins a tie overall, and the winner
+    is refit on the whole training matrix and scored once on ``test``. A
+    random search without ``rs_budget`` draws min(grid size, 200) configs.
+    """
+    assignments = np.zeros(train.n_rows, dtype=np.int64)
+    perm = np.random.default_rng(fold_seed).permutation(train.n_rows)
+    for fold, rows in enumerate(np.array_split(perm, k)):
+        assignments[rows] = fold
+
+    def trial(family, config, index):
+        config = classifiers.validate_config(family, config)
+        accuracies = []
+        for fold in range(k):
+            fit_part = train.take(assignments != fold)
+            eval_part = train.take(assignments == fold)
+            try:
+                model = classifiers.train(classifiers.ModelSpec(family, config), fit_part,
+                                          search_seed)
+            except classifiers.SingleClassError:
+                accuracies.append(0.0)
+                continue
+            predicted = classifiers.predict(model, eval_part.features)
+            accuracies.append(classifiers.accuracy(predicted, eval_part.labels))
+        return {"trial_index": index, "config": config, "fold_accuracies": accuracies,
+                "mean_accuracy": float(np.mean(accuracies)), "duration_seconds": 0.0}
+
+    def first_best(trials):
+        best = trials[0]
+        for candidate in trials[1:]:
+            if candidate["mean_accuracy"] > best["mean_accuracy"]:
+                best = candidate
+        return best
+
+    entries = []
+    searched = {}
+    for family in families:
+        space = spaces.get(family) or space_from_config(family, {})
+        grid_configs = grid_enumerate(space)
+        budget = rs_budget if rs_budget is not None else min(len(grid_configs), 200)
+        grid = [trial(family, config, i) for i, config in enumerate(grid_configs)]
+        drawn = [trial(family, config, i)
+                 for i, config in enumerate(random_sample(space, budget, search_seed))]
+        grid_best, random_best = first_best(grid), first_best(drawn)
+        entries.append({
+            "family": family,
+            "baseline": trial(family, {}, 0),
+            "grid": {"best": grid_best, "n_trials": len(grid), "total_seconds": 0.0},
+            "random": {"best": random_best, "n_trials": len(drawn), "total_seconds": 0.0},
+            "winner": ("grid" if grid_best["mean_accuracy"] >= random_best["mean_accuracy"]
+                       else "random"),
+        })
+        searched[family] = {"grid": grid, "random": drawn}
+
+    def score(entry):
+        return entry[entry["winner"]]["best"]["mean_accuracy"]
+
+    overall = entries[0]
+    for entry in entries[1:]:
+        if score(entry) > score(overall):
+            overall = entry
+    final_config = overall[overall["winner"]]["best"]["config"]
+    model = classifiers.train(classifiers.ModelSpec(overall["family"], final_config), train,
+                              search_seed)
+    return {
+        "k": k,
+        "seeds": {"fold": fold_seed, "search": search_seed},
+        "families": entries,
+        "errors": {},
+        "final": {
+            "family": overall["family"],
+            "config": dict(final_config),
+            "test_accuracy": classifiers.accuracy(
+                classifiers.predict(model, test.features), test.labels),
+        },
+        "trials": searched,
+        "trials_truncated": False,
+    }

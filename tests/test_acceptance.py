@@ -197,8 +197,8 @@ def test_improvement_claim():
                 rs_best, _ = random_search(
                     family, space, min(grid_size(space), 8), train, folds, seed
                 )
-                baseline_sums[family] += baseline.mean_accuracy
-                tuned_sums[family] += max(gs_best.mean_accuracy, rs_best.mean_accuracy)
+                baseline_sums[family] += baseline["mean_accuracy"]
+                tuned_sums[family] += max(gs_best["mean_accuracy"], rs_best["mean_accuracy"])
         strictly_better = 0
         for family in _ALL_FAMILIES:
             avg_baseline = baseline_sums[family] / len(seeds)
@@ -223,7 +223,7 @@ def test_baseline_dominance():
             assert classifiers.default_config(family) in configs, family
             baseline = evaluate_baseline(family, train, folds, 77)
             gs_best, _ = grid_search(family, space, train, folds, 77)
-            assert gs_best.mean_accuracy >= baseline.mean_accuracy, family
+            assert gs_best["mean_accuracy"] >= baseline["mean_accuracy"], family
 
     _criterion("baseline-dominance", 180.0, check)
 

@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tabtune.cli as cli_module
@@ -646,3 +648,109 @@ def test_config_schema_accepts_configs_and_their_echo(tmp_path):
             jsonschema.validate({**doc, "tuner": tuner}, schema)
         with pytest.raises(ConfigError):
             parse_run_config({**doc, "tuner": tuner}, tmp_path)
+
+
+def _set_field(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[path[-1]] = value
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [n for item in value.values() for n in _numbers(item)]
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+#: (field path, wrong value) pairs for the mistyped-field mutation
+_MISTYPED = [
+    (("tuner", "k"), "3"), (("tuner", "families"), "NB"), (("tuner", "workers"), 0),
+    (("split", "train_fraction"), 1.5), (("preprocess", "scaling"), "log"),
+    (("data", "csv", "target"), 7), (("tuner", "rs_budget"), 10**9),
+    (("tuner", "spaces", "DT", "max_depth", "lo"), "two"),
+    (("tuner", "spaces", "DT", "max_depth", "hi"), 99), (("output", "report"), None),
+    (("data", "csv", "path"), ["data.csv"]), (("tuner", "k"), 1000),
+]
+_DROPPABLE = [("data",), ("output",), ("data", "csv", "target"), ("data", "csv", "path"),
+              ("tuner", "k"), ("tuner", "families"), ("output", "report"), ("output", "chart")]
+
+
+def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
+    # a seeded guard over the exit-code contract: whatever the mutation, a
+    # run exits 0, 2, 3 or 4 (never 1), leaves no temporary file, writes all
+    # three artifacts or none, and writes only finite numbers
+    lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()[:61]
+    header = lines[0].split(",")
+    numeric = [header.index(name) for name in ("entry_gpa", "credits_attempted", "age")]
+    target = header.index("graduated")
+
+    def drop_field(doc, rows, rng):
+        path = _DROPPABLE[rng.integers(len(_DROPPABLE))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent.pop(path[-1], None)
+
+    def mistype_field(doc, rows, rng):
+        _set_field(doc, *_MISTYPED[rng.integers(len(_MISTYPED))])
+
+    def ragged_row(doc, rows, rng):
+        row = int(rng.integers(1, len(rows)))
+        rows[row] = rows[row].rsplit(",", 1)[0] if rng.random() < 0.5 else rows[row] + ",x"
+
+    def overflow_cell(doc, rows, rng):
+        row = int(rng.integers(1, len(rows)))
+        cells = rows[row].split(",")
+        cells[numeric[rng.integers(len(numeric))]] = str(rng.choice(["1e999", "-1e400"]))
+        rows[row] = ",".join(cells)
+
+    def single_class_target(doc, rows, rng):
+        kept = int(rng.integers(len(rows) + 1))  # a single "no" row, or none
+        for row in range(1, len(rows)):
+            cells = rows[row].split(",")
+            cells[target] = "no" if row == kept else "yes"
+            rows[row] = ",".join(cells)
+
+    def empty_filter(doc, rows, rng):
+        _set_field(doc, ("data", "csv", "filter"), {"column": "first_major", "allowed": ["none"]})
+
+    def output_onto_input(doc, rows, rng):
+        _set_field(doc, ("output", str(rng.choice(["report", "table", "chart"]))), "data.csv")
+
+    mutations = [drop_field, mistype_field, ragged_row, overflow_cell, single_class_target,
+                 empty_filter, output_onto_input]
+    seen = set()
+    for seed in range(48):
+        rng = np.random.default_rng([2024, seed])
+        run_dir = tmp_path / f"run{seed}"
+        run_dir.mkdir()
+        doc = {
+            "data": {"csv": {"path": "data.csv", "target": "graduated"}},
+            "tuner": {"families": ["NB", "DT"], "k": 2, "rs_budget": 2,
+                      "spaces": {"DT": {"max_depth": {"lo": 1, "hi": 3}}}},
+            "output": {"report": "out/report.json", "table": "out/table.md",
+                       "chart": "out/chart.svg"},
+        }
+        rows = list(lines)
+        chosen = {seed % (len(mutations) + 1)} - {len(mutations)}  # every 8th seed: none
+        if rng.random() < 0.5:
+            chosen.add(int(rng.integers(len(mutations))))
+        for index in sorted(chosen):
+            mutations[index](doc, rows, rng)
+        csv_text = "\n".join(rows) + "\n"
+        (run_dir / "data.csv").write_text(csv_text, encoding="utf-8")
+        (run_dir / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["run", str(run_dir / "config.json")])
+        label = (f"seed {seed}: {[mutations[i].__name__ for i in sorted(chosen)]}, "
+                 f"exit {code}: {capsys.readouterr().err}")
+        assert code in (0, 2, 3, 4), label
+        seen.add(code)
+        assert not list(run_dir.rglob("*.tmp-*")), label
+        assert (run_dir / "data.csv").read_text(encoding="utf-8") == csv_text, label
+        assert len(list((run_dir / "out").glob("*"))) == (3 if code == 0 else 0), label
+        if code == 0:
+            report = json.loads((run_dir / "out" / "report.json").read_text(encoding="utf-8"))
+            assert all(math.isfinite(n) for n in _numbers(report)), label
+    assert seen == {0, 2, 3, 4}

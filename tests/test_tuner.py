@@ -1,3 +1,4 @@
+import json
 import logging
 import multiprocessing
 import os
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 import tabtune.tuner as tuner_module
-from tabtune.classifiers import ModelSpec, default_config
+from oracles import reference_grs
+
+from tabtune.classifiers import FAMILIES, ModelSpec, budget_axes, default_config, hp_schema
 from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
 from tabtune.preprocess import DesignMatrix, make_design_matrix, preprocess_split
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
     FoldPlan,
-    TrialResult,
     TuningError,
     cross_val_trial,
     evaluate_baseline,
@@ -106,28 +108,28 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
         return _AlwaysZero()
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
-    trial = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
+    trial, _ = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
     # oracle: per-fold fraction of zeros, straight from the fold plan
     for fold in range(folds.k):
         fold_labels = data.labels[folds.assignments == fold]
         expected = float((fold_labels == 0).mean())
-        assert trial.fold_accuracies[fold] == expected
-    assert trial.mean_accuracy == pytest.approx(np.mean(trial.fold_accuracies))
+        assert trial["fold_accuracies"][fold] == expected
+    assert trial["mean_accuracy"] == pytest.approx(np.mean(trial["fold_accuracies"]))
 
 
 def test_separable_data_with_deep_tree_scores_one():
     data = _separable(30)
     folds = shuffle_kfold(30, 3, seed=1)
-    trial = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), data, folds, seed=0)
-    assert trial.mean_accuracy == 1.0
+    trial, _ = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), data, folds, seed=0)
+    assert trial["mean_accuracy"] == 1.0
 
 
 def test_trial_determinism():
     data = _noisy(60, seed=3)
     folds = shuffle_kfold(60, 3, seed=9)
-    a = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
-    b = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
-    assert a.fold_accuracies == b.fold_accuracies
+    a, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
+    b, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
+    assert a["fold_accuracies"] == b["fold_accuracies"]
 
 
 def test_single_class_fold_scores_zero_with_warning(caplog):
@@ -138,9 +140,9 @@ def test_single_class_fold_scores_zero_with_warning(caplog):
     assignments = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     folds = FoldPlan(k=2, assignments=assignments)
     with caplog.at_level(logging.WARNING):
-        trial = cross_val_trial(ModelSpec("NB", {}), data, folds, seed=0)
+        trial, _ = cross_val_trial(ModelSpec("NB", {}), data, folds, seed=0)
     # fold 0 holds out both 1-labels, so its training part is single-class
-    assert trial.fold_accuracies[0] == 0.0
+    assert trial["fold_accuracies"][0] == 0.0
     assert any("single-class" in message for message in caplog.messages)
 
 
@@ -180,7 +182,7 @@ def test_grid_search_singleton_space():
     space = SearchSpace("DT", (ParamSpec("max_depth", "integer", 3, 3),))
     best, trials = grid_search("DT", space, data, folds, seed=0)
     assert len(trials) == 1
-    assert best.config["max_depth"] == 3
+    assert best["config"]["max_depth"] == 3
 
 
 def test_grid_search_tie_prefers_lower_trial_index():
@@ -195,9 +197,9 @@ def test_grid_search_tie_prefers_lower_trial_index():
         ),
     )
     best, trials = grid_search("KNN", space, data, folds, seed=0)
-    assert trials[0].fold_accuracies == trials[1].fold_accuracies
-    assert best.trial_index == 0
-    assert best.config["weighting"] == "uniform"
+    assert trials[0]["fold_accuracies"] == trials[1]["fold_accuracies"]
+    assert best["trial_index"] == 0
+    assert best["config"]["weighting"] == "uniform"
 
 
 def test_grid_best_is_argmax_and_count_matches_grid():
@@ -206,8 +208,8 @@ def test_grid_best_is_argmax_and_count_matches_grid():
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 4}})
     best, trials = grid_search("DT", space, data, folds, seed=0)
     assert len(trials) == 4
-    assert best.mean_accuracy == max(t.mean_accuracy for t in trials)
-    assert [t.trial_index for t in trials] == [0, 1, 2, 3]
+    assert best["mean_accuracy"] == max(t["mean_accuracy"] for t in trials)
+    assert [t["trial_index"] for t in trials] == [0, 1, 2, 3]
 
 
 def test_random_search_budget_one_and_errors():
@@ -216,7 +218,7 @@ def test_random_search_budget_one_and_errors():
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 6}})
     best, trials = random_search("DT", space, 1, data, folds, seed=3)
     assert len(trials) == 1
-    assert best.trial_index == 0
+    assert best["trial_index"] == 0
     with pytest.raises(ValueError):
         random_search("DT", space, 0, data, folds, seed=3)
 
@@ -232,7 +234,7 @@ def test_random_search_covers_small_space():
         ),
     )
     _, trials = random_search("KNN", space, 20, data, folds, seed=11)
-    seen = {t.config["weighting"] for t in trials}
+    seen = {t["config"]["weighting"] for t in trials}
     assert seen == {"uniform", "distance"}
 
 
@@ -242,16 +244,16 @@ def test_search_determinism_per_seed():
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 8}})
     a_best, a_all = random_search("DT", space, 6, data, folds, seed=21)
     b_best, b_all = random_search("DT", space, 6, data, folds, seed=21)
-    assert [t.config for t in a_all] == [t.config for t in b_all]
-    assert [t.fold_accuracies for t in a_all] == [t.fold_accuracies for t in b_all]
-    assert a_best.trial_index == b_best.trial_index
+    assert [t["config"] for t in a_all] == [t["config"] for t in b_all]
+    assert [t["fold_accuracies"] for t in a_all] == [t["fold_accuracies"] for t in b_all]
+    assert a_best["trial_index"] == b_best["trial_index"]
 
 
 def test_baseline_uses_schema_defaults():
     data = _noisy(40, seed=7)
     folds = shuffle_kfold(40, 2, seed=0)
     trial = evaluate_baseline("KNN", data, folds, seed=0)
-    assert trial.config == default_config("KNN")
+    assert trial["config"] == default_config("KNN")
 
 
 def test_grid_dominates_baseline_when_default_on_grid():
@@ -260,7 +262,7 @@ def test_grid_dominates_baseline_when_default_on_grid():
     space = space_from_config("DT", {"max_depth": {"lo": 8, "hi": 12}})  # includes 10
     baseline = evaluate_baseline("DT", data, folds, seed=5)
     best, _ = grid_search("DT", space, data, folds, seed=5)
-    assert best.mean_accuracy >= baseline.mean_accuracy
+    assert best["mean_accuracy"] >= baseline["mean_accuracy"]
 
 
 def test_parallel_equals_sequential():
@@ -271,8 +273,8 @@ def test_parallel_equals_sequential():
                                      "criterion": {"choices": ["gini", "entropy"]}})
     _, seq = grid_search("DT", space, data, folds, seed=0, workers=1)
     _, par = grid_search("DT", space, data, folds, seed=0, workers=2)
-    assert [t.config for t in seq] == [t.config for t in par]
-    assert [t.fold_accuracies for t in seq] == [t.fold_accuracies for t in par]
+    assert [t["config"] for t in seq] == [t["config"] for t in par]
+    assert [t["fold_accuracies"] for t in seq] == [t["fold_accuracies"] for t in par]
 
 
 def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
@@ -311,8 +313,8 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
             "DT", configs[:n_configs], data, folds, 0, workers
         )
         assert FakePool.sizes == ([] if size is None else [size])
-        assert [t.fold_accuracies for t in trials] == [
-            t.fold_accuracies for t in expected[:n_configs]
+        assert [t["fold_accuracies"] for t in trials] == [
+            t["fold_accuracies"] for t in expected[:n_configs]
         ]
     # max_depth is a budget: five depths are one group, which needs no pool
     depths = [{"max_depth": depth} for depth in range(1, 6)]
@@ -320,7 +322,7 @@ def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
     FakePool.sizes = []
     trials = tuner_module._evaluate_configs("DT", depths, data, folds, 0, 8)
     assert FakePool.sizes == []
-    assert [t.trial_index for t in trials] == [0, 1, 2, 3, 4]
+    assert [t["trial_index"] for t in trials] == [0, 1, 2, 3, 4]
 
 
 def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch):
@@ -359,8 +361,8 @@ def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch
     items = [item for family, members in tasks for member in members for item in member]
     assert not any(isinstance(item, heavy) for item in items + [family for family, _ in tasks])
     serial = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 1)
-    assert [t.fold_accuracies for t in trials] == [t.fold_accuracies for t in serial]
-    assert [t.trial_index for t in trials] == [0, 1, 2, 3]
+    assert [t["fold_accuracies"] for t in trials] == [t["fold_accuracies"] for t in serial]
+    assert [t["trial_index"] for t in trials] == [0, 1, 2, 3]
 
 
 def test_pool_results_do_not_depend_on_the_start_method():
@@ -389,11 +391,12 @@ def test_pool_results_do_not_depend_on_the_start_method():
                 serial = tuner._evaluate_configs(family, configs, data, folds, 0, 1)
                 pooled = tuner._evaluate_configs(family, configs, data, folds, 0, 2)
                 naive = [tuner.cross_val_trial(tuner.ModelSpec(family, config), data,
-                                               folds, 0, trial_index=index)
+                                               folds, 0, trial_index=index)[0]
                          for index, config in enumerate(configs)]
-                assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in serial]
-                assert [t.fold_accuracies for t in pooled] == [t.fold_accuracies for t in naive]
-                assert [t.trial_index for t in pooled] == list(range(len(configs)))
+                scores = [t["fold_accuracies"] for t in pooled]
+                assert scores == [t["fold_accuracies"] for t in serial]
+                assert scores == [t["fold_accuracies"] for t in naive]
+                assert [t["trial_index"] for t in pooled] == list(range(len(configs)))
             assert multiprocessing.get_start_method() == "spawn"
             print("spawned pool ok")
     """)
@@ -464,7 +467,7 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         return real_train(spec, data, seed, **grown)
 
     for data, folds in ((_noisy(48, seed=8), noisy_folds), _single_class_fold_data()):
-        naive = [cross_val_trial(ModelSpec(family, config), data, folds, 5, trial_index=index)
+        naive = [cross_val_trial(ModelSpec(family, config), data, folds, 5, trial_index=index)[0]
                  for index, config in enumerate(configs)]
         monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
         serial = tuner_module._evaluate_configs(family, configs, data, folds, 5, 1)
@@ -472,10 +475,10 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
         pooled = tuner_module._evaluate_configs(family, configs, data, folds, 5, 2)
         for staged in (serial, pooled):
-            assert [t.trial_index for t in staged] == list(range(len(configs)))
-            assert [t.config for t in staged] == [t.config for t in naive]
-            assert [t.fold_accuracies for t in staged] == [t.fold_accuracies for t in naive]
-    assert naive[0].fold_accuracies[0] == 0.0  # the single-class fold scores 0
+            assert [t["trial_index"] for t in staged] == list(range(len(configs)))
+            assert [t["config"] for t in staged] == [t["config"] for t in naive]
+            assert [t["fold_accuracies"] for t in staged] == [t["fold_accuracies"] for t in naive]
+    assert naive[0]["fold_accuracies"][0] == 0.0  # the single-class fold scores 0
     assert any(r for _, r in read_off) and not all(r for _, r in read_off)
     if family == "RF":  # the subsampling forests of 5 and 8 trees: read off the one of 12
         served = {c["n_estimators"] for c, r in read_off if r and c["max_features_frac"] == 0.3}
@@ -497,14 +500,13 @@ def test_default_rs_budget_caps_at_200():
 
 
 def _fake_trial(family, mean, index=0):
-    return TrialResult(
-        family=family,
-        config=default_config(family),
-        fold_accuracies=(mean,),
-        mean_accuracy=mean,
-        duration_seconds=0.0,
-        trial_index=index,
-    )
+    return {
+        "trial_index": index,
+        "config": default_config(family),
+        "fold_accuracies": [mean],
+        "mean_accuracy": mean,
+        "duration_seconds": 0.0,
+    }
 
 
 def _patch_search_results(monkeypatch, per_family):
@@ -586,6 +588,17 @@ def test_grs_requires_a_family_and_matching_features():
     other = make_design_matrix(data.features, ("a", "b"), data.labels)
     with pytest.raises(Exception):
         grs_auto_hp(["DT"], {}, data, other, k=3)
+
+
+def test_grs_rejects_a_repeated_family_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the repeated family was refused")
+
+    monkeypatch.setattr(tuner_module, "shuffle_kfold", no_work)
+    monkeypatch.setattr(tuner_module, "evaluate_baseline", no_work)
+    data = _separable(30)
+    with pytest.raises(TuningError, match="family NB is requested more than once"):
+        grs_auto_hp(["NB", "DT", "NB"], {}, data, data, k=3)
 
 
 def test_grs_end_to_end_improves_over_default_baselines():
@@ -670,3 +683,65 @@ def test_report_trials_truncation(monkeypatch):
     assert tiny["trials_truncated"] is True
     assert tiny["trials"] == {}
     assert strip_volatile(tiny["families"]) == strip_volatile(full["families"])
+
+
+# ---------------------------------------------------------------- whole-run reference
+
+
+def _random_space(family, rng):
+    """A seeded space mapping for ``family``: each budget, and each other
+    parameter unless it stays pinned, gets up to three grid values. Integer
+    ranges sit near their lower bounds, so budgets stay small, and random
+    draws fall between grid values."""
+    mapping = {}
+    for spec in hp_schema(family):
+        budget = spec.name in budget_axes(family)
+        if not budget and rng.random() < 0.25:
+            continue
+        if spec.kind == "categorical":
+            count = int(rng.integers(1, len(spec.choices) + 1))
+            mapping[spec.name] = {"choices": [str(c) for c in rng.permutation(spec.choices)[:count]]}
+        elif spec.kind == "integer":
+            lo, step = int(rng.integers(spec.lo, spec.lo + 5)), int(rng.integers(1, 4))
+            steps = int(rng.integers(int(budget), 3))  # a budget has two or three values
+            mapping[spec.name] = {"lo": lo, "hi": min(lo + step * steps, spec.hi), "step": step}
+        else:
+            lo = float(rng.uniform(spec.lo, spec.hi))
+            hi = float(rng.uniform(lo, spec.hi))
+            mapping[spec.name] = {"lo": lo, "hi": hi, "step": (hi - lo) / 2 or 1.0}
+    return space_from_config(family, mapping)
+
+
+def test_grs_equals_the_serial_reference_run(monkeypatch):
+    # every fast path at once (groups, read-offs, staged order, the pool)
+    # against fitting every trial alone, bit for bit, all seven families
+    from tabtune.report import strip_volatile
+
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)  # a pool even on a 1-CPU host
+    rng = np.random.default_rng(57)
+    spaces = {family: _random_space(family, rng) for family in FAMILIES}
+    noisy = _noisy(200, seed=13)
+    single_class_fold, _ = _single_class_fold_data()  # fold seed 6
+    runs = [(noisy.take(np.arange(150)), noisy.take(np.arange(150, 200)), 4),
+            (single_class_fold, _noisy(30, seed=1), 6)]
+    expected = []
+    for train, test, fold_seed in runs:
+        args = (FAMILIES, spaces, train, test)
+        kwargs = {"k": 3, "fold_seed": fold_seed, "search_seed": 5, "rs_budget": 10}
+        expected.append(strip_volatile(reference_grs(*args, **kwargs)))
+        for workers in (1, 2):
+            assert strip_volatile(grs_auto_hp(*args, workers=workers, **kwargs)) == expected[-1]
+    # what the runs cover: a single-class fold, nested budgets, repeated
+    # configs within a search, ties within a search and between grid and random
+    assert expected[1]["families"][0]["baseline"]["fold_accuracies"][0] == 0.0
+    searches = [trials for report in expected for family in report["trials"].values()
+                for trials in family.values()]
+    configs = [[json.dumps(t["config"], sort_keys=True) for t in trials] for trials in searches]
+    assert any(len(set(c)) < len(c) for c in configs)
+    assert any(len({t["mean_accuracy"] for t in trials}) < len(set(c))
+               for trials, c in zip(searches, configs))
+    assert all(len(param.grid_values()) > 1 for family, space in spaces.items()
+               for param in space.params if param.name in budget_axes(family))
+    assert any(entry["grid"]["best"]["mean_accuracy"] == entry["random"]["best"]["mean_accuracy"]
+               and entry["grid"]["best"]["config"] != entry["random"]["best"]["config"]
+               for report in expected for entry in report["families"])
