@@ -13,8 +13,10 @@ the config. ``predict(model, X)`` checks that ``X`` has the
 labels.
 
 The table also names each family's budgets, the parameters whose smaller
-values a larger fit already holds; ``train(spec, data, seed, grown=model)``
-reads the model ``spec`` would fit off such a larger ``model``.
+values a larger fit already holds, and its free axes, the parameters that
+``fit`` never reads; ``train(spec, data, seed, grown=model)`` reads the
+model ``spec`` would fit off such a larger ``model``. Models read off one
+KNN fit share its neighbor ranking.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "default_config",
     "validate_config",
     "budget_axes",
+    "free_axes",
     "train",
     "predict",
     "accuracy",
@@ -67,9 +70,11 @@ class _Family:
     model: type  # constructor keywords are the schema names
     schema: tuple[ParamSpec, ...]
     seeded: bool = False  # the constructor also takes the training seed
-    #: schema names whose smaller values the model's ``cut(**budgets)``
-    #: reads off a larger fit
+    #: schema names whose smaller values the model's ``cut`` reads off a
+    #: larger fit
     budgets: tuple[str, ...] = ()
+    #: schema names that ``fit`` never reads, so ``cut`` can apply any value
+    free: tuple[str, ...] = ()
 
 
 _FAMILY_TABLE: dict[str, _Family] = {
@@ -85,7 +90,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
     ), seeded=True, budgets=("n_estimators", "max_depth")),
     "NB": _Family(GaussianNaiveBayes, (
         ParamSpec("var_smoothing_exp", CONTINUOUS, -12.0, -6.0, default=-9.0),
-    )),
+    ), free=("var_smoothing_exp",)),
     "LR": _Family(LogisticRegression, (
         ParamSpec("l2_strength", CONTINUOUS, 0.0, 2.0, default=0.0),
         ParamSpec("learning_rate", CONTINUOUS, 0.01, 1.0, default=0.1),
@@ -94,7 +99,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "KNN": _Family(KNearestNeighbors, (
         ParamSpec("n_neighbors", INTEGER, 1, 25, default=5),
         ParamSpec("weighting", CATEGORICAL, choices=("uniform", "distance"), default="uniform"),
-    )),
+    ), budgets=("n_neighbors",), free=("weighting",)),
     "SVM": _Family(LinearSVM, (
         ParamSpec("c", CONTINUOUS, 0.5, 4.0, default=1.0),
         ParamSpec("epochs", INTEGER, 10, 200, default=100),
@@ -145,6 +150,12 @@ def budget_axes(family: str) -> tuple[str, ...]:
     return _FAMILY_TABLE[family].budgets
 
 
+def free_axes(family: str) -> tuple[str, ...]:
+    """The family's free axes: the parameters ``fit`` never reads, which
+    ``train(..., grown=...)`` serves at any value."""
+    return _FAMILY_TABLE[family].free
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
@@ -157,11 +168,11 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
     With ``grown``, a model that ``train`` fitted on the same ``data``
     (which is the caller's to ensure) and ``seed``, the model ``spec`` would
     fit is read off it instead of fitted: ``grown`` itself when the configs
-    are equal, else ``grown.cut`` at ``spec``'s budgets. A ``grown`` that
-    cannot serve ``spec`` raises ValueError: another family or column
-    count, another value of a parameter outside ``budget_axes`` (the RF
-    seed included), or a smaller budget. Empty and single-class data raise
-    before ``grown`` is read.
+    are equal, else ``grown.cut`` at ``spec``'s budgets and free axes. A
+    ``grown`` that cannot serve ``spec`` raises ValueError: another family
+    or column count, another value of a parameter outside ``budget_axes``
+    and ``free_axes`` (the RF seed included), or a smaller budget. Empty
+    and single-class data raise before ``grown`` is read.
     """
     cfg = validate_config(spec.family, spec.config)
     if data.n_rows == 0:
@@ -181,16 +192,16 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
         raise ValueError(f"{spec.family}: cannot read a model of {data.n_features} columns "
                          f"off one fitted on {grown.n_features_}")
     wanted = {**cfg, **seed_arg}
-    axes = budget_axes(spec.family)
     unserved = {name: getattr(grown, name) for name, value in wanted.items()
-                if (getattr(grown, name) < value if name in axes
-                    else getattr(grown, name) != value)}
+                if name not in family.free
+                and (getattr(grown, name) < value if name in family.budgets
+                     else getattr(grown, name) != value)}
     if unserved:
         raise ValueError(f"{spec.family}: cannot read {wanted} off a model with {unserved}; "
-                         f"the budgets of {spec.family} are {list(axes)}")
+                         f"the budgets of {spec.family} are {list(family.budgets)}")
     if all(getattr(grown, name) == value for name, value in wanted.items()):
         return grown
-    return grown.cut(**{name: cfg[name] for name in axes})
+    return grown.cut(**{name: cfg[name] for name in family.budgets + family.free})
 
 
 def predict(model, features) -> np.ndarray:

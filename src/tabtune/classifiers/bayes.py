@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 
@@ -10,13 +12,17 @@ class GaussianNaiveBayes:
 
     Variances are floored at 10^var_smoothing_exp times the largest
     per-feature variance of the training data (an absolute 10^exp floor when
-    every feature is constant). Posterior ties resolve toward label 0.
+    every feature is constant). Posterior ties resolve toward label 0. The
+    fit keeps the unfloored class variances, so ``cut`` applies another
+    floor to the same numbers.
     """
 
     def __init__(self, var_smoothing_exp=-9.0):
         self.var_smoothing_exp = var_smoothing_exp
         self.log_priors_ = None
         self.means_ = None
+        self.class_variances_ = None
+        self.max_variance_ = None
         self.variances_ = None
         self.n_features_ = None
 
@@ -24,10 +30,7 @@ class GaussianNaiveBayes:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.n_features_ = X.shape[1]
-        max_var = float(X.var(axis=0).max()) if X.shape[1] else 0.0
-        floor = 10.0 ** self.var_smoothing_exp * max_var
-        if floor <= 0.0:
-            floor = 10.0 ** self.var_smoothing_exp
+        self.max_variance_ = float(X.var(axis=0).max()) if X.shape[1] else 0.0
         means = np.zeros((2, X.shape[1]))
         variances = np.zeros((2, X.shape[1]))
         priors = np.zeros(2)
@@ -35,11 +38,26 @@ class GaussianNaiveBayes:
             rows = X[y == label]
             priors[label] = len(rows) / len(y)
             means[label] = rows.mean(axis=0)
-            variances[label] = np.maximum(rows.var(axis=0), floor)
+            variances[label] = rows.var(axis=0)
         self.log_priors_ = np.log(priors)
         self.means_ = means
-        self.variances_ = variances
+        self.class_variances_ = variances
+        self.variances_ = self._floored(self.var_smoothing_exp)
         return self
+
+    def cut(self, var_smoothing_exp):
+        """The model this one's data would fit with ``var_smoothing_exp``:
+        the same class variances under that floor."""
+        model = copy.copy(self)
+        model.var_smoothing_exp = var_smoothing_exp
+        model.variances_ = self._floored(var_smoothing_exp)
+        return model
+
+    def _floored(self, var_smoothing_exp):
+        floor = 10.0 ** var_smoothing_exp * self.max_variance_
+        if floor <= 0.0:
+            floor = 10.0 ** var_smoothing_exp
+        return np.maximum(self.class_variances_, floor)
 
     def log_posteriors(self, X):
         X = np.asarray(X, dtype=float)

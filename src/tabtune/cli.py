@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, load_run_config
 from .preprocess import add_derived_column, apply_plan, fit_plan
@@ -85,6 +87,13 @@ def cmd_run(args) -> int:
     try:
         table = _load_table(config)
         split = split_train_test(table, config.split["train_fraction"], config.split["seed"])
+        target = split.train.target
+        classes = np.unique(split.train.columns[target.name])
+        if len(classes) < 2:
+            raise ValueError(
+                f"the {split.train.n_rows}-row training split holds a single class "
+                f"({target.name} = {target.categories[classes[0]]!r}); tuning needs both"
+            )
         plan = fit_plan(split.train, config.preprocess["missing_threshold"],
                         config.preprocess["scaling"])
         train_matrix = apply_plan(plan, split.train)

@@ -8,10 +8,12 @@ baseline whenever the default config lies on the grid, and trial order
 non-deterministic fields.
 
 Each search evaluates its configs staged: configs that differ only in their
-budgets (``classifiers.budget_axes``: tree counts, depths, epochs) form a
-group, each group's largest budgets are fitted once per fold, and the
-smaller configs' models are read off those fits. Every trial's numbers are
-those of fitting it alone.
+budgets (``classifiers.budget_axes``: tree counts, depths, epochs, KNN's k)
+and free axes (``classifiers.free_axes``: NB's variance floor, KNN's
+weighting) form a group, each group's largest budgets are fitted once per
+fold, and the other configs' models are read off those fits; every KNN
+config of a fold then votes from one neighbor ranking. Every trial's numbers
+are those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ def _group_task(task):
 
 def _config_groups(family, configs):
     """The (config, index) pairs of validated ``configs``, grouped by their
-    parameters outside ``classifiers.budget_axes``, in order of first
-    appearance."""
-    axes = classifiers.budget_axes(family)
+    parameters outside ``classifiers.budget_axes`` and
+    ``classifiers.free_axes``, in order of first appearance."""
+    axes = classifiers.budget_axes(family) + classifiers.free_axes(family)
     groups = {}
     for index, config in enumerate(configs):
         key = tuple((name, value) for name, value in config.items() if name not in axes)
@@ -174,7 +176,7 @@ def _evaluate_configs(family, configs, train, folds, seed, workers):
     configs are pre-generated and every trial shares the seed.
 
     Staged evaluation: the configs are grouped by their parameters outside
-    ``classifiers.budget_axes`` (``_config_groups``), and each group is
+    the budget and free axes (``_config_groups``), and each group is
     evaluated from its largest budgets down (``_evaluate_group``), so a
     config that a larger one covers gets each fold's model read off that
     one's instead of fitted. A trial so served reports its own, shorter

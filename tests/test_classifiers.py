@@ -22,7 +22,8 @@ from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
 from tabtune.classifiers.linear import LinearSVM, LogisticRegression, mean_logloss, sigmoid
-from tabtune.classifiers.neighbors import KNearestNeighbors
+import tabtune.classifiers.neighbors as neighbors_module
+from tabtune.classifiers.neighbors import KNearestNeighbors, _k_nearest
 from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
 from tabtune.preprocess import make_design_matrix, preprocess_split
 from tabtune.tabular import generate_synthetic, split_train_test
@@ -713,6 +714,122 @@ def test_linear_models_read_off_more_epochs_equal_a_fresh_fit():
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
 
 
+def test_a_deeper_ranking_holds_every_shallower_one_as_its_prefix():
+    # small integers: most rows tie at their k-th value, often several times
+    rng = np.random.default_rng(60)
+    d2 = rng.integers(0, 4, size=(40, 24)).astype(float)
+    d2[:5] = 1.0  # whole rows of ties
+    for depth in range(1, 25):
+        deep = _k_nearest(d2, depth)
+        assert np.array_equal(deep, np.argsort(d2, axis=1, kind="stable")[:, :depth])
+        for k in range(1, depth + 1):
+            assert np.array_equal(deep[:, :k], _k_nearest(d2, k)), (depth, k)
+
+
+def test_a_deeper_ranking_with_nan_entries_holds_every_shallower_one():
+    # NaN ranks after every number and ties with the other NaNs: rows with
+    # no, few and mostly NaN entries, so the k-th value is NaN for some k
+    rng = np.random.default_rng(61)
+    d2 = rng.integers(0, 3, size=(34, 16)).astype(float)
+    for row in range(34):  # 0 to 16 NaNs, twice
+        d2[row, rng.permutation(16)[:row % 17]] = np.nan
+    for depth in range(1, 17):
+        deep = _k_nearest(d2, depth)
+        assert np.array_equal(deep, np.argsort(d2, axis=1, kind="stable")[:, :depth])
+        for k in range(1, depth + 1):
+            assert np.array_equal(deep[:, :k], _k_nearest(d2, k)), (depth, k)
+
+
+def _counting_k_nearest(monkeypatch):
+    calls = []
+
+    def counted(d2, k):
+        calls.append((d2.shape, k))
+        return real(d2, k)
+
+    real = neighbors_module._k_nearest
+    monkeypatch.setattr(neighbors_module, "_k_nearest", counted)
+    return calls
+
+
+def test_knn_read_off_a_larger_k_equals_a_fresh_fit(monkeypatch):
+    # integer-grid rows (ties at every k), duplicated rows, and queries equal
+    # to training rows (zero distances); 20 rows make k=25 rank all of them
+    rng = np.random.default_rng(62)
+    calls = _counting_k_nearest(monkeypatch)
+    for n, big_k in ((60, 13), (20, 25)):
+        X = rng.integers(0, 3, size=(n, 3)).astype(float)
+        X = X[rng.integers(0, n, n)]
+        data = _matrix(X, rng.integers(0, 2, n))
+        probe = np.vstack([X[:15], rng.integers(-1, 4, size=(15, 3)).astype(float)])
+        for big_weighting in ("uniform", "distance"):
+            big = train(ModelSpec("KNN", {"n_neighbors": big_k, "weighting": big_weighting}),
+                        data, 0)
+            predict(big, probe)
+            del calls[:]
+            for k in range(1, big_k + 1):
+                for weighting in ("uniform", "distance"):
+                    config = {"n_neighbors": k, "weighting": weighting}
+                    cut = train(ModelSpec("KNN", config), data, 0, grown=big)
+                    served = predict(cut, probe.copy())  # equal values, another array
+                    assert calls == []  # served from the fit's ranking
+                    fresh = predict(train(ModelSpec("KNN", config), data, 0), probe)
+                    del calls[:]
+                    assert np.array_equal(served, fresh), (n, big_weighting, k, weighting)
+                    assert np.array_equal(served, knn_oracle(X, data.labels, probe, min(k, n),
+                                                             weighting))
+
+
+def test_knn_ranks_another_query_matrix_afresh(monkeypatch):
+    rng = np.random.default_rng(63)
+    data = _random_matrix(rng, 80, 4)
+    first, second = rng.normal(size=(25, 4)), rng.normal(size=(25, 4))
+    second[0] = first[0]  # same shape, and partly the same values
+    calls = _counting_k_nearest(monkeypatch)
+    big = train(ModelSpec("KNN", {"n_neighbors": 15}), data, 0)
+    predict(big, first)
+    cut = train(ModelSpec("KNN", {"n_neighbors": 4, "weighting": "distance"}), data, 0,
+                grown=big)
+    fresh = train(ModelSpec("KNN", {"n_neighbors": 4, "weighting": "distance"}), data, 0)
+    expected = [predict(fresh, first), predict(fresh, second)]
+    del calls[:]
+    for queries, want in ((second, expected[1]), (first, expected[0]), (first, expected[0])):
+        assert np.array_equal(predict(cut, queries), want)
+    # the second matrix and then the first again are ranked, to the fit's k
+    assert calls == [((25, 80), 15), ((25, 80), 15)]
+    assert np.array_equal(predict(big, first), predict(
+        train(ModelSpec("KNN", {"n_neighbors": 15}), data, 0), first))
+    assert len(calls) == 3  # the fresh fit's ranking; big is served
+
+
+def test_nb_read_off_another_floor_equals_a_fresh_fit():
+    rng = np.random.default_rng(64)
+    mixed = rng.normal(size=(50, 4)) * np.array([1.0, 1e-4, 30.0, 1.0])
+    mixed[:, 3] = 2.5  # a constant column: its class variances sit on the floor
+    constant = np.full((40, 3), 7.0)  # every feature constant: the absolute floor
+    exponents = [float(e) for e in np.linspace(-12.0, -6.0, 13)] + [
+        float(e) for e in rng.uniform(-12.0, -6.0, 8)]
+    for X in (mixed, constant):
+        data = _matrix(X, rng.integers(0, 2, len(X)))
+        probe = rng.normal(size=(30, X.shape[1]))
+        for big_exp in (-12.0, -9.0, -6.0):
+            grown = train(ModelSpec("NB", {"var_smoothing_exp": big_exp}), data, 0)
+            for exponent in exponents:
+                spec = ModelSpec("NB", {"var_smoothing_exp": exponent})
+                cut, fresh = train(spec, data, 0, grown=grown), train(spec, data, 0)
+                assert cut.var_smoothing_exp == exponent
+                # the constant column sits on the floor: 10^e times the
+                # largest feature variance, or 10^e when that is 0
+                max_var = float(X.var(axis=0).max())
+                floor = 10.0 ** exponent * max_var if max_var > 0 else 10.0 ** exponent
+                assert np.all(cut.variances_[:, -1] == floor)
+                for name in ("variances_", "means_", "log_priors_"):
+                    assert _same_bits(getattr(cut, name), getattr(fresh, name)), name
+                assert _same_bits(cut.log_posteriors(probe), fresh.log_posteriors(probe))
+                assert np.array_equal(predict(cut, probe), predict(fresh, probe))
+            assert grown.var_smoothing_exp == big_exp  # cutting leaves the fit as it was
+
+
 def test_an_equal_config_reads_off_the_grown_model_itself():
     data = _random_matrix(np.random.default_rng(55), 60, 3)
     for family in FAMILIES:
@@ -728,6 +845,8 @@ def test_a_grown_model_that_cannot_serve_the_config_is_refused():
                        data, 0)
     gbt = train(ModelSpec("GBT", {"n_estimators": 10, "max_depth": 3}), data, 0)
     lr = train(ModelSpec("LR", {"epochs": 50, "learning_rate": 0.1}), data, 0)
+    nb = train(ModelSpec("NB", {}), data, 0)
+    knn = train(ModelSpec("KNN", {}), data, 0)
     cases = [
         ("DT", {"max_depth": 4}, 0, rf),  # another model class
         ("DT", {"max_depth": 4}, 0, object()),
@@ -738,19 +857,29 @@ def test_a_grown_model_that_cannot_serve_the_config_is_refused():
         ("GBT", {"n_estimators": 5, "max_depth": 2}, 0, gbt),  # depth is no GBT budget
         ("LR", {"epochs": 20, "learning_rate": 0.2}, 0, lr),
         ("LR", {"epochs": 60, "learning_rate": 0.1}, 0, lr),
-        ("NB", {"var_smoothing_exp": -8.0}, 0, train(ModelSpec("NB", {}), data, 0)),
-        ("KNN", {"n_neighbors": 3}, 0, train(ModelSpec("KNN", {}), data, 0)),
+        ("KNN", {"n_neighbors": 6}, 0, knn),  # a larger k
+        ("KNN", {"n_neighbors": 6, "weighting": "distance"}, 0, knn),
     ]
     for family, config, seed, grown in cases:
         with pytest.raises(ValueError, match=f"^{family}: "):
             train(ModelSpec(family, config), data, seed, grown=grown)
     other_columns = _random_matrix(np.random.default_rng(57), 60, 4)
-    with pytest.raises(ValueError, match="^DT: "):
-        train(ModelSpec("DT", {"max_depth": 2}), other_columns, 0, grown=dt)
+    for family, config, grown in (("DT", {"max_depth": 2}, dt),
+                                  ("NB", {"var_smoothing_exp": -8.0}, nb),
+                                  ("KNN", {"n_neighbors": 3}, knn)):
+        with pytest.raises(ValueError, match=f"^{family}: cannot read a model of 4 columns"):
+            train(ModelSpec(family, config), other_columns, 0, grown=grown)
     # the subsampled forest still serves a shallower forest of as many trees
     cut = train(ModelSpec("RF", {"n_estimators": 10, "max_depth": 2, "max_features_frac": 0.3}),
                 data, 0, grown=subsampled)
     assert cut.max_depth == 2
+    # a free axis at any value, and a smaller k at either weighting
+    assert train(ModelSpec("NB", {"var_smoothing_exp": -8.0}), data, 0,
+                 grown=nb).var_smoothing_exp == -8.0
+    for config in ({"n_neighbors": 3}, {"n_neighbors": 5, "weighting": "distance"}):
+        cut = train(ModelSpec("KNN", config), data, 0, grown=knn)
+        assert {"weighting": "uniform", **config} == {"n_neighbors": cut.n_neighbors,
+                                                      "weighting": cut.weighting}
 
 
 def test_single_class_data_raises_before_the_grown_model_is_read():

@@ -558,6 +558,40 @@ def test_split_with_an_empty_part_is_a_data_error_before_tuning(tmp_path, capsys
     assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_single_class_training_split_is_a_data_error_before_tuning(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned on a single-class training split")
+
+    lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()[:61]
+    target = lines[0].split(",").index("graduated")
+
+    def csv_with_one_no(kept):
+        rows = [lines[0]]
+        for row, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            cells[target] = "no" if row == kept else "yes"
+            rows.append(",".join(cells))
+        return "\n".join(rows) + "\n"
+
+    # the first row whose "no" the 0.75 split (seed 3) puts in the test part
+    csv_path = tmp_path / "data.csv"
+    for kept in range(1, 61):
+        csv_path.write_text(csv_with_one_no(kept), encoding="utf-8")
+        split = tabular_module.split_train_test(
+            tabular_module.load_csv(csv_path, "graduated"), 0.75, 3)
+        if len(np.unique(split.train.columns["graduated"])) == 1:
+            break
+    monkeypatch.setattr(cli_module, "grs_auto_hp", no_tuning)
+    config_path, _ = _small_config(
+        tmp_path, data={"csv": {"path": str(csv_path), "target": "graduated"}},
+        output={"report": str(tmp_path / "out" / "report.json")})
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert ("data error: the 45-row training split holds a single class (graduated = 'yes')"
+            in capsys.readouterr().err)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "data.csv"]
+
+
 def test_synthetic_rows_above_the_maximum_are_rejected_before_generating(tmp_path, capsys,
                                                                          monkeypatch):
     def no_draws(*args, **kwargs):
@@ -719,8 +753,11 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
     def output_onto_input(doc, rows, rng):
         _set_field(doc, ("output", str(rng.choice(["report", "table", "chart"]))), "data.csv")
 
+    def more_folds_than_rows(doc, rows, rng):  # 48 training rows at most
+        _set_field(doc, ("tuner", "k"), int(rng.integers(49, 61)))
+
     mutations = [drop_field, mistype_field, ragged_row, overflow_cell, single_class_target,
-                 empty_filter, output_onto_input]
+                 empty_filter, output_onto_input, more_folds_than_rows]
     seen = set()
     for seed in range(48):
         rng = np.random.default_rng([2024, seed])
@@ -734,7 +771,7 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
                        "chart": "out/chart.svg"},
         }
         rows = list(lines)
-        chosen = {seed % (len(mutations) + 1)} - {len(mutations)}  # every 8th seed: none
+        chosen = {seed % (len(mutations) + 1)} - {len(mutations)}  # every 9th seed: none
         if rng.random() < 0.5:
             chosen.add(int(rng.integers(len(mutations))))
         for index in sorted(chosen):

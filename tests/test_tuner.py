@@ -458,7 +458,11 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         # a subsampling forest's tree counts: smaller forests read off larger ones
         configs += [{"n_estimators": n, "max_depth": 4, "max_features_frac": 0.3}
                     for n in (5, 12, 8)]
-    noisy_folds = shuffle_kfold(48, 3, seed=2)
+    datasets = [(_noisy(48, seed=8), shuffle_kfold(48, 3, seed=2)), _single_class_fold_data()]
+    if family == "KNN":  # k above a fold's 16 training rows ranks all 16; smaller k read off
+        configs += [{"n_neighbors": 25, "weighting": "distance"}, {"n_neighbors": 20},
+                    {"n_neighbors": 9, "weighting": "distance"}]
+        datasets.insert(0, (_noisy(24, seed=9), shuffle_kfold(24, 3, seed=2)))
     read_off = []
     real_train = tuner_module.classifiers.train
 
@@ -466,7 +470,7 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         read_off.append((spec.config, bool(grown)))
         return real_train(spec, data, seed, **grown)
 
-    for data, folds in ((_noisy(48, seed=8), noisy_folds), _single_class_fold_data()):
+    for data, folds in datasets:
         naive = [cross_val_trial(ModelSpec(family, config), data, folds, 5, trial_index=index)[0]
                  for index, config in enumerate(configs)]
         monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
@@ -483,6 +487,9 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
     if family == "RF":  # the subsampling forests of 5 and 8 trees: read off the one of 12
         served = {c["n_estimators"] for c, r in read_off if r and c["max_features_frac"] == 0.3}
         assert served == {5, 8}
+    if family in ("NB", "KNN"):  # one group: only its first config is fitted, on each fold
+        per_run = [False] * 3 + [True] * 3 * (len(configs) - 1)
+        assert [r for _, r in read_off] == per_run * len(datasets)
 
 
 def test_default_rs_budget_caps_at_200():
