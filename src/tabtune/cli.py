@@ -94,6 +94,11 @@ def cmd_run(args) -> int:
                 f"the {split.train.n_rows}-row training split holds a single class "
                 f"({target.name} = {target.categories[classes[0]]!r}); tuning needs both"
             )
+        if config.tuner["k"] > split.train.n_rows:
+            raise ValueError(
+                f"tuner.k={config.tuner['k']} exceeds the {split.train.n_rows} rows "
+                f"of the training split"
+            )
         plan = fit_plan(split.train, config.preprocess["missing_threshold"],
                         config.preprocess["scaling"])
         train_matrix = apply_plan(plan, split.train)

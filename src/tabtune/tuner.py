@@ -7,13 +7,16 @@ baseline whenever the default config lies on the grid, and trial order
 (sequential or parallel) cannot change any result. Durations are the only
 non-deterministic fields.
 
-Each search evaluates its configs staged: configs that differ only in their
-budgets (``classifiers.budget_axes``: tree counts, depths, epochs, KNN's k)
-and free axes (``classifiers.free_axes``: NB's variance floor, KNN's
-weighting) form a group, each group's largest budgets are fitted once per
-fold, and the other configs' models are read off those fits; every KNN
-config of a fold then votes from one neighbor ranking. Every trial's numbers
-are those of fitting it alone.
+A run builds one plan first: per family, its default config, every grid
+config and every random draw. Each family's plan is evaluated staged:
+configs that differ only in their budgets (``classifiers.budget_axes``: tree
+counts, depths, epochs, KNN's k) and free axes (``classifiers.free_axes``:
+NB's variance floor, KNN's weighting) form a group, whichever searches they
+come from; each group's largest budgets are fitted once per fold, and the
+other configs' models are read off those fits; every KNN config of a fold
+then votes from one neighbor ranking. Every trial's numbers are those of
+fitting it alone. The groups of all families share one process pool per
+run, or run in the main process with one worker.
 """
 
 from __future__ import annotations
@@ -170,44 +173,81 @@ def _evaluate_group(family, members, train, folds, seed):
     return records
 
 
-def _evaluate_configs(family, configs, train, folds, seed, workers):
-    """All configs evaluated, results in trial-index order; neither the
-    order of evaluation nor parallelism can change a result, because
-    configs are pre-generated and every trial shares the seed.
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the caller decides per family
+        return exc
 
-    Staged evaluation: the configs are grouped by their parameters outside
-    the budget and free axes (``_config_groups``), and each group is
-    evaluated from its largest budgets down (``_evaluate_group``), so a
-    config that a larger one covers gets each fold's model read off that
-    one's instead of fitted. A trial so served reports its own, shorter
-    ``duration_seconds``.
 
-    The pool has ``min(workers, groups, os.cpu_count())`` processes: a pool
-    forks all of its processes when it starts, so more would sit idle. Each
-    worker receives ``(train, folds, seed)`` once, through the pool's
-    initializer, and each task carries one group, ``(family, [(config,
-    index), ...])``, so fitted models never cross a process boundary. A
-    forked worker inherits the data; under ``spawn`` or ``forkserver`` it is
-    pickled once per worker. Results do not depend on the start method.
+def _evaluate_plan(plan, train, folds, seed, workers):
+    """Each family's trials of ``plan``, a list of ``(family, validated
+    configs)``, in config order with ``trial_index`` their position; or, for
+    a family with a failing group, the exception of its first failing group
+    in plan order. Neither the order of evaluation nor parallelism can
+    change a result, because configs are pre-generated and every trial
+    shares the seed.
+
+    Staged evaluation: each family's configs are grouped once by their
+    parameters outside the budget and free axes (``_config_groups``), and
+    each group is evaluated from its largest budgets down
+    (``_evaluate_group``), so a config that a larger one covers gets each
+    fold's model read off that one's instead of fitted. A trial so served
+    reports its own, shorter ``duration_seconds``.
+
+    The groups of every family run in the main process, or in one pool of
+    ``min(workers, groups, os.cpu_count())`` processes: a pool forks all of
+    its processes when it starts, so more would sit idle. Each worker
+    receives ``(train, folds, seed)`` once, through the pool's initializer,
+    and each task carries one group, ``(family, [(config, index), ...])``,
+    so fitted models never cross a process boundary. A forked worker
+    inherits the data; under ``spawn`` or ``forkserver`` it is pickled once
+    per worker. Results do not depend on the start method.
     """
-    configs = [classifiers.validate_config(family, config) for config in configs]
-    groups = _config_groups(family, configs)
-    workers = min(workers, len(groups), os.cpu_count() or 1)
+    tasks = [(family, members) for family, configs in plan
+             for members in _config_groups(family, configs)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        trials = [trial for members in groups
-                  for trial in _evaluate_group(family, members, train, folds, seed)]
+        outcomes = [_outcome(_evaluate_group, family, members, train, folds, seed)
+                    for family, members in tasks]
     else:
-        tasks = [(family, members) for members in groups]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
         ) as pool:
-            trials = [trial for group in pool.map(_group_task, tasks) for trial in group]
-    return sorted(trials, key=lambda trial: trial["trial_index"])
+            futures = [pool.submit(_group_task, task) for task in tasks]
+            outcomes = [_outcome(future.result) for future in futures]
+    trials, failures = {family: [] for family, _ in plan}, {}
+    for (family, _), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, Exception):
+            failures.setdefault(family, outcome)  # its first failing group in plan order
+        else:
+            trials[family] += outcome
+    return {family: failures.get(family)
+            or sorted(trials[family], key=lambda trial: trial["trial_index"])
+            for family, _ in plan}
+
+
+def _evaluate_configs(family, configs, train, folds, seed, workers):
+    """One search's configs evaluated as a plan of their own
+    (``_evaluate_plan``), results in trial-index order; the first failing
+    group's exception is raised."""
+    configs = [classifiers.validate_config(family, config) for config in configs]
+    trials = _evaluate_plan([(family, configs)], train, folds, seed, workers)[family]
+    if isinstance(trials, Exception):
+        raise trials
+    return trials
 
 
 def _best_trial(trials):
     # max keeps the first of equal maxima: ties keep the lowest index
     return max(trials, key=lambda trial: trial["mean_accuracy"])
+
+
+def _random_draws(space, budget, seed):
+    if budget < 1:
+        raise ValueError(f"random search budget must be at least 1, got {budget}")
+    return random_sample(space, budget, seed)
 
 
 def grid_search(family, space, train, folds, seed, workers=1):
@@ -218,18 +258,21 @@ def grid_search(family, space, train, folds, seed, workers=1):
 
 def random_search(family, space, budget, train, folds, seed, workers=1):
     """Evaluate ``budget`` sampled configs; returns (best, all trials)."""
-    if budget < 1:
-        raise ValueError(f"random search budget must be at least 1, got {budget}")
-    configs = random_sample(space, budget, seed)
+    configs = _random_draws(space, budget, seed)
     trials = _evaluate_configs(family, configs, train, folds, seed, workers)
     return _best_trial(trials), trials
 
 
 def evaluate_baseline(family, train, folds, seed) -> dict:
     """The trial record of the family's default configuration."""
-    return cross_val_trial(
-        ModelSpec(family, classifiers.default_config(family)), train, folds, seed
+    return _evaluate_configs(
+        family, [classifiers.default_config(family)], train, folds, seed, 1
     )[0]
+
+
+def _search_summary(trials):
+    return {"best": _best_trial(trials), "n_trials": len(trials),
+            "total_seconds": sum(trial["duration_seconds"] for trial in trials)}
 
 
 def default_rs_budget(space: SearchSpace) -> int:
@@ -260,10 +303,16 @@ def grs_auto_hp(
 
     ``spaces`` maps family name to a SearchSpace; families without an entry
     search the single default configuration. A family requested twice
-    raises TuningError before any work. A family whose evaluation
-    raises ValueError or ArithmeticError is skipped and recorded under
-    ``errors`` as "<Type>: <message>"; any other exception fails the run
-    with a TuningError naming the family and the exception type.
+    raises TuningError before any work.
+
+    Every family's default, grid and random configs form one plan
+    (``_evaluate_plan``); the trials are scattered back into ``baseline``,
+    ``grid`` and ``random``, each search indexing its own from 0, and a
+    search's ``total_seconds`` is the sum of its trials' durations. A family
+    whose plan or any group raises ValueError or ArithmeticError is skipped
+    and recorded under ``errors`` as "<Type>: <message>" of its first
+    failing group in plan order; any other exception fails the run with a
+    TuningError naming the family and the exception type.
     """
     families = list(families)
     if not families:
@@ -275,38 +324,50 @@ def grs_auto_hp(
         raise TuningError("train and test matrices disagree on feature names")
     folds = shuffle_kfold(train.n_rows, k, fold_seed)
 
+    # a family whose plan cannot be built fails with that error
+    plan, grid_sizes, results = [], {}, {}
+    for family in families:
+        space = spaces.get(family) or space_from_config(family, {})
+        try:
+            grid = grid_enumerate(space)
+            budget = rs_budget if rs_budget is not None else default_rs_budget(space)
+            draws = _random_draws(space, budget, search_seed)
+            configs = [classifiers.validate_config(family, config)
+                       for config in [classifiers.default_config(family), *grid, *draws]]
+        except Exception as exc:
+            results[family] = exc
+            continue
+        plan.append((family, configs))
+        grid_sizes[family] = len(grid)
+    results.update(_evaluate_plan(plan, train, folds, search_seed, workers))
+
     entries = []
     searched = {}  # family -> {"grid": trials, "random": trials}
     errors = {}
     for family in families:
-        space = spaces.get(family) or space_from_config(family, {})
-        try:
-            baseline = evaluate_baseline(family, train, folds, search_seed)
-            started = time.perf_counter()
-            gs_best, gs_trials = grid_search(
-                family, space, train, folds, search_seed, workers
-            )
-            gs_seconds = time.perf_counter() - started
-            budget = rs_budget if rs_budget is not None else default_rs_budget(space)
-            started = time.perf_counter()
-            rs_best, rs_trials = random_search(
-                family, space, budget, train, folds, search_seed, workers
-            )
-            rs_seconds = time.perf_counter() - started
-        except (ValueError, ArithmeticError) as exc:  # a data or config failure
-            errors[family] = f"{type(exc).__name__}: {exc}"
+        trials = results[family]
+        if isinstance(trials, (ValueError, ArithmeticError)):  # a data or config failure
+            errors[family] = f"{type(trials).__name__}: {trials}"
             logger.warning("family %s failed: %s", family, errors[family])
             continue
-        except Exception as exc:  # a fault in the program: fail the run
+        if isinstance(trials, Exception):  # a fault in the program: fail the run
             raise TuningError(
-                f"family {family} failed with {type(exc).__name__}: {exc}"
-            ) from exc
+                f"family {family} failed with {type(trials).__name__}: {trials}"
+            ) from trials
+        # scatter the plan back into its searches, each indexed from 0
+        n_grid = grid_sizes[family]
+        baseline, gs_trials, rs_trials = trials[0], trials[1:1 + n_grid], trials[1 + n_grid:]
+        for search in (gs_trials, rs_trials):
+            for index, trial in enumerate(search):
+                trial["trial_index"] = index
+        gs, rs = _search_summary(gs_trials), _search_summary(rs_trials)
         entries.append({
             "family": family,
             "baseline": baseline,
-            "grid": {"best": gs_best, "n_trials": len(gs_trials), "total_seconds": gs_seconds},
-            "random": {"best": rs_best, "n_trials": len(rs_trials), "total_seconds": rs_seconds},
-            "winner": "grid" if gs_best["mean_accuracy"] >= rs_best["mean_accuracy"] else "random",
+            "grid": gs,
+            "random": rs,
+            "winner": ("grid" if gs["best"]["mean_accuracy"] >= rs["best"]["mean_accuracy"]
+                       else "random"),
         })
         searched[family] = {"grid": gs_trials, "random": rs_trials}
 

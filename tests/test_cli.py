@@ -9,7 +9,9 @@ import tabtune.cli as cli_module
 import tabtune.tabular as tabular_module
 import tabtune.tuner as tuner_module
 from tabtune import __version__
-from tabtune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_UNEXPECTED, main
+from tabtune.cli import (
+    EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_TUNING, EXIT_UNEXPECTED, main,
+)
 from tabtune.config import ConfigError, load_run_config, parse_run_config
 from tabtune.hpspace import grid_size, space_from_config
 from tabtune.report import strip_volatile
@@ -592,6 +594,35 @@ def test_single_class_training_split_is_a_data_error_before_tuning(tmp_path, cap
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "data.csv"]
 
 
+def test_k_above_the_training_rows_is_a_data_error_before_preprocessing(tmp_path, capsys,
+                                                                        monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("preprocessed or tuned with more folds than training rows")
+
+    monkeypatch.setattr(cli_module, "fit_plan", no_work)
+    monkeypatch.setattr(cli_module, "grs_auto_hp", no_work)
+    config_path, doc = _small_config(tmp_path)  # 200 rows at 0.75: 150 train rows
+    doc["tuner"]["k"] = 151
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config_path)]) == EXIT_DATA
+    assert ("data error: tuner.k=151 exceeds the 150 rows of the training split"
+            in capsys.readouterr().err)
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_a_run_whose_every_family_fails_is_a_tuning_error(tmp_path, capsys, monkeypatch):
+    def failing_group(family, members, train, folds, seed):
+        raise ValueError(f"{family} cannot be tuned")
+
+    monkeypatch.setattr(tuner_module, "_evaluate_group", failing_group)
+    config_path, _ = _small_config(tmp_path)
+    assert main(["run", str(config_path)]) == EXIT_TUNING
+    err = capsys.readouterr().err
+    assert "tuning error: every family failed" in err
+    assert "ValueError: NB cannot be tuned" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_synthetic_rows_above_the_maximum_are_rejected_before_generating(tmp_path, capsys,
                                                                          monkeypatch):
     def no_draws(*args, **kwargs):
@@ -714,7 +745,9 @@ _DROPPABLE = [("data",), ("output",), ("data", "csv", "target"), ("data", "csv",
 def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
     # a seeded guard over the exit-code contract: whatever the mutation, a
     # run exits 0, 2, 3 or 4 (never 1), leaves no temporary file, writes all
-    # three artifacts or none, and writes only finite numbers
+    # three artifacts or none, and writes only finite numbers. No mutation
+    # here reaches a tuning error (exit 4): a k above the training rows, the
+    # last one that did, is a data error (exit 3)
     lines = (FIXTURES / "students_500.csv").read_text(encoding="utf-8").splitlines()[:61]
     header = lines[0].split(",")
     numeric = [header.index(name) for name in ("entry_gpa", "credits_attempted", "age")]
@@ -753,12 +786,13 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
     def output_onto_input(doc, rows, rng):
         _set_field(doc, ("output", str(rng.choice(["report", "table", "chart"]))), "data.csv")
 
-    def more_folds_than_rows(doc, rows, rng):  # 48 training rows at most
+    def more_folds_than_rows(doc, rows, rng):  # 48 training rows at most: exit 3
         _set_field(doc, ("tuner", "k"), int(rng.integers(49, 61)))
 
     mutations = [drop_field, mistype_field, ragged_row, overflow_cell, single_class_target,
                  empty_filter, output_onto_input, more_folds_than_rows]
     seen = set()
+    folds_alone = 0
     for seed in range(48):
         rng = np.random.default_rng([2024, seed])
         run_dir = tmp_path / f"run{seed}"
@@ -780,9 +814,14 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
         (run_dir / "data.csv").write_text(csv_text, encoding="utf-8")
         (run_dir / "config.json").write_text(json.dumps(doc), encoding="utf-8")
         code = main(["run", str(run_dir / "config.json")])
+        err = capsys.readouterr().err
         label = (f"seed {seed}: {[mutations[i].__name__ for i in sorted(chosen)]}, "
-                 f"exit {code}: {capsys.readouterr().err}")
+                 f"exit {code}: {err}")
         assert code in (0, 2, 3, 4), label
+        if [mutations[i] for i in chosen] == [more_folds_than_rows]:
+            folds_alone += 1
+            assert code == EXIT_DATA, label
+            assert f"data error: tuner.k={doc['tuner']['k']} exceeds the 45 rows" in err, label
         seen.add(code)
         assert not list(run_dir.rglob("*.tmp-*")), label
         assert (run_dir / "data.csv").read_text(encoding="utf-8") == csv_text, label
@@ -790,4 +829,5 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
         if code == 0:
             report = json.loads((run_dir / "out" / "report.json").read_text(encoding="utf-8"))
             assert all(math.isfinite(n) for n in _numbers(report)), label
-    assert seen == {0, 2, 3, 4}
+    assert folds_alone > 0
+    assert seen == {0, 2, 3}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 import tabtune.tuner as tuner_module
 from oracles import reference_grs
 
-from tabtune.classifiers import FAMILIES, ModelSpec, budget_axes, default_config, hp_schema
+from tabtune.classifiers import (
+    FAMILIES, ModelSpec, budget_axes, default_config, free_axes, hp_schema,
+)
 from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
 from tabtune.preprocess import DesignMatrix, make_design_matrix, preprocess_split
 from tabtune.tabular import generate_synthetic, split_train_test
@@ -277,72 +280,78 @@ def test_parallel_equals_sequential():
     assert [t["fold_accuracies"] for t in seq] == [t["fold_accuracies"] for t in par]
 
 
+class _FakePool:
+    """Runs each task in this process as it is submitted; records each
+    pool's size and every submitted task."""
+
+    sizes = []
+    tasks = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        _FakePool.sizes.append(max_workers)
+        initializer(*initargs)  # once, before any task, as in a real worker
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        _FakePool.tasks.append(task)
+        future = Future()
+        try:
+            future.set_result(fn(task))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def test_pool_size_is_bounded_by_configs_and_cpus(monkeypatch):
-    class FakePool:  # runs tasks in this process; records the requested size
-        sizes = []
+    # one pool per run, of min(workers, groups in the run, cpus) processes,
+    # carrying every group of every family; none at one worker or for a run
+    # of a single group
+    from tabtune.report import strip_volatile
 
-        def __init__(self, max_workers, initializer, initargs):
-            FakePool.sizes.append(max_workers)
-            initializer(*initargs)  # once, before any task, as in a real worker
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(tuner_module, "_worker_data", None)
-    data = _noisy(30, seed=4)
-    folds = shuffle_kfold(30, 3, seed=1)
-    # min_samples_split is no budget: every config is a group of its own
-    configs = [{"max_depth": 3, "min_samples_split": split} for split in range(2, 7)]
-    expected = tuner_module._evaluate_configs("DT", configs, data, folds, 0, 1)
-    # (workers, groups, cpu_count) -> pool size; None means no pool
-    cases = [
-        (8, 3, 16, 3), (8, 5, 2, 2), (3, 5, 16, 3), (2, 5, None, None),
-        (1, 5, 16, None), (8, 1, 16, None), (64, 5, 4, 4),
-    ]
-    for workers, n_configs, cpus, size in cases:
-        monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: cpus)
-        FakePool.sizes = []
-        trials = tuner_module._evaluate_configs(
-            "DT", configs[:n_configs], data, folds, 0, workers
-        )
-        assert FakePool.sizes == ([] if size is None else [size])
-        assert [t["fold_accuracies"] for t in trials] == [
-            t["fold_accuracies"] for t in expected[:n_configs]
-        ]
-    # max_depth is a budget: five depths are one group, which needs no pool
-    depths = [{"max_depth": depth} for depth in range(1, 6)]
+    data = _noisy(60, seed=4)
+    train, test = data.take(np.arange(45)), data.take(np.arange(45, 60))
+    # DT: one group per min_samples_split (the default joins the first);
+    # NB and KNN: one group each; five groups in the run
+    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 6, "step": 2},
+                                             "min_samples_split": {"lo": 2, "hi": 4}})}
+    families = ["DT", "NB", "KNN"]
     monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 16)
-    FakePool.sizes = []
-    trials = tuner_module._evaluate_configs("DT", depths, data, folds, 0, 8)
-    assert FakePool.sizes == []
-    assert [t["trial_index"] for t in trials] == [0, 1, 2, 3, 4]
+    expected = strip_volatile(grs_auto_hp(families, spaces, train, test, k=3, workers=1))
+    # (workers, cpu_count) -> pool size; None means no pool
+    cases = [(2, 16, 2), (8, 16, 5), (8, 3, 3), (64, 4, 4), (2, None, None), (1, 16, None)]
+    for workers, cpus, size in cases:
+        monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: cpus)
+        _FakePool.sizes, _FakePool.tasks = [], []
+        report = grs_auto_hp(families, spaces, train, test, k=3, workers=workers)
+        assert _FakePool.sizes == ([] if size is None else [size])
+        assert len(_FakePool.tasks) == (0 if size is None else 5)
+        assert strip_volatile(report) == expected
+    # NB's baseline, grid and random draw are one group, which needs no pool
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 16)
+    _FakePool.sizes = []
+    report = grs_auto_hp(["NB"], {}, train, test, k=3, workers=8)
+    assert _FakePool.sizes == []
+    assert report["families"][0]["grid"]["n_trials"] == 1
 
 
 def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch):
     calls = []
 
-    class RecordingPool:
+    class RecordingPool(_FakePool):
         def __init__(self, max_workers, initializer, initargs):
             calls.append(("init", initargs))
             initializer(*initargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            calls.append(("map", tasks))
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            calls.append(("submit", task))
+            return super().submit(fn, task)
 
     monkeypatch.setattr(tuner_module, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(tuner_module, "_worker_data", None)
@@ -352,10 +361,11 @@ def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch
     configs = [{"max_depth": depth, "criterion": criterion}
                for depth in range(1, 3) for criterion in ("gini", "entropy")]
     trials = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 2)
-    (init, (train, fold_plan, seed)), (kind, tasks) = calls
-    assert (init, kind) == ("init", "map")
+    (init, (train, fold_plan, seed)), *submitted = calls
+    assert init == "init" and {kind for kind, _ in submitted} == {"submit"}
     assert train is data and fold_plan is folds and seed == 7
     full = [{**default_config("DT"), **config} for config in configs]
+    tasks = [task for _, task in submitted]
     assert tasks == [("DT", [(full[0], 0), (full[2], 2)]), ("DT", [(full[1], 1), (full[3], 3)])]
     heavy = (np.ndarray, DesignMatrix, FoldPlan)
     items = [item for family, members in tasks for member in members for item in member]
@@ -492,6 +502,31 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         assert [r for _, r in read_off] == per_run * len(datasets)
 
 
+def test_a_default_above_the_grid_is_fitted_once_per_fold_across_the_searches(monkeypatch):
+    # DT's default depth 10 covers the whole depth 2-6 space, so its baseline,
+    # grid and random draws are one group: one fit per fold, and every other
+    # trial is read off it
+    real_train = tuner_module.classifiers.train
+    fresh = []
+
+    def counting_train(spec, data, seed, grown=None):
+        if grown is None:
+            fresh.append((spec.config["max_depth"], data.n_rows))
+        return real_train(spec, data, seed, grown=grown)
+
+    monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
+    data = _noisy(60, seed=3)
+    train, test = data.take(np.arange(45)), data.take(np.arange(45, 60))
+    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 6}})}
+    report = grs_auto_hp(["DT"], spaces, train, test, k=3)
+    entry = report["families"][0]
+    assert (entry["grid"]["n_trials"], entry["random"]["n_trials"]) == (5, 5)
+    # three folds of 30 training rows at the default depth, then the
+    # winner's refit on all 45 rows
+    assert fresh[:3] == [(10, 30)] * 3
+    assert fresh[3:] == [(report["final"]["config"]["max_depth"], 45)]
+
+
 def test_default_rs_budget_caps_at_200():
     wide = space_from_config("DT", {
         "max_depth": {"lo": 1, "hi": 20},
@@ -517,22 +552,15 @@ def _fake_trial(family, mean, index=0):
 
 
 def _patch_search_results(monkeypatch, per_family):
-    """per_family: family -> (baseline, gs, rs) mean accuracies."""
+    """per_family: family -> (baseline, gs, rs) mean accuracies. With no
+    space given, a family's plan is its default config three times: the
+    baseline at index 0, the grid's one config at 1 and the random search's
+    one draw at 2."""
 
-    def fake_baseline(family, train, folds, seed):
-        return _fake_trial(family, per_family[family][0])
+    def fake_group(family, members, train, folds, seed):
+        return [_fake_trial(family, per_family[family][index], index) for _, index in members]
 
-    def fake_grid(family, space, train, folds, seed, workers=1):
-        trial = _fake_trial(family, per_family[family][1])
-        return trial, [trial]
-
-    def fake_random(family, space, budget, train, folds, seed, workers=1):
-        trial = _fake_trial(family, per_family[family][2])
-        return trial, [trial]
-
-    monkeypatch.setattr(tuner_module, "evaluate_baseline", fake_baseline)
-    monkeypatch.setattr(tuner_module, "grid_search", fake_grid)
-    monkeypatch.setattr(tuner_module, "random_search", fake_random)
+    monkeypatch.setattr(tuner_module, "_evaluate_group", fake_group)
 
 
 def test_grs_prefers_grid_on_win_and_tie(monkeypatch):
@@ -560,32 +588,75 @@ def test_grs_cross_family_tie_keeps_input_order(monkeypatch):
 def test_grs_skips_failing_family(monkeypatch):
     data = _separable(30)
 
-    real_baseline = evaluate_baseline
+    real_group = tuner_module._evaluate_group
 
-    def exploding_baseline(family, train, folds, seed):
+    def exploding_group(family, members, train, folds, seed):
         if family == "KNN":
             raise ValueError("boom")
-        return real_baseline(family, train, folds, seed)
+        return real_group(family, members, train, folds, seed)
 
-    monkeypatch.setattr(tuner_module, "evaluate_baseline", exploding_baseline)
+    monkeypatch.setattr(tuner_module, "_evaluate_group", exploding_group)
     report = grs_auto_hp(["KNN", "DT"], {}, data, data, k=3)
     assert "KNN" in report["errors"]
+    assert report["errors"]["KNN"] == "ValueError: boom"
     assert [entry["family"] for entry in report["families"]] == ["DT"]
     assert report["final"]["family"] == "DT"
 
 
 def test_grs_fails_the_run_on_an_unexpected_exception(monkeypatch):
     data = _separable(30)
-    real_baseline = evaluate_baseline
+    real_group = tuner_module._evaluate_group
 
-    def faulty_baseline(family, train, folds, seed):
+    def faulty_group(family, members, train, folds, seed):
         if family == "KNN":
             raise RuntimeError("boom")
-        return real_baseline(family, train, folds, seed)
+        return real_group(family, members, train, folds, seed)
 
-    monkeypatch.setattr(tuner_module, "evaluate_baseline", faulty_baseline)
+    monkeypatch.setattr(tuner_module, "_evaluate_group", faulty_group)
     with pytest.raises(TuningError, match=r"KNN.*RuntimeError"):
         grs_auto_hp(["DT", "KNN"], {}, data, data, k=3)
+
+
+def test_a_group_failing_in_a_pool_worker_fails_its_family_alike_at_1_and_2_workers(
+        monkeypatch, tmp_path):
+    # DT's entropy groups raise; the family's error is the message of its
+    # first failing group in plan order, and NB and KNN report as if DT had
+    # not been requested, whether the groups ran serially or in pool workers
+    from tabtune.report import strip_volatile
+
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)  # a pool even on a 1-CPU host
+    real_group = tuner_module._evaluate_group
+    failed_in = tmp_path / "failed_in"
+
+    def failing_group(family, members, train, folds, seed):
+        config = members[0][0]
+        if family == "DT" and config["criterion"] == "entropy":
+            with failed_in.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise ValueError(f"entropy at min_samples_split {config['min_samples_split']}")
+        return real_group(family, members, train, folds, seed)
+
+    monkeypatch.setattr(tuner_module, "_evaluate_group", failing_group)
+    data = _noisy(60, seed=6)
+    train, test = data.take(np.arange(45)), data.take(np.arange(45, 60))
+    # DT's groups, in plan order: (2, gini) with the default, (2, entropy),
+    # (3, gini), (3, entropy)
+    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3},
+                                             "min_samples_split": {"lo": 2, "hi": 3},
+                                             "criterion": {"choices": ["gini", "entropy"]}}),
+              "KNN": space_from_config("KNN", {"n_neighbors": {"lo": 1, "hi": 9, "step": 4}})}
+    without_dt = strip_volatile(grs_auto_hp(["NB", "KNN"], spaces, train, test, k=3))
+    reports = {}
+    for workers in (1, 2):
+        failed_in.write_text("", encoding="utf-8")
+        reports[workers] = strip_volatile(
+            grs_auto_hp(["NB", "DT", "KNN"], spaces, train, test, k=3, workers=workers))
+        pids = {int(pid) for pid in failed_in.read_text(encoding="utf-8").split()}
+        assert pids and (os.getpid() in pids) == (workers == 1)
+    assert reports[1] == reports[2]
+    assert reports[1]["errors"] == {"DT": "ValueError: entropy at min_samples_split 2"}
+    assert {key: value for key, value in reports[1].items() if key != "errors"} == {
+        key: value for key, value in without_dt.items() if key != "errors"}
 
 
 def test_grs_requires_a_family_and_matching_features():
@@ -602,7 +673,7 @@ def test_grs_rejects_a_repeated_family_before_any_work(monkeypatch):
         raise AssertionError("work started before the repeated family was refused")
 
     monkeypatch.setattr(tuner_module, "shuffle_kfold", no_work)
-    monkeypatch.setattr(tuner_module, "evaluate_baseline", no_work)
+    monkeypatch.setattr(tuner_module, "_evaluate_group", no_work)
     data = _separable(30)
     with pytest.raises(TuningError, match="family NB is requested more than once"):
         grs_auto_hp(["NB", "DT", "NB"], {}, data, data, k=3)
@@ -658,9 +729,11 @@ def test_search_time_accounting():
     report = grs_auto_hp(["DT"], spaces, train, test, k=3)
     entry, trials = report["families"][0], report["trials"]["DT"]
     assert entry["grid"]["n_trials"] == 3
-    assert entry["grid"]["total_seconds"] >= max(t["duration_seconds"] for t in trials["grid"])
-    assert entry["random"]["total_seconds"] >= max(
-        t["duration_seconds"] for t in trials["random"])
+    # a search's time is the sum of its trials' times
+    for search in ("grid", "random"):
+        assert entry[search]["total_seconds"] == sum(
+            t["duration_seconds"] for t in trials[search])
+        assert entry[search]["total_seconds"] > 0
 
 
 def test_report_trials_truncation(monkeypatch):
@@ -698,8 +771,10 @@ def test_report_trials_truncation(monkeypatch):
 def _random_space(family, rng):
     """A seeded space mapping for ``family``: each budget, and each other
     parameter unless it stays pinned, gets up to three grid values. Integer
-    ranges sit near their lower bounds, so budgets stay small, and random
-    draws fall between grid values."""
+    ranges sit near their lower bounds, so budgets stay small and most
+    defaults lie above every grid budget; random draws fall between grid
+    values, and an integer range may end short of its next step, so a draw
+    can also lie above the grid's largest value."""
     mapping = {}
     for spec in hp_schema(family):
         budget = spec.name in budget_axes(family)
@@ -711,7 +786,8 @@ def _random_space(family, rng):
         elif spec.kind == "integer":
             lo, step = int(rng.integers(spec.lo, spec.lo + 5)), int(rng.integers(1, 4))
             steps = int(rng.integers(int(budget), 3))  # a budget has two or three values
-            mapping[spec.name] = {"lo": lo, "hi": min(lo + step * steps, spec.hi), "step": step}
+            hi = lo + step * steps + int(rng.integers(step))
+            mapping[spec.name] = {"lo": lo, "hi": min(hi, spec.hi), "step": step}
         else:
             lo = float(rng.uniform(spec.lo, spec.hi))
             hi = float(rng.uniform(lo, spec.hi))
@@ -720,8 +796,9 @@ def _random_space(family, rng):
 
 
 def test_grs_equals_the_serial_reference_run(monkeypatch):
-    # every fast path at once (groups, read-offs, staged order, the pool)
-    # against fitting every trial alone, bit for bit, all seven families
+    # every fast path at once (groups spanning the baseline, grid and random
+    # search, read-offs, staged order, the run's one pool) against fitting
+    # every trial alone, bit for bit, all seven families
     from tabtune.report import strip_volatile
 
     monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)  # a pool even on a 1-CPU host
@@ -752,3 +829,32 @@ def test_grs_equals_the_serial_reference_run(monkeypatch):
     assert any(entry["grid"]["best"]["mean_accuracy"] == entry["random"]["best"]["mean_accuracy"]
                and entry["grid"]["best"]["config"] != entry["random"]["best"]["config"]
                for report in expected for entry in report["families"])
+    # read-offs across searches: within a group (equal outside the budget and
+    # free axes), a default above every grid budget, random draws above and
+    # below the grid's largest budget, and a draw equal to the default
+    covered = set()
+    for report in expected:
+        for entry in report["families"]:
+            family, default = entry["family"], entry["baseline"]["config"]
+            budgets, axes = budget_axes(family), budget_axes(family) + free_axes(family)
+            grid, drawn = ([t["config"] for t in report["trials"][family][search]]
+                           for search in ("grid", "random"))
+
+            def peers(config):
+                return [c for c in grid if all(c[name] == value for name, value in config.items()
+                                               if name not in axes)]
+
+            if default in drawn:
+                covered.add("draw equal to the default")
+            if budgets and peers(default) and all(default[axis] > c[axis] for c in peers(default)
+                                                  for axis in budgets):
+                covered.add("default above every grid budget")
+            for config in drawn:
+                if budgets and peers(config):
+                    largest = max(c[budgets[0]] for c in peers(config))
+                    if config[budgets[0]] != largest:
+                        covered.add(f"draw {'above' if config[budgets[0]] > largest else 'below'} "
+                                    "the grid's largest budget")
+    assert covered == {"draw equal to the default", "default above every grid budget",
+                       "draw above the grid's largest budget",
+                       "draw below the grid's largest budget"}
