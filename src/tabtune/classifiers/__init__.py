@@ -15,12 +15,17 @@ labels.
 The table also names each family's budgets, the parameters whose smaller
 values a larger fit already holds, and its free axes, the parameters that
 ``fit`` never reads; ``train(spec, data, seed, grown=model)`` reads the
-model ``spec`` would fit off such a larger ``model``. Models read off one
-KNN fit share its neighbor ranking.
+model ``spec`` would fit off such a larger ``model``: a copy of it under
+``spec``'s config. Each model's ``predict`` reads its own budgets and free
+axes (the first trees or stages, a tree's levels, the weights after some
+epochs, a variance floor, the first k neighbors), so the copy shares the
+fit's arrays and predicts as a fresh fit of ``spec`` would. Models read off
+one KNN fit share its neighbor ranking.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +75,10 @@ class _Family:
     model: type  # constructor keywords are the schema names
     schema: tuple[ParamSpec, ...]
     seeded: bool = False  # the constructor also takes the training seed
-    #: schema names whose smaller values the model's ``cut`` reads off a
-    #: larger fit
+    #: schema names whose smaller values the model's ``predict`` reads off
+    #: a larger fit
     budgets: tuple[str, ...] = ()
-    #: schema names that ``fit`` never reads, so ``cut`` can apply any value
+    #: schema names that ``fit`` never reads, so ``predict`` reads any value
     free: tuple[str, ...] = ()
 
 
@@ -168,7 +173,8 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
     With ``grown``, a model that ``train`` fitted on the same ``data``
     (which is the caller's to ensure) and ``seed``, the model ``spec`` would
     fit is read off it instead of fitted: ``grown`` itself when the configs
-    are equal, else ``grown.cut`` at ``spec``'s budgets and free axes. A
+    are equal, else a shallow copy of ``grown`` with ``spec``'s budgets and
+    free axes set, which shares every array of the fit. A
     ``grown`` that cannot serve ``spec`` raises ValueError: another family
     or column count, another value of a parameter outside ``budget_axes``
     and ``free_axes`` (the RF seed included), or a smaller budget. Empty
@@ -177,11 +183,9 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
     cfg = validate_config(spec.family, spec.config)
     if data.n_rows == 0:
         raise ValueError("cannot train on an empty design matrix")
-    labels = np.unique(data.labels)
-    if len(labels) < 2:
-        raise SingleClassError(
-            f"{spec.family}: training data contains a single class ({labels.tolist()})"
-        )
+    if data.labels.min() == data.labels.max():
+        raise SingleClassError(f"{spec.family}: training data contains a single class "
+                               f"({np.unique(data.labels).tolist()})")
     family = _FAMILY_TABLE[spec.family]
     seed_arg = {"seed": seed} if family.seeded else {}
     if grown is None:
@@ -201,7 +205,10 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
                          f"the budgets of {spec.family} are {list(family.budgets)}")
     if all(getattr(grown, name) == value for name, value in wanted.items()):
         return grown
-    return grown.cut(**{name: cfg[name] for name in family.budgets + family.free})
+    model = copy.copy(grown)
+    for name in family.budgets + family.free:
+        setattr(model, name, cfg[name])
+    return model
 
 
 def predict(model, features) -> np.ndarray:

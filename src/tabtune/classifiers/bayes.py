@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -13,8 +11,9 @@ class GaussianNaiveBayes:
     Variances are floored at 10^var_smoothing_exp times the largest
     per-feature variance of the training data (an absolute 10^exp floor when
     every feature is constant). Posterior ties resolve toward label 0. The
-    fit keeps the unfloored class variances, so ``cut`` applies another
-    floor to the same numbers.
+    fit keeps the unfloored class variances and the model floors them at
+    its own ``var_smoothing_exp``, so a model read off a fit of another
+    exponent applies its floor to the same numbers.
     """
 
     def __init__(self, var_smoothing_exp=-9.0):
@@ -23,8 +22,15 @@ class GaussianNaiveBayes:
         self.means_ = None
         self.class_variances_ = None
         self.max_variance_ = None
-        self.variances_ = None
         self.n_features_ = None
+
+    @property
+    def variances_(self):
+        """The class variances floored at ``var_smoothing_exp``."""
+        floor = 10.0 ** self.var_smoothing_exp * self.max_variance_
+        if floor <= 0.0:
+            floor = 10.0 ** self.var_smoothing_exp
+        return np.maximum(self.class_variances_, floor)
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -42,28 +48,14 @@ class GaussianNaiveBayes:
         self.log_priors_ = np.log(priors)
         self.means_ = means
         self.class_variances_ = variances
-        self.variances_ = self._floored(self.var_smoothing_exp)
         return self
-
-    def cut(self, var_smoothing_exp):
-        """The model this one's data would fit with ``var_smoothing_exp``:
-        the same class variances under that floor."""
-        model = copy.copy(self)
-        model.var_smoothing_exp = var_smoothing_exp
-        model.variances_ = self._floored(var_smoothing_exp)
-        return model
-
-    def _floored(self, var_smoothing_exp):
-        floor = 10.0 ** var_smoothing_exp * self.max_variance_
-        if floor <= 0.0:
-            floor = 10.0 ** var_smoothing_exp
-        return np.maximum(self.class_variances_, floor)
 
     def log_posteriors(self, X):
         X = np.asarray(X, dtype=float)
         scores = np.zeros((X.shape[0], 2))
+        variances = self.variances_
         for label in (0, 1):
-            var = self.variances_[label]
+            var = variances[label]
             delta = X - self.means_[label]
             loglik = -0.5 * (np.log(2.0 * np.pi * var) + delta * delta / var)
             scores[:, label] = self.log_priors_[label] + loglik.sum(axis=1)

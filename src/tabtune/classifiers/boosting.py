@@ -3,13 +3,12 @@
 Each stage fits a depth-limited squared-error regression tree to the current
 residual (label minus predicted probability) and adds it with shrinkage.
 Leaf values are plain residual means, which keeps the training log-loss
-non-increasing stage over stage for any learning rate up to 1.
+non-increasing stage over stage for any learning rate up to 1. Prediction
+sums the first ``n_estimators`` stages of ``trees_``, so a model whose
+config asks for fewer stages than its fit grew reads the shorter model.
 """
 
 from __future__ import annotations
-
-import copy
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,8 +23,14 @@ class GradientBoostedTrees:
         self.max_depth = max_depth
         self.base_score_ = 0.0
         self.trees_ = None  # every stage's tree, in stage order
-        self.stage_logloss_ = []  # index 0 is the prior-only model
+        self.logloss_path_ = []  # index s: the training log-loss after s stages
         self.n_features_ = None
+
+    @property
+    def stage_logloss_(self):
+        """Training log-loss of the prior-only model and after each of the
+        first ``n_estimators`` stages."""
+        return self.logloss_path_[:self.n_estimators + 1]
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -35,29 +40,20 @@ class GradientBoostedTrees:
         self.base_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
         stages = []
-        self.stage_logloss_ = [mean_logloss(y, scores)]
+        self.logloss_path_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
             tree, leaf_of = grow_regression(X, residual, self.max_depth)
             scores = scores + self.learning_rate * tree.value[leaf_of]
             stages.append(tree)
-            self.stage_logloss_.append(mean_logloss(y, scores))
+            self.logloss_path_.append(mean_logloss(y, scores))
         self.trees_ = stack_trees(stages)
         return self
-
-    def cut(self, n_estimators):
-        """The model this one's config would fit with ``n_estimators``
-        stages, read off this longer one: its first stages."""
-        model = copy.copy(self)
-        model.n_estimators = n_estimators
-        model.trees_ = replace(self.trees_, roots=self.trees_.roots[:n_estimators])
-        model.stage_logloss_ = self.stage_logloss_[:n_estimators + 1]
-        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)
         scores = np.full(X.shape[0], self.base_score_)
-        for group in self.trees_.grouped_leaf_values(X):
+        for group in self.trees_.grouped_leaf_values(X, self.n_estimators, self.max_depth):
             for values in group:
                 scores = scores + self.learning_rate * values
         return scores

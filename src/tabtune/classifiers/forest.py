@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -12,7 +10,11 @@ from .tree import grow
 
 
 class RandomForest:
-    """Majority vote over trees; vote ties resolve toward label 0."""
+    """Majority vote over trees; vote ties resolve toward label 0.
+
+    Prediction reads the first ``n_estimators`` trees of ``trees_`` to
+    ``max_depth`` levels, so a model whose config is smaller than its fit's
+    votes with the smaller forest."""
 
     def __init__(self, n_estimators=50, max_depth=10, max_features_frac=1.0, seed=0):
         self.n_estimators = n_estimators
@@ -45,21 +47,14 @@ class RandomForest:
 
         return draw_columns
 
-    def cut(self, n_estimators, max_depth):
-        """The forest this model would fit with ``n_estimators`` trees of
-        ``max_depth``, read off this larger one: its first trees, cut at that
-        depth."""
-        model = copy.copy(self)
-        model.n_estimators, model.max_depth = n_estimators, max_depth
-        trees = self.trees_.cut(max_depth)
-        model.trees_ = replace(trees, roots=trees.roots[:n_estimators])
-        return model
+    def _grouped_votes(self, X):
+        """The first ``n_estimators`` trees, each read to ``max_depth``."""
+        return self.trees_.grouped_leaf_values(np.asarray(X, dtype=float), self.n_estimators,
+                                               self.max_depth)
 
     def tree_predictions(self, X):
-        groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))
-        return np.concatenate(list(groups)).astype(np.int64)
+        return np.concatenate(list(self._grouped_votes(X))).astype(np.int64)
 
     def predict(self, X):
-        groups = self.trees_.grouped_leaf_values(np.asarray(X, dtype=float))
-        votes = sum(group.sum(axis=0) for group in groups)
-        return (2 * votes > len(self.trees_.roots)).astype(np.int64)
+        votes = sum(group.sum(axis=0) for group in self._grouped_votes(X))
+        return (2 * votes > self.n_estimators).astype(np.int64)

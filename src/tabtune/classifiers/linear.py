@@ -3,8 +3,6 @@ L2-regularized log-loss and a linear SVM on hinge loss."""
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -66,16 +64,21 @@ def logloss_value(weights, data, l2_strength: float) -> float:
 class LogisticRegression:
     """Full-batch gradient descent from zero weights; bias unregularized.
 
-    ``path_[e]`` holds the weights after ``e`` epochs, so ``cut`` reads a
-    shorter fit off a longer one."""
+    ``path_[e]`` holds the weights after ``e`` epochs, and the model's
+    weights are those after ``epochs``, so a model whose config asks for
+    fewer epochs than its fit ran reads the shorter fit."""
 
     def __init__(self, l2_strength=0.0, learning_rate=0.1, epochs=100):
         self.l2_strength = l2_strength
         self.learning_rate = learning_rate
         self.epochs = epochs
-        self.weights_ = None
         self.path_ = None
         self.n_features_ = None
+
+    @property
+    def weights_(self):
+        """The feature weights and then the bias after ``epochs`` epochs."""
+        return self.path_[self.epochs]
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -86,16 +89,7 @@ class LogisticRegression:
         for epoch in range(self.epochs):
             w -= self.learning_rate * _gradient(w, X, y, self.l2_strength)
             self.path_[epoch + 1] = w
-        self.weights_ = w
         return self
-
-    def cut(self, epochs):
-        """The model this one's config would fit in ``epochs`` epochs."""
-        model = copy.copy(self)
-        model.epochs = epochs
-        model.path_ = self.path_[:epochs + 1]
-        model.weights_ = self.path_[epochs].copy()
-        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)
@@ -114,19 +108,26 @@ class LinearSVM:
     variance-scaled internally before optimization (the affine conditioning
     is absorbed back into the learned hyperplane), which keeps the decaying
     schedule effective whatever the input scaling. ``path_[e]`` holds the
-    weights and then the bias after ``e`` epochs, so ``cut`` reads a
-    shorter fit off a longer one.
+    weights and then the bias after ``e`` epochs, and the model's are those
+    after ``epochs``, so a model whose config asks for fewer epochs than its
+    fit ran reads the shorter fit.
     """
 
     def __init__(self, c=1.0, epochs=100):
         self.c = c
         self.epochs = epochs
-        self.weights_ = None
-        self.bias_ = 0.0
         self.path_ = None
         self.shift_ = None
         self.scale_ = None
         self.n_features_ = None
+
+    @property
+    def weights_(self):
+        return self.path_[self.epochs, :-1]
+
+    @property
+    def bias_(self):
+        return float(self.path_[self.epochs, -1])
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -154,18 +155,7 @@ class LinearSVM:
             w = w - eta * grad_w
             b = b - eta * grad_b
             self.path_[t + 1, :d], self.path_[t + 1, d] = w, b
-        self.weights_ = w
-        self.bias_ = b
         return self
-
-    def cut(self, epochs):
-        """The model this one's config would fit in ``epochs`` epochs."""
-        model = copy.copy(self)
-        model.epochs = epochs
-        model.path_ = self.path_[:epochs + 1]
-        model.weights_ = self.path_[epochs, :-1].copy()
-        model.bias_ = float(self.path_[epochs, -1])
-        return model
 
     def decision_scores(self, X):
         X = np.asarray(X, dtype=float)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -19,7 +17,9 @@ class KNearestNeighbors:
     does, only those zero-distance neighbors vote.
 
     The order is total, so the first k of a deeper ranking are the k
-    nearest: models ``cut`` from a fit share its last ranking.
+    nearest: copies of a fit at a smaller ``n_neighbors`` or the other
+    ``weighting``, as ``classifiers.train`` reads them off it, share the
+    fit's last ranking.
     """
 
     def __init__(self, n_neighbors=5, weighting="uniform"):
@@ -41,16 +41,6 @@ class KNearestNeighbors:
         self.ranked_ = [None, None]  # [a copy of the last queries, their ranking]
         return self
 
-    def cut(self, n_neighbors, weighting):
-        """The model this one's training rows would fit with ``n_neighbors``
-        (at most this one's) and ``weighting``; it shares this one's
-        ranking."""
-        if n_neighbors > self.n_neighbors:
-            raise ValueError(f"cannot read k={n_neighbors} off a ranking to k={self.n_neighbors}")
-        model = copy.copy(self)
-        model.n_neighbors, model.weighting = n_neighbors, weighting
-        return model
-
     def _ranking(self, X):
         """Each query's ``depth_`` nearest training rows in (distance, index)
         order, served from the shared ranking when ``X`` has the shape and
@@ -68,7 +58,7 @@ class KNearestNeighbors:
             )
             np.maximum(d2, 0.0, out=d2)
             ranking = _k_nearest(d2, self.depth_)
-            ranking.setflags(write=False)  # every model cut from this fit reads it
+            ranking.setflags(write=False)  # every model read off this fit reads it
             self.ranked_[:] = queries, ranking
         return ranking
 

@@ -6,7 +6,8 @@ right child is stored next to the left one. Rows with
 ``feature <= threshold`` go left; candidate thresholds are the midpoints
 between consecutive distinct values in a node, and the first maximum gain
 wins in (feature, threshold) order. ``Trees.grouped_leaf_values`` routes
-every row through a group of trees one level at a time.
+every row through a group of trees one level at a time, down to a given
+depth: a model reads the trees of its own config off a larger fit.
 
 Two growers share those rules, and both number nodes level by level
 (depth by depth, tree by tree, left child before right):
@@ -29,7 +30,6 @@ Two growers share those rules, and both number nodes level by level
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -234,9 +234,9 @@ class Trees:
     holding ``value[i]`` when ``feature[i]`` is -1; otherwise rows with
     ``feature <= threshold`` go to ``left[i]`` and the rest to its sibling
     ``left[i] + 1``. ``roots`` holds each tree's root node, in tree order;
-    the trees of ``roots[:n]`` are the first ``n`` trees. Prediction reads
-    ``value`` at leaves only; ``grow`` stores every node's majority there,
-    which ``cut`` needs."""
+    the trees of ``roots[:n]`` are the first ``n`` trees. ``grow`` stores
+    every node's majority in ``value``, so routing that stops at a depth
+    reads the trees ``grow`` grows to that depth."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -244,38 +244,21 @@ class Trees:
     value: np.ndarray
     roots: np.ndarray
 
-    def cut(self, depth):
-        """The trees ``grow`` grows with ``max_depth=depth``, read off these
-        deeper ones: every node at ``depth`` becomes a leaf holding its
-        majority. ``grow`` numbers nodes level by level, and no split above
-        ``depth`` depends on ``max_depth``, so the nodes down to ``depth``
-        come first and keep their numbers."""
-        level = self.roots
-        for _ in range(depth):
-            inner = self.left.take(level)
-            inner = inner[inner >= 0]
-            if not inner.size:  # no tree reaches ``depth``
-                return self
-            level = np.concatenate([inner, inner + 1])
-        end = int(level.max()) + 1
-        feature, threshold, left = (a[:end].copy() for a in (self.feature, self.threshold,
-                                                              self.left))
-        feature[level], threshold[level], left[level] = -1, 0.0, -1
-        return Trees(feature, threshold, left, self.value[:end], self.roots)
-
-    def grouped_leaf_values(self, X):
-        """(trees, rows) matrices of the leaf value each tree gives each row,
-        for consecutive groups of trees in tree order. Each group routes all
-        of its (tree, row) pairs one level at a time, ``_ROUTE_CELLS`` of them
-        at most unless one tree has more rows."""
+    def grouped_leaf_values(self, X, n_trees, depth):
+        """(trees, rows) matrices of the leaf value each of the first
+        ``n_trees`` trees gives each row, for consecutive groups of them in
+        tree order; a node at ``depth`` counts as a leaf. Each group routes
+        all of its (tree, row) pairs one level at a time, ``_ROUTE_CELLS`` of
+        them at most unless one tree has more rows."""
         n, d = X.shape
         flat = X.ravel()
         per_group = max(1, _ROUTE_CELLS // max(n, 1))
-        for start in range(0, len(self.roots), per_group):
-            roots = self.roots[start:start + per_group]
+        first = self.roots[:n_trees]
+        for start in range(0, len(first), per_group):
+            roots = first[start:start + per_group]
             node = np.repeat(roots, n)
             row_start = np.tile(np.arange(0, n * d, d), len(roots))
-            while True:
+            for _ in range(depth):
                 feature = self.feature.take(node)
                 inner = feature >= 0
                 if not inner.any():
@@ -327,9 +310,10 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     """Grow one gini or entropy tree on 0/1 labels ``y`` per array of
     training rows in ``samples``, level by level.
 
-    Every node stores its majority label (ties go to 0) as its value, so
-    ``Trees.cut`` can make any node a leaf. A node becomes a leaf at
-    ``max_depth``, when its labels are one class, when it has fewer than
+    Every node stores its majority label (ties go to 0) as its value, and
+    no split above a depth ``d`` depends on ``max_depth``, so the nodes down
+    to ``d`` are the trees grown with ``max_depth=d``. A node becomes a leaf
+    at ``max_depth``, when its labels are one class, when it has fewer than
     ``min_samples_split`` rows, when no split has positive gain, and when
     its threshold sends every row the same way (midpoint rounding). The
     open nodes of a depth are searched together by ``_best_splits``, in
@@ -368,7 +352,7 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
             n_left = np.bincount(node, weights=goes_left, minlength=n)
             split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
             feature[~split] = -1
-        value = (2 * ones > counts).astype(float)  # every node's majority: see Trees.cut
+        value = (2 * ones > counts).astype(float)  # every node's majority, inner ones too
         left = np.full(n, -1)
         left[split] = np.arange(n_nodes, n_nodes + 2 * split.sum(), 2)
         built.append((first_id, feature, threshold, left, value))
@@ -451,14 +435,7 @@ class DecisionTree:
                           self.min_samples_split)
         return self
 
-    def cut(self, max_depth):
-        """The tree this model would fit at ``max_depth``, read off this
-        deeper one."""
-        model = copy.copy(self)
-        model.max_depth = max_depth
-        model.tree_ = self.tree_.cut(max_depth)
-        return model
-
     def predict(self, X):
-        (group,) = self.tree_.grouped_leaf_values(np.asarray(X, dtype=float))  # one tree
+        (group,) = self.tree_.grouped_leaf_values(np.asarray(X, dtype=float), 1,
+                                                  self.max_depth)
         return group[0].astype(np.int64)

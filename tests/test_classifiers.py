@@ -74,18 +74,25 @@ def _mixed_matrix(rng, n, d):
     return X, y
 
 
-def _preorder(trees, root):
+def _preorder(trees, root, depth=math.inf):
     """(feature, threshold, leaf value) of one tree's nodes in depth-first
-    preorder, as ``oracles.reference_preorder`` lists them."""
-    out, stack = [], [root]
+    preorder, as ``oracles.reference_preorder`` lists them; nodes at
+    ``depth`` count as leaves, as prediction reads them."""
+    out, stack = [], [(root, 0)]
     while stack:
-        i = stack.pop()
-        if trees.feature[i] < 0:
+        i, level = stack.pop()
+        if trees.feature[i] < 0 or level == depth:
             out.append((-1, None, float(trees.value[i])))
         else:
             out.append((int(trees.feature[i]), float(trees.threshold[i]), None))
-            stack += [trees.left[i] + 1, trees.left[i]]
+            stack += [(trees.left[i] + 1, level + 1), (trees.left[i], level + 1)]
     return out
+
+
+def _seen_trees(trees, n_trees=None, depth=math.inf):
+    """The preorders of the first ``n_trees`` trees (all by default) read to
+    ``depth``."""
+    return [_preorder(trees, root, depth) for root in trees.roots[:n_trees]]
 
 
 def _stump_data():
@@ -646,9 +653,9 @@ def test_tree_read_off_a_deeper_tree_equals_a_fresh_fit():
                 fresh = train(ModelSpec("DT", config), data, 0)
                 cut = train(ModelSpec("DT", config), data, 0, grown=big)
                 assert cut.max_depth == depth
-                for name in ("feature", "threshold", "left", "value", "roots"):
-                    assert np.array_equal(getattr(cut.tree_, name), getattr(fresh.tree_, name))
-                assert _preorder(cut.tree_, 0) == reference_preorder(
+                seen = _preorder(cut.tree_, 0, cut.max_depth)
+                assert seen == _preorder(fresh.tree_, 0)
+                assert seen == reference_preorder(
                     reference_tree(X, y, criterion, depth, min_samples_split))
                 assert np.array_equal(predict(cut, probe), predict(fresh, probe))
 
@@ -668,8 +675,8 @@ def test_forest_read_off_a_larger_forest_equals_a_fresh_fit(frac):
             fresh = train(ModelSpec("RF", config), data, 3)
             cut = train(ModelSpec("RF", config), data, 3, grown=big)
             assert (cut.n_estimators, cut.max_depth) == (n, depth)
-            trees = [_preorder(cut.trees_, root) for root in cut.trees_.roots]
-            assert trees == [_preorder(fresh.trees_, root) for root in fresh.trees_.roots]
+            trees = _seen_trees(cut.trees_, cut.n_estimators, cut.max_depth)
+            assert trees == _seen_trees(fresh.trees_)
             # the first n of 7 reference trees are the n-tree forest
             assert trees == [reference_preorder(tree) for tree in references[:n]]
             assert np.array_equal(cut.tree_predictions(probe), fresh.tree_predictions(probe))
@@ -685,9 +692,8 @@ def test_boosting_read_off_more_stages_equals_a_fresh_fit():
         for n in range(5, 13):
             fresh, cut = _fresh_and_read_off("GBT", {**fixed, "n_estimators": 12},
                                              {**fixed, "n_estimators": n}, data)
-            assert len(cut.trees_.roots) == n and cut.n_estimators == n
-            assert ([_preorder(cut.trees_, root) for root in cut.trees_.roots]
-                    == [_preorder(fresh.trees_, root) for root in fresh.trees_.roots])
+            assert cut.n_estimators == n and len(fresh.trees_.roots) == n
+            assert _seen_trees(cut.trees_, cut.n_estimators) == _seen_trees(fresh.trees_)
             assert cut.stage_logloss_ == fresh.stage_logloss_
             assert _same_bits(cut.decision_scores(probe), fresh.decision_scores(probe))
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
@@ -827,7 +833,33 @@ def test_nb_read_off_another_floor_equals_a_fresh_fit():
                     assert _same_bits(getattr(cut, name), getattr(fresh, name)), name
                 assert _same_bits(cut.log_posteriors(probe), fresh.log_posteriors(probe))
                 assert np.array_equal(predict(cut, probe), predict(fresh, probe))
-            assert grown.var_smoothing_exp == big_exp  # cutting leaves the fit as it was
+            assert grown.var_smoothing_exp == big_exp  # reading off leaves the fit as it was
+
+
+def test_a_read_off_tree_model_holds_the_grown_fit_trees_themselves():
+    rng = np.random.default_rng(65)
+    data = _random_matrix(rng, 80, 4, separation=0.5)
+    probe = rng.normal(size=(40, 4))
+    for family, big_config, config, attr in (
+            ("DT", {"max_depth": 12}, {"max_depth": 2}, "tree_"),
+            ("RF", {"n_estimators": 10, "max_depth": 8}, {"n_estimators": 5, "max_depth": 3},
+             "trees_"),
+            ("GBT", {"n_estimators": 12}, {"n_estimators": 7}, "trees_")):
+        grown = train(ModelSpec(family, big_config), data, 0)
+        model = train(ModelSpec(family, config), data, 0, grown=grown)
+        assert getattr(model, attr) is getattr(grown, attr), family
+        assert np.array_equal(predict(model, probe),
+                              predict(train(ModelSpec(family, config), data, 0), probe))
+    # a read-off deeper than the grown tree reached predicts as the grown model
+    grown = train(ModelSpec("DT", {"max_depth": 20}), data, 0)
+    whole = _preorder(grown.tree_, 0)
+    reached = next(depth for depth in range(21) if _preorder(grown.tree_, 0, depth) == whole)
+    assert 2 < reached < 19
+    for depth in (reached, reached + 1, 19):
+        model = train(ModelSpec("DT", {"max_depth": depth}), data, 0, grown=grown)
+        assert model.tree_ is grown.tree_
+        assert np.array_equal(predict(model, probe), predict(grown, probe))
+        assert np.array_equal(predict(model, data.features), predict(grown, data.features))
 
 
 def test_an_equal_config_reads_off_the_grown_model_itself():
