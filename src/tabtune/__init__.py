@@ -28,7 +28,6 @@ from .hpspace import (  # noqa: F401
     random_sample,
 )
 from .tuner import (  # noqa: F401
-    FoldPlan,
     cross_val_trial,
     evaluate_baseline,
     grid_search,

@@ -60,7 +60,11 @@ def _write_all(outputs) -> None:
         raise
 
 
-def _load_table(config):
+def _matrices(config):
+    """The run's data stage: load or synthesize the table, split it, check
+    the training split, and fit the preprocessing plan on it. Returns only
+    ``(train_matrix, test_matrix)``, so the table and the split are freed
+    before tuning. Raises ValueError or OSError on bad data."""
     if "csv" in config.data:
         section = config.data["csv"]
         table = load_csv(section["path"], section["target"])
@@ -72,7 +76,28 @@ def _load_table(config):
     if "derived" in config.preprocess:
         d = config.preprocess["derived"]
         table = add_derived_column(table, d["name"], d["kind"], d["left"], d["right"])
-    return table
+    split = split_train_test(table, config.split["train_fraction"], config.split["seed"])
+    target = split.train.target
+    classes = np.unique(split.train.columns[target.name])
+    if len(classes) < 2:
+        raise ValueError(
+            f"the {split.train.n_rows}-row training split holds a single class "
+            f"({target.name} = {target.categories[classes[0]]!r}); tuning needs both"
+        )
+    if config.tuner["k"] > split.train.n_rows:
+        raise ValueError(
+            f"tuner.k={config.tuner['k']} exceeds the {split.train.n_rows} rows "
+            f"of the training split"
+        )
+    plan = fit_plan(split.train, config.preprocess["missing_threshold"],
+                    config.preprocess["scaling"])
+    train_matrix = apply_plan(plan, split.train)
+    test_matrix = apply_plan(plan, split.test)
+    logger.info(
+        "data ready: %d train rows, %d test rows, %d features",
+        train_matrix.n_rows, test_matrix.n_rows, train_matrix.n_features,
+    )
+    return train_matrix, test_matrix
 
 
 def cmd_run(args) -> int:
@@ -85,28 +110,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     try:
-        table = _load_table(config)
-        split = split_train_test(table, config.split["train_fraction"], config.split["seed"])
-        target = split.train.target
-        classes = np.unique(split.train.columns[target.name])
-        if len(classes) < 2:
-            raise ValueError(
-                f"the {split.train.n_rows}-row training split holds a single class "
-                f"({target.name} = {target.categories[classes[0]]!r}); tuning needs both"
-            )
-        if config.tuner["k"] > split.train.n_rows:
-            raise ValueError(
-                f"tuner.k={config.tuner['k']} exceeds the {split.train.n_rows} rows "
-                f"of the training split"
-            )
-        plan = fit_plan(split.train, config.preprocess["missing_threshold"],
-                        config.preprocess["scaling"])
-        train_matrix = apply_plan(plan, split.train)
-        test_matrix = apply_plan(plan, split.test)
-        logger.info(
-            "data ready: %d train rows, %d test rows, %d features",
-            train_matrix.n_rows, test_matrix.n_rows, train_matrix.n_features,
-        )
+        train_matrix, test_matrix = _matrices(config)
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

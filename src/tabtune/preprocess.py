@@ -36,9 +36,9 @@ class DesignMatrix:
         return self.features.shape[1]
 
     def take(self, indices) -> "DesignMatrix":
+        """Row subset by integer indices (in their order) or a boolean mask of
+        ``n_rows`` entries; a mask of any other length raises IndexError."""
         indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.nonzero(indices)[0]
         return make_design_matrix(self.features[indices], self.feature_names, self.labels[indices])
 
 

@@ -7,7 +7,9 @@ baseline whenever the default config lies on the grid, and trial order
 (sequential or parallel) cannot change any result. Durations are the only
 non-deterministic fields.
 
-A run builds one plan first: per family, its default config, every grid
+A run splits its training matrix into the k folds' fit and eval parts
+once (``shuffle_kfold``), and every trial trains and scores on those parts.
+It builds one plan first: per family, its default config, every grid
 config and every random draw. Each family's plan is evaluated staged:
 configs that differ only in their budgets (``classifiers.budget_axes``: tree
 counts, depths, epochs, KNN's k) and free axes (``classifiers.free_axes``:
@@ -25,7 +27,6 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +49,15 @@ class TuningError(RuntimeError):
     """Tuning could not produce a report (every family failed, bad inputs)."""
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.assignments)
-
-
-def shuffle_kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle, then deal rows into k contiguous blocks.
+def shuffle_kfold(train: DesignMatrix, k: int, seed: int) -> tuple:
+    """The k ``(fit_part, eval_part)`` pairs of ``train``: a seeded shuffle
+    deals its rows into k contiguous blocks, and fold i holds out block i.
+    Both parts keep the rows in ``train`` order.
 
     Fold sizes differ by at most one; the first n_rows % k folds take the
     extra row.
     """
+    n_rows = train.n_rows
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if k > n_rows:
@@ -72,37 +66,30 @@ def shuffle_kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
     assignments = np.zeros(n_rows, dtype=np.int64)
     for fold, rows in enumerate(np.array_split(perm, k)):  # first blocks are longer
         assignments[rows] = fold
-    assignments.setflags(write=False)
-    return FoldPlan(k=k, assignments=assignments)
+    return tuple((train.take(assignments != fold), train.take(assignments == fold))
+                 for fold in range(k))
 
 
 def cross_val_trial(
     spec: ModelSpec,
-    train: DesignMatrix,
-    folds: FoldPlan,
+    folds: tuple,
     seed: int,
     trial_index: int = 0,
     grown=None,
 ) -> tuple[dict, list]:
     """``(record, models)``: the trial's report record (``trial_index``, the
-    validated ``config``, ``fold_accuracies``, their mean, wall time) and each
-    fold's model. A fold whose training part is single-class scores 0 with a
-    warning, and its model is None, instead of aborting the sweep.
+    validated ``config``, ``fold_accuracies``, their mean, wall time) and the
+    model fitted on each fold's fit part of ``folds`` (``shuffle_kfold``),
+    scored on its eval part. A fold whose fit part is single-class scores 0
+    with a warning, and its model is None, instead of aborting the sweep.
     ``grown``, when given, holds each fold's model of a config that covers
     this one, and each fold's model is read off it instead of fitted.
     """
-    if folds.n_rows != train.n_rows:
-        raise ValueError(
-            f"fold plan covers {folds.n_rows} rows, matrix has {train.n_rows}"
-        )
     config = classifiers.validate_config(spec.family, spec.config)
     validated = ModelSpec(spec.family, config)
     started = time.perf_counter()
     accuracies, models = [], []
-    for fold in range(folds.k):
-        held_out = folds.assignments == fold
-        fit_part = train.take(~held_out)
-        eval_part = train.take(held_out)
+    for fold, (fit_part, eval_part) in enumerate(folds):
         try:
             if grown is None:
                 model = classifiers.train(validated, fit_part, seed)
@@ -125,20 +112,20 @@ def cross_val_trial(
     }, models
 
 
-#: (train, folds, seed) of the pool this worker process serves; set once per
+#: (folds, seed) of the pool this worker process serves; set once per
 #: worker by ``_init_worker``, so a task carries only its configs.
 _worker_data = None
 
 
-def _init_worker(train, folds, seed):
+def _init_worker(folds, seed):
     global _worker_data
-    _worker_data = (train, folds, seed)
+    _worker_data = (folds, seed)
 
 
 def _group_task(task):
     family, members = task
-    train, folds, seed = _worker_data
-    return _evaluate_group(family, members, train, folds, seed)
+    folds, seed = _worker_data
+    return _evaluate_group(family, members, folds, seed)
 
 
 def _config_groups(family, configs):
@@ -153,7 +140,7 @@ def _config_groups(family, configs):
     return list(groups.values())
 
 
-def _evaluate_group(family, members, train, folds, seed):
+def _evaluate_group(family, members, folds, seed):
     """The trials of one group's (config, index) members, largest budgets
     first. A member is fitted only when no member fitted before it covers
     it (each of its budgets at least as large); otherwise each fold's model
@@ -165,7 +152,7 @@ def _evaluate_group(family, members, train, folds, seed):
         budgets = [config[axis] for axis in axes]
         grown = next((models for big, models in fitted
                       if all(b >= s for b, s in zip(big, budgets))), None)
-        record, models = cross_val_trial(ModelSpec(family, config), train, folds, seed,
+        record, models = cross_val_trial(ModelSpec(family, config), folds, seed,
                                          trial_index=index, grown=grown)
         records.append(record)
         if grown is None:
@@ -181,7 +168,7 @@ def _outcome(fn, *args):
         return exc
 
 
-def _evaluate_plan(plan, train, folds, seed, workers):
+def _evaluate_plan(plan, folds, seed, workers):
     """Each family's trials of ``plan``, a list of ``(family, validated
     configs)``, in config order with ``trial_index`` their position; or, for
     a family with a failing group, the exception of its first failing group
@@ -199,21 +186,23 @@ def _evaluate_plan(plan, train, folds, seed, workers):
     The groups of every family run in the main process, or in one pool of
     ``min(workers, groups, os.cpu_count())`` processes: a pool forks all of
     its processes when it starts, so more would sit idle. Each worker
-    receives ``(train, folds, seed)`` once, through the pool's initializer,
-    and each task carries one group, ``(family, [(config, index), ...])``,
-    so fitted models never cross a process boundary. A forked worker
-    inherits the data; under ``spawn`` or ``forkserver`` it is pickled once
-    per worker. Results do not depend on the start method.
+    receives ``(folds, seed)`` once, through the pool's initializer, and
+    each task carries one group, ``(family, [(config, index), ...])``, so
+    fitted models never cross a process boundary. ``folds`` holds the k
+    fit and eval parts that ``shuffle_kfold`` took once for the run, so no
+    trial takes rows. A forked worker inherits them; under ``spawn`` or
+    ``forkserver`` they are pickled once per worker. Results do not depend
+    on the start method.
     """
     tasks = [(family, members) for family, configs in plan
              for members in _config_groups(family, configs)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        outcomes = [_outcome(_evaluate_group, family, members, train, folds, seed)
+        outcomes = [_outcome(_evaluate_group, family, members, folds, seed)
                     for family, members in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(train, folds, seed)
+            max_workers=workers, initializer=_init_worker, initargs=(folds, seed)
         ) as pool:
             futures = [pool.submit(_group_task, task) for task in tasks]
             outcomes = [_outcome(future.result) for future in futures]
@@ -228,12 +217,12 @@ def _evaluate_plan(plan, train, folds, seed, workers):
             for family, _ in plan}
 
 
-def _evaluate_configs(family, configs, train, folds, seed, workers):
+def _evaluate_configs(family, configs, folds, seed, workers):
     """One search's configs evaluated as a plan of their own
     (``_evaluate_plan``), results in trial-index order; the first failing
     group's exception is raised."""
     configs = [classifiers.validate_config(family, config) for config in configs]
-    trials = _evaluate_plan([(family, configs)], train, folds, seed, workers)[family]
+    trials = _evaluate_plan([(family, configs)], folds, seed, workers)[family]
     if isinstance(trials, Exception):
         raise trials
     return trials
@@ -250,24 +239,22 @@ def _random_draws(space, budget, seed):
     return random_sample(space, budget, seed)
 
 
-def grid_search(family, space, train, folds, seed, workers=1):
+def grid_search(family, space, folds, seed, workers=1):
     """Evaluate every grid config; returns (best, all trials)."""
-    trials = _evaluate_configs(family, grid_enumerate(space), train, folds, seed, workers)
+    trials = _evaluate_configs(family, grid_enumerate(space), folds, seed, workers)
     return _best_trial(trials), trials
 
 
-def random_search(family, space, budget, train, folds, seed, workers=1):
+def random_search(family, space, budget, folds, seed, workers=1):
     """Evaluate ``budget`` sampled configs; returns (best, all trials)."""
     configs = _random_draws(space, budget, seed)
-    trials = _evaluate_configs(family, configs, train, folds, seed, workers)
+    trials = _evaluate_configs(family, configs, folds, seed, workers)
     return _best_trial(trials), trials
 
 
-def evaluate_baseline(family, train, folds, seed) -> dict:
+def evaluate_baseline(family, folds, seed) -> dict:
     """The trial record of the family's default configuration."""
-    return _evaluate_configs(
-        family, [classifiers.default_config(family)], train, folds, seed, 1
-    )[0]
+    return _evaluate_configs(family, [classifiers.default_config(family)], folds, seed, 1)[0]
 
 
 def _search_summary(trials):
@@ -322,7 +309,7 @@ def grs_auto_hp(
         raise TuningError(f"family {repeated} is requested more than once")
     if train.feature_names != test.feature_names:
         raise TuningError("train and test matrices disagree on feature names")
-    folds = shuffle_kfold(train.n_rows, k, fold_seed)
+    folds = shuffle_kfold(train, k, fold_seed)  # once, before any pool forks
 
     # a family whose plan cannot be built fails with that error
     plan, grid_sizes, results = [], {}, {}
@@ -339,7 +326,7 @@ def grs_auto_hp(
             continue
         plan.append((family, configs))
         grid_sizes[family] = len(grid)
-    results.update(_evaluate_plan(plan, train, folds, search_seed, workers))
+    results.update(_evaluate_plan(plan, folds, search_seed, workers))
 
     entries = []
     searched = {}  # family -> {"grid": trials, "random": trials}

@@ -104,14 +104,22 @@ def test_step_rule_fidelity():
 def test_cv_correctness():
     def check():
         for n in range(2, 101):
+            # each row's label is its index, so the parts' rows read back
+            rows = make_design_matrix(np.zeros((n, 1)), ("x",), np.arange(n))
             for k in (2, 3, 5):
                 if k > n:
                     continue
                 for seed in range(10):
-                    plan = shuffle_kfold(n, k, seed)
-                    counts = np.bincount(plan.assignments, minlength=k)
+                    folds = shuffle_kfold(rows, k, seed)
+                    assert len(folds) == k
+                    counts = np.array([eval_part.n_rows for _, eval_part in folds])
                     assert counts.sum() == n
-                    assert np.all(plan.assignments >= 0) and np.all(plan.assignments < k)
+                    held = np.concatenate([eval_part.labels for _, eval_part in folds])
+                    assert np.array_equal(np.sort(held), np.arange(n))
+                    for fit_part, eval_part in folds:
+                        assert np.array_equal(np.union1d(fit_part.labels, eval_part.labels),
+                                              np.arange(n))
+                        assert fit_part.n_rows + eval_part.n_rows == n
                     assert counts.max() - counts.min() <= 1
 
     _criterion("cv-correctness", 5.0, check)
@@ -189,14 +197,12 @@ def test_improvement_claim():
         tuned_sums = {f: 0.0 for f in _ALL_FAMILIES}
         for seed in seeds:
             train, _ = _tuning_matrices(2000, seed)
-            folds = shuffle_kfold(train.n_rows, 3, seed)
+            folds = shuffle_kfold(train, 3, seed)
             for family in _ALL_FAMILIES:
                 space = space_from_config(family, _SPACES[family])
-                baseline = evaluate_baseline(family, train, folds, seed)
-                gs_best, _ = grid_search(family, space, train, folds, seed)
-                rs_best, _ = random_search(
-                    family, space, min(grid_size(space), 8), train, folds, seed
-                )
+                baseline = evaluate_baseline(family, folds, seed)
+                gs_best, _ = grid_search(family, space, folds, seed)
+                rs_best, _ = random_search(family, space, min(grid_size(space), 8), folds, seed)
                 baseline_sums[family] += baseline["mean_accuracy"]
                 tuned_sums[family] += max(gs_best["mean_accuracy"], rs_best["mean_accuracy"])
         strictly_better = 0
@@ -216,13 +222,13 @@ def test_improvement_claim():
 def test_baseline_dominance():
     def check():
         train, _ = _tuning_matrices(1200, 77)
-        folds = shuffle_kfold(train.n_rows, 3, 77)
+        folds = shuffle_kfold(train, 3, 77)
         for family in _ALL_FAMILIES:
             space = space_from_config(family, _SPACES[family])
             configs = grid_enumerate(space)
             assert classifiers.default_config(family) in configs, family
-            baseline = evaluate_baseline(family, train, folds, 77)
-            gs_best, _ = grid_search(family, space, train, folds, 77)
+            baseline = evaluate_baseline(family, folds, 77)
+            gs_best, _ = grid_search(family, space, folds, 77)
             assert gs_best["mean_accuracy"] >= baseline["mean_accuracy"], family
 
     _criterion("baseline-dominance", 180.0, check)

@@ -611,7 +611,7 @@ def test_k_above_the_training_rows_is_a_data_error_before_preprocessing(tmp_path
 
 
 def test_a_run_whose_every_family_fails_is_a_tuning_error(tmp_path, capsys, monkeypatch):
-    def failing_group(family, members, train, folds, seed):
+    def failing_group(family, members, folds, seed):
         raise ValueError(f"{family} cannot be tuned")
 
     monkeypatch.setattr(tuner_module, "_evaluate_group", failing_group)

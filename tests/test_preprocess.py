@@ -9,6 +9,7 @@ from tabtune.preprocess import (
     add_derived_column,
     apply_plan,
     fit_plan,
+    make_design_matrix,
     preprocess_split,
 )
 from tabtune.tabular import (
@@ -189,6 +190,24 @@ def test_identical_tables_identical_matrices():
     assert train.feature_names == test.feature_names
     assert np.array_equal(train.features, test.features)
     assert np.array_equal(train.labels, test.labels)
+
+
+def test_take_by_indices_and_by_a_full_length_mask():
+    matrix = make_design_matrix(np.arange(10.0).reshape(5, 2), ("a", "b"), [0, 1, 0, 1, 1])
+    by_indices = matrix.take([3, 0])
+    assert by_indices.features.tolist() == [[6.0, 7.0], [0.0, 1.0]]
+    assert by_indices.labels.tolist() == [1, 0]
+    by_mask = matrix.take(np.array([True, False, True, True, False]))
+    assert by_mask.features[:, 0].tolist() == [0.0, 4.0, 6.0]
+    assert by_mask.labels.tolist() == [0, 0, 1]
+
+
+def test_take_rejects_a_mask_of_another_length():
+    # as numpy and Table.take do: a short mask must not silently pick rows
+    matrix = make_design_matrix(np.arange(10.0).reshape(5, 2), ("a", "b"), [0, 1, 0, 1, 1])
+    for length in (4, 6):
+        with pytest.raises(IndexError):
+            matrix.take(np.ones(length, dtype=bool))
 
 
 def test_plan_application_is_repeatable():

@@ -21,7 +21,6 @@ from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
 from tabtune.preprocess import DesignMatrix, make_design_matrix, preprocess_split
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
-    FoldPlan,
     TuningError,
     cross_val_trial,
     evaluate_baseline,
@@ -53,42 +52,61 @@ def _noisy(n=90, seed=0):
     return _matrix(X, y)
 
 
+def _rows(n):
+    """An n-row matrix whose one feature and label are each row's index, so
+    a fold part's rows can be read back."""
+    return _matrix(np.arange(n)[:, None], np.arange(n))
+
+
+def _held_out(folds):
+    """Each fold's held-out row indices, from parts of a ``_rows`` matrix."""
+    return [eval_part.labels.tolist() for _, eval_part in folds]
+
+
 # ---------------------------------------------------------------- folds
 
 
 def test_kfold_even_and_remainder_sizes():
-    plan = shuffle_kfold(9, 3, seed=0)
-    assert sorted(np.bincount(plan.assignments).tolist()) == [3, 3, 3]
-    plan = shuffle_kfold(10, 3, seed=0)
-    assert sorted(np.bincount(plan.assignments).tolist(), reverse=True) == [4, 3, 3]
+    folds = shuffle_kfold(_rows(9), 3, seed=0)
+    assert sorted(eval_part.n_rows for _, eval_part in folds) == [3, 3, 3]
+    folds = shuffle_kfold(_rows(10), 3, seed=0)
+    assert sorted((eval_part.n_rows for _, eval_part in folds), reverse=True) == [4, 3, 3]
+    assert [fit_part.n_rows for fit_part, _ in folds] == [6, 7, 7]
 
 
 def test_kfold_rejects_bad_k():
     with pytest.raises(ValueError):
-        shuffle_kfold(10, 11, seed=0)
+        shuffle_kfold(_rows(10), 11, seed=0)
     with pytest.raises(ValueError):
-        shuffle_kfold(10, 1, seed=0)
+        shuffle_kfold(_rows(10), 1, seed=0)
 
 
 def test_kfold_partitions_every_row():
+    # fold i holds out block i of the seeded permutation dealt by
+    # np.array_split and trains on every other row; both parts keep the
+    # matrix's row order
     for n in (2, 7, 23, 100):
         for k in (2, 3, 5):
             if k > n:
                 continue
             for seed in range(3):
-                plan = shuffle_kfold(n, k, seed)
-                assert len(plan.assignments) == n
-                counts = np.bincount(plan.assignments, minlength=k)
+                folds = shuffle_kfold(_rows(n), k, seed)
+                assert len(folds) == k
+                counts = np.array([eval_part.n_rows for _, eval_part in folds])
                 assert counts.sum() == n
                 assert counts.max() - counts.min() <= 1
+                blocks = np.array_split(np.random.default_rng(seed).permutation(n), k)
+                assert _held_out(folds) == [sorted(block.tolist()) for block in blocks]
+                for (fit_part, _), held in zip(folds, _held_out(folds)):
+                    assert fit_part.labels.tolist() == sorted(set(range(n)) - set(held))
 
 
 def test_kfold_deterministic_per_seed():
-    a = shuffle_kfold(50, 3, seed=4)
-    b = shuffle_kfold(50, 3, seed=4)
-    c = shuffle_kfold(50, 3, seed=5)
-    assert np.array_equal(a.assignments, b.assignments)
-    assert not np.array_equal(a.assignments, c.assignments)
+    a = shuffle_kfold(_rows(50), 3, seed=4)
+    b = shuffle_kfold(_rows(50), 3, seed=4)
+    c = shuffle_kfold(_rows(50), 3, seed=5)
+    assert _held_out(a) == _held_out(b)
+    assert _held_out(a) != _held_out(c)
 
 
 # ---------------------------------------------------------------- trials
@@ -99,7 +117,7 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
     y = (rng.random(40) < 0.7).astype(np.int64)  # ~70% zeros
     y = 1 - (y == 1).astype(np.int64)  # make label 0 the common one
     data = _matrix(rng.normal(size=(40, 2)), y)
-    folds = shuffle_kfold(40, 4, seed=2)
+    folds = shuffle_kfold(data, 4, seed=2)
 
     class _AlwaysZero:
         n_features_ = 2
@@ -111,10 +129,10 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
         return _AlwaysZero()
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
-    trial, _ = cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
-    # oracle: per-fold fraction of zeros, straight from the fold plan
-    for fold in range(folds.k):
-        fold_labels = data.labels[folds.assignments == fold]
+    trial, _ = cross_val_trial(ModelSpec("DT", {}), folds, seed=0)
+    # oracle: per-fold fraction of zeros, straight from the held-out parts
+    for fold, (_, eval_part) in enumerate(folds):
+        fold_labels = eval_part.labels
         expected = float((fold_labels == 0).mean())
         assert trial["fold_accuracies"][fold] == expected
     assert trial["mean_accuracy"] == pytest.approx(np.mean(trial["fold_accuracies"]))
@@ -122,16 +140,16 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
 
 def test_separable_data_with_deep_tree_scores_one():
     data = _separable(30)
-    folds = shuffle_kfold(30, 3, seed=1)
-    trial, _ = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), data, folds, seed=0)
+    folds = shuffle_kfold(data, 3, seed=1)
+    trial, _ = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), folds, seed=0)
     assert trial["mean_accuracy"] == 1.0
 
 
 def test_trial_determinism():
     data = _noisy(60, seed=3)
-    folds = shuffle_kfold(60, 3, seed=9)
-    a, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
-    b, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), data, folds, seed=4)
+    folds = shuffle_kfold(data, 3, seed=9)
+    a, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
+    b, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
     assert a["fold_accuracies"] == b["fold_accuracies"]
 
 
@@ -140,10 +158,11 @@ def test_single_class_fold_scores_zero_with_warning(caplog):
     X = np.arange(8.0)[:, None]
     y = np.array([1, 1, 0, 0, 0, 0, 0, 0])
     data = _matrix(X, y)
-    assignments = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    folds = FoldPlan(k=2, assignments=assignments)
+    in_fold0 = np.array([True] * 4 + [False] * 4)
+    folds = ((data.take(~in_fold0), data.take(in_fold0)),
+             (data.take(in_fold0), data.take(~in_fold0)))
     with caplog.at_level(logging.WARNING):
-        trial, _ = cross_val_trial(ModelSpec("NB", {}), data, folds, seed=0)
+        trial, _ = cross_val_trial(ModelSpec("NB", {}), folds, seed=0)
     # fold 0 holds out both 1-labels, so its training part is single-class
     assert trial["fold_accuracies"][0] == 0.0
     assert any("single-class" in message for message in caplog.messages)
@@ -154,7 +173,7 @@ def test_trial_scores_only_held_out_rows(monkeypatch):
     from tabtune.classifiers import GaussianNaiveBayes, KNearestNeighbors
 
     data = _noisy(61, seed=5)
-    folds = shuffle_kfold(61, 4, seed=3)
+    folds = shuffle_kfold(data, 4, seed=3)
     for family, cls in (("NB", GaussianNaiveBayes), ("KNN", KNearestNeighbors)):
         scored = []
         original = cls.predict
@@ -164,16 +183,9 @@ def test_trial_scores_only_held_out_rows(monkeypatch):
             return original(self, X)
 
         monkeypatch.setattr(cls, "predict", counting_predict)
-        cross_val_trial(ModelSpec(family, {}), data, folds, seed=0)
+        cross_val_trial(ModelSpec(family, {}), folds, seed=0)
         assert sum(scored) == data.n_rows, family
-        assert len(scored) == folds.k, family
-
-
-def test_trial_rejects_mismatched_fold_plan():
-    data = _separable(12)
-    folds = shuffle_kfold(10, 2, seed=0)
-    with pytest.raises(ValueError):
-        cross_val_trial(ModelSpec("DT", {}), data, folds, seed=0)
+        assert len(scored) == len(folds), family
 
 
 # ---------------------------------------------------------------- searches
@@ -181,9 +193,9 @@ def test_trial_rejects_mismatched_fold_plan():
 
 def test_grid_search_singleton_space():
     data = _separable(24)
-    folds = shuffle_kfold(24, 3, seed=0)
+    folds = shuffle_kfold(data, 3, seed=0)
     space = SearchSpace("DT", (ParamSpec("max_depth", "integer", 3, 3),))
-    best, trials = grid_search("DT", space, data, folds, seed=0)
+    best, trials = grid_search("DT", space, folds, seed=0)
     assert len(trials) == 1
     assert best["config"]["max_depth"] == 3
 
@@ -191,7 +203,7 @@ def test_grid_search_singleton_space():
 def test_grid_search_tie_prefers_lower_trial_index():
     # k=1 makes uniform and distance weighting identical, an exact tie
     data = _noisy(40, seed=5)
-    folds = shuffle_kfold(40, 2, seed=1)
+    folds = shuffle_kfold(data, 2, seed=1)
     space = SearchSpace(
         "KNN",
         (
@@ -199,7 +211,7 @@ def test_grid_search_tie_prefers_lower_trial_index():
             ParamSpec("weighting", "categorical", choices=("uniform", "distance")),
         ),
     )
-    best, trials = grid_search("KNN", space, data, folds, seed=0)
+    best, trials = grid_search("KNN", space, folds, seed=0)
     assert trials[0]["fold_accuracies"] == trials[1]["fold_accuracies"]
     assert best["trial_index"] == 0
     assert best["config"]["weighting"] == "uniform"
@@ -207,9 +219,9 @@ def test_grid_search_tie_prefers_lower_trial_index():
 
 def test_grid_best_is_argmax_and_count_matches_grid():
     data = _noisy(60, seed=1)
-    folds = shuffle_kfold(60, 3, seed=2)
+    folds = shuffle_kfold(data, 3, seed=2)
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 4}})
-    best, trials = grid_search("DT", space, data, folds, seed=0)
+    best, trials = grid_search("DT", space, folds, seed=0)
     assert len(trials) == 4
     assert best["mean_accuracy"] == max(t["mean_accuracy"] for t in trials)
     assert [t["trial_index"] for t in trials] == [0, 1, 2, 3]
@@ -217,18 +229,18 @@ def test_grid_best_is_argmax_and_count_matches_grid():
 
 def test_random_search_budget_one_and_errors():
     data = _separable(20)
-    folds = shuffle_kfold(20, 2, seed=0)
+    folds = shuffle_kfold(data, 2, seed=0)
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 6}})
-    best, trials = random_search("DT", space, 1, data, folds, seed=3)
+    best, trials = random_search("DT", space, 1, folds, seed=3)
     assert len(trials) == 1
     assert best["trial_index"] == 0
     with pytest.raises(ValueError):
-        random_search("DT", space, 0, data, folds, seed=3)
+        random_search("DT", space, 0, folds, seed=3)
 
 
 def test_random_search_covers_small_space():
     data = _separable(20)
-    folds = shuffle_kfold(20, 2, seed=0)
+    folds = shuffle_kfold(data, 2, seed=0)
     space = SearchSpace(
         "KNN",
         (
@@ -236,17 +248,17 @@ def test_random_search_covers_small_space():
             ParamSpec("weighting", "categorical", choices=("uniform", "distance")),
         ),
     )
-    _, trials = random_search("KNN", space, 20, data, folds, seed=11)
+    _, trials = random_search("KNN", space, 20, folds, seed=11)
     seen = {t["config"]["weighting"] for t in trials}
     assert seen == {"uniform", "distance"}
 
 
 def test_search_determinism_per_seed():
     data = _noisy(50, seed=2)
-    folds = shuffle_kfold(50, 3, seed=0)
+    folds = shuffle_kfold(data, 3, seed=0)
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 8}})
-    a_best, a_all = random_search("DT", space, 6, data, folds, seed=21)
-    b_best, b_all = random_search("DT", space, 6, data, folds, seed=21)
+    a_best, a_all = random_search("DT", space, 6, folds, seed=21)
+    b_best, b_all = random_search("DT", space, 6, folds, seed=21)
     assert [t["config"] for t in a_all] == [t["config"] for t in b_all]
     assert [t["fold_accuracies"] for t in a_all] == [t["fold_accuracies"] for t in b_all]
     assert a_best["trial_index"] == b_best["trial_index"]
@@ -254,28 +266,28 @@ def test_search_determinism_per_seed():
 
 def test_baseline_uses_schema_defaults():
     data = _noisy(40, seed=7)
-    folds = shuffle_kfold(40, 2, seed=0)
-    trial = evaluate_baseline("KNN", data, folds, seed=0)
+    folds = shuffle_kfold(data, 2, seed=0)
+    trial = evaluate_baseline("KNN", folds, seed=0)
     assert trial["config"] == default_config("KNN")
 
 
 def test_grid_dominates_baseline_when_default_on_grid():
     data = _noisy(80, seed=9)
-    folds = shuffle_kfold(80, 3, seed=3)
+    folds = shuffle_kfold(data, 3, seed=3)
     space = space_from_config("DT", {"max_depth": {"lo": 8, "hi": 12}})  # includes 10
-    baseline = evaluate_baseline("DT", data, folds, seed=5)
-    best, _ = grid_search("DT", space, data, folds, seed=5)
+    baseline = evaluate_baseline("DT", folds, seed=5)
+    best, _ = grid_search("DT", space, folds, seed=5)
     assert best["mean_accuracy"] >= baseline["mean_accuracy"]
 
 
 def test_parallel_equals_sequential():
     data = _noisy(60, seed=4)
-    folds = shuffle_kfold(60, 3, seed=1)
+    folds = shuffle_kfold(data, 3, seed=1)
     # two criteria: two groups of staged configs, so two pool tasks
     space = space_from_config("DT", {"max_depth": {"lo": 1, "hi": 6},
                                      "criterion": {"choices": ["gini", "entropy"]}})
-    _, seq = grid_search("DT", space, data, folds, seed=0, workers=1)
-    _, par = grid_search("DT", space, data, folds, seed=0, workers=2)
+    _, seq = grid_search("DT", space, folds, seed=0, workers=1)
+    _, par = grid_search("DT", space, folds, seed=0, workers=2)
     assert [t["config"] for t in seq] == [t["config"] for t in par]
     assert [t["fold_accuracies"] for t in seq] == [t["fold_accuracies"] for t in par]
 
@@ -357,20 +369,20 @@ def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch
     monkeypatch.setattr(tuner_module, "_worker_data", None)
     monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 4)
     data = _noisy(30, seed=4)
-    folds = shuffle_kfold(30, 3, seed=1)
+    folds = shuffle_kfold(data, 3, seed=1)
     configs = [{"max_depth": depth, "criterion": criterion}
                for depth in range(1, 3) for criterion in ("gini", "entropy")]
-    trials = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 2)
-    (init, (train, fold_plan, seed)), *submitted = calls
+    trials = tuner_module._evaluate_configs("DT", configs, folds, 7, 2)
+    (init, (fold_parts, seed)), *submitted = calls
     assert init == "init" and {kind for kind, _ in submitted} == {"submit"}
-    assert train is data and fold_plan is folds and seed == 7
+    assert fold_parts is folds and seed == 7
     full = [{**default_config("DT"), **config} for config in configs]
     tasks = [task for _, task in submitted]
     assert tasks == [("DT", [(full[0], 0), (full[2], 2)]), ("DT", [(full[1], 1), (full[3], 3)])]
-    heavy = (np.ndarray, DesignMatrix, FoldPlan)
+    heavy = (np.ndarray, DesignMatrix)
     items = [item for family, members in tasks for member in members for item in member]
     assert not any(isinstance(item, heavy) for item in items + [family for family, _ in tasks])
-    serial = tuner_module._evaluate_configs("DT", configs, data, folds, 7, 1)
+    serial = tuner_module._evaluate_configs("DT", configs, folds, 7, 1)
     assert [t["fold_accuracies"] for t in trials] == [t["fold_accuracies"] for t in serial]
     assert [t["trial_index"] for t in trials] == [0, 1, 2, 3]
 
@@ -392,16 +404,16 @@ def test_pool_results_do_not_depend_on_the_start_method():
             X = rng.normal(size=(60, 3))
             y = (X[:, 0] + rng.normal(size=60) > 0).astype(np.int64)
             data = make_design_matrix(X, ("f0", "f1", "f2"), y)
-            folds = shuffle_kfold(60, 3, seed=1)
+            folds = shuffle_kfold(data, 3, seed=1)
             for family, configs in (
                 ("DT", [{"max_depth": depth} for depth in range(1, 5)]),
                 ("LR", [{"epochs": epochs, "learning_rate": rate}
                         for epochs in (40, 10, 30) for rate in (0.1, 0.5)]),
             ):
-                serial = tuner._evaluate_configs(family, configs, data, folds, 0, 1)
-                pooled = tuner._evaluate_configs(family, configs, data, folds, 0, 2)
-                naive = [tuner.cross_val_trial(tuner.ModelSpec(family, config), data,
-                                               folds, 0, trial_index=index)[0]
+                serial = tuner._evaluate_configs(family, configs, folds, 0, 1)
+                pooled = tuner._evaluate_configs(family, configs, folds, 0, 2)
+                naive = [tuner.cross_val_trial(tuner.ModelSpec(family, config), folds, 0,
+                                               trial_index=index)[0]
                          for index, config in enumerate(configs)]
                 scores = [t["fold_accuracies"] for t in pooled]
                 assert scores == [t["fold_accuracies"] for t in serial]
@@ -443,16 +455,16 @@ _STAGED_SPACES = {
 
 
 def _single_class_fold_data(n=45):
-    """Noisy data whose only positives sit in fold 0 of the returned plan, so
-    fold 0's training part is single-class."""
-    folds = shuffle_kfold(n, 3, seed=6)
+    """Noisy data whose only positives sit in fold 0 of the returned folds
+    (fold seed 6), so fold 0's training part is single-class."""
     rng = np.random.default_rng(12)
     X = rng.normal(size=(n, 3))
-    in_fold0 = np.flatnonzero(folds.assignments == 0)
+    (in_fold0,) = _held_out(shuffle_kfold(_rows(n), 3, seed=6)[:1])
     y = np.zeros(n, dtype=np.int64)
     y[in_fold0[: len(in_fold0) // 2]] = 1
     X[y == 1, 0] += 1.5
-    return _matrix(X, y), folds
+    data = _matrix(X, y)
+    return data, shuffle_kfold(data, 3, seed=6)
 
 
 @pytest.mark.parametrize("family", list(_STAGED_SPACES))
@@ -468,11 +480,11 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         # a subsampling forest's tree counts: smaller forests read off larger ones
         configs += [{"n_estimators": n, "max_depth": 4, "max_features_frac": 0.3}
                     for n in (5, 12, 8)]
-    datasets = [(_noisy(48, seed=8), shuffle_kfold(48, 3, seed=2)), _single_class_fold_data()]
+    fold_sets = [shuffle_kfold(_noisy(48, seed=8), 3, seed=2), _single_class_fold_data()[1]]
     if family == "KNN":  # k above a fold's 16 training rows ranks all 16; smaller k read off
         configs += [{"n_neighbors": 25, "weighting": "distance"}, {"n_neighbors": 20},
                     {"n_neighbors": 9, "weighting": "distance"}]
-        datasets.insert(0, (_noisy(24, seed=9), shuffle_kfold(24, 3, seed=2)))
+        fold_sets.insert(0, shuffle_kfold(_noisy(24, seed=9), 3, seed=2))
     read_off = []
     real_train = tuner_module.classifiers.train
 
@@ -480,14 +492,14 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         read_off.append((spec.config, bool(grown)))
         return real_train(spec, data, seed, **grown)
 
-    for data, folds in datasets:
-        naive = [cross_val_trial(ModelSpec(family, config), data, folds, 5, trial_index=index)[0]
+    for folds in fold_sets:
+        naive = [cross_val_trial(ModelSpec(family, config), folds, 5, trial_index=index)[0]
                  for index, config in enumerate(configs)]
         monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
-        serial = tuner_module._evaluate_configs(family, configs, data, folds, 5, 1)
+        serial = tuner_module._evaluate_configs(family, configs, folds, 5, 1)
         monkeypatch.setattr(tuner_module.classifiers, "train", real_train)
         monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
-        pooled = tuner_module._evaluate_configs(family, configs, data, folds, 5, 2)
+        pooled = tuner_module._evaluate_configs(family, configs, folds, 5, 2)
         for staged in (serial, pooled):
             assert [t["trial_index"] for t in staged] == list(range(len(configs)))
             assert [t["config"] for t in staged] == [t["config"] for t in naive]
@@ -499,7 +511,7 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         assert served == {5, 8}
     if family in ("NB", "KNN"):  # one group: only its first config is fitted, on each fold
         per_run = [False] * 3 + [True] * 3 * (len(configs) - 1)
-        assert [r for _, r in read_off] == per_run * len(datasets)
+        assert [r for _, r in read_off] == per_run * len(fold_sets)
 
 
 def test_a_default_above_the_grid_is_fitted_once_per_fold_across_the_searches(monkeypatch):
@@ -525,6 +537,28 @@ def test_a_default_above_the_grid_is_fitted_once_per_fold_across_the_searches(mo
     # winner's refit on all 45 rows
     assert fresh[:3] == [(10, 30)] * 3
     assert fresh[3:] == [(report["final"]["config"]["max_depth"], 45)]
+
+
+def test_a_run_takes_each_fold_part_once(monkeypatch):
+    # shuffle_kfold takes the k fit and eval parts once per run; no trial
+    # takes rows
+    data = _noisy(60, seed=3)
+    train, test = data.take(np.arange(45)), data.take(np.arange(45, 60))
+    taken = []
+    real_take = DesignMatrix.take
+
+    def counting_take(self, indices):
+        part = real_take(self, indices)
+        taken.append(part.n_rows)
+        return part
+
+    monkeypatch.setattr(DesignMatrix, "take", counting_take)
+    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3},
+                                             "criterion": {"choices": ["gini", "entropy"]}})}
+    report = grs_auto_hp(["DT", "NB", "KNN"], spaces, train, test, k=3, workers=1)
+    assert sum(entry["grid"]["n_trials"] for entry in report["families"]) == 8
+    assert len(taken) == 2 * 3
+    assert sum(taken) == 3 * train.n_rows  # each fold's two parts hold every row once
 
 
 def test_default_rs_budget_caps_at_200():
@@ -557,7 +591,7 @@ def _patch_search_results(monkeypatch, per_family):
     baseline at index 0, the grid's one config at 1 and the random search's
     one draw at 2."""
 
-    def fake_group(family, members, train, folds, seed):
+    def fake_group(family, members, folds, seed):
         return [_fake_trial(family, per_family[family][index], index) for _, index in members]
 
     monkeypatch.setattr(tuner_module, "_evaluate_group", fake_group)
@@ -590,10 +624,10 @@ def test_grs_skips_failing_family(monkeypatch):
 
     real_group = tuner_module._evaluate_group
 
-    def exploding_group(family, members, train, folds, seed):
+    def exploding_group(family, members, folds, seed):
         if family == "KNN":
             raise ValueError("boom")
-        return real_group(family, members, train, folds, seed)
+        return real_group(family, members, folds, seed)
 
     monkeypatch.setattr(tuner_module, "_evaluate_group", exploding_group)
     report = grs_auto_hp(["KNN", "DT"], {}, data, data, k=3)
@@ -607,10 +641,10 @@ def test_grs_fails_the_run_on_an_unexpected_exception(monkeypatch):
     data = _separable(30)
     real_group = tuner_module._evaluate_group
 
-    def faulty_group(family, members, train, folds, seed):
+    def faulty_group(family, members, folds, seed):
         if family == "KNN":
             raise RuntimeError("boom")
-        return real_group(family, members, train, folds, seed)
+        return real_group(family, members, folds, seed)
 
     monkeypatch.setattr(tuner_module, "_evaluate_group", faulty_group)
     with pytest.raises(TuningError, match=r"KNN.*RuntimeError"):
@@ -628,13 +662,13 @@ def test_a_group_failing_in_a_pool_worker_fails_its_family_alike_at_1_and_2_work
     real_group = tuner_module._evaluate_group
     failed_in = tmp_path / "failed_in"
 
-    def failing_group(family, members, train, folds, seed):
+    def failing_group(family, members, folds, seed):
         config = members[0][0]
         if family == "DT" and config["criterion"] == "entropy":
             with failed_in.open("a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
             raise ValueError(f"entropy at min_samples_split {config['min_samples_split']}")
-        return real_group(family, members, train, folds, seed)
+        return real_group(family, members, folds, seed)
 
     monkeypatch.setattr(tuner_module, "_evaluate_group", failing_group)
     data = _noisy(60, seed=6)
