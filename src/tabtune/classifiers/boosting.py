@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import mean_logloss, sigmoid
-from .tree import grow_regression, stack_trees
+from .tree import Trees, grow_regression
 
 
 class GradientBoostedTrees:
@@ -39,15 +39,16 @@ class GradientBoostedTrees:
         p = y.mean()
         self.base_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
-        stages = []
+        nodes, roots = ([], [], [], []), []  # every stage's nodes, in one store
         self.logloss_path_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
-            tree, leaf_of = grow_regression(X, residual, self.max_depth)
-            scores = scores + self.learning_rate * tree.value[leaf_of]
-            stages.append(tree)
+            roots.append(len(nodes[0]))
+            scores = scores + self.learning_rate * grow_regression(X, residual, self.max_depth,
+                                                                   nodes)
             self.logloss_path_.append(mean_logloss(y, scores))
-        self.trees_ = stack_trees(stages)
+        self.trees_ = Trees(*(np.array(column, dtype=dtype) for column, dtype in zip(
+            (*nodes, roots), (np.intp, float, np.intp, float, np.intp))))
         return self
 
     def decision_scores(self, X):

@@ -12,20 +12,22 @@ depth: a model reads the trees of its own config off a larger fit.
 Two growers share those rules, and both number nodes level by level
 (depth by depth, tree by tree, left child before right):
 
-- ``grow`` grows the gini/entropy trees of DT and RF level by level. It
-  keeps the rows of every open node contiguous and searches all open nodes
-  of a depth at once, so a forest grows all of its trees in one level loop.
-  Its search (``_best_splits``) encodes each column once per fit: a
-  two-valued column splits by two counts per node and needs no sort; the
-  other columns are sorted by (node, value rank). The gains come from
-  integer counts, so the order of tied rows cannot change a split. A forest
-  that subsamples features draws each searched node's columns from that
-  node's tree's own stream, in the tree's level order, so a forest's first
-  trees are a smaller forest.
+- ``grow`` grows the gini/entropy trees of DT and RF in a loop over depths.
+  A level keeps the rows of each of its nodes contiguous and searches all
+  of its open nodes together, so a forest grows all of its trees in one
+  level loop; the tree is its levels' node arrays concatenated. Its search
+  (``_best_splits``) encodes each column once per fit: a two-valued column
+  splits by two counts per node and needs no sort; the other columns are
+  sorted by (node, value rank). The gains come from integer counts, so the
+  order of tied rows cannot change a split. A forest that subsamples
+  features draws each searched node's columns from that node's tree's own
+  stream, in the tree's level order, so a forest's first trees are a
+  smaller forest.
 - ``grow_regression`` grows the squared-error tree of one gradient-boosting
   stage a node at a time, in level order, with the per-node search
-  ``_best_split_matrix``. Its float sums follow each node's sort order, and
-  the recorded reports depend on their last bits.
+  ``_best_split_matrix``, and appends its nodes to the node lists that all
+  of a fit's stages share. Its float sums follow each node's sort order,
+  and the recorded reports depend on their last bits.
 """
 
 from __future__ import annotations
@@ -269,46 +271,27 @@ class Trees:
             yield self.value.take(node).reshape(len(roots), n)
 
 
-def stack_trees(parts) -> Trees:
-    """One ``Trees`` holding the trees of every part, in order."""
-    if not parts:
-        return Trees(*(np.empty(0, dtype=dt)
-                       for dt in (np.intp, float, np.intp, float, np.intp)))
-    offsets = np.cumsum([0] + [len(p.value) for p in parts[:-1]])
-
-    def joined(name, shift=False):
-        arrays = [getattr(p, name) for p in parts]
-        if shift:
-            arrays = [np.where(a >= 0, a + o, -1) for a, o in zip(arrays, offsets)]
-        return np.concatenate(arrays)
-
-    return Trees(joined("feature"), joined("threshold"), joined("left", True), joined("value"),
-                 np.concatenate([p.roots + o for p, o in zip(parts, offsets)]))
-
-
 #: Rows searched in one batch, at most: a bound on a batch's temporaries
 #: that still leaves thousands of small nodes to one search.
 _BATCH_ROWS = 4096
 
 
-def _batches(depth, first_id, rows, counts, tree_of):
-    """The nodes of one depth (``tree_of``: each node's tree) as batches of
-    whole nodes, each holding at most ``_BATCH_ROWS`` rows unless a single
-    node holds more."""
-    if len(rows) <= _BATCH_ROWS:
-        yield depth, first_id, rows, counts, tree_of
+def _batches(counts):
+    """(nodes, rows) slices of consecutive nodes holding ``counts`` rows each,
+    in batches of whole nodes, each holding at most ``_BATCH_ROWS`` rows
+    unless a single node holds more."""
+    if not len(counts):
         return
     ends = np.cumsum(counts)
     group = (ends - 1) // _BATCH_ROWS
     cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
     for a, b in zip(np.append(0, cuts), np.append(cuts, len(counts))):
-        yield (depth, first_id + a, rows[ends[a] - counts[a]:ends[b - 1]], counts[a:b],
-               tree_of[a:b])
+        yield slice(a, b), slice(ends[a] - counts[a], ends[b - 1])
 
 
 def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_columns=None):
     """Grow one gini or entropy tree on 0/1 labels ``y`` per array of
-    training rows in ``samples``, level by level.
+    training rows in ``samples``, one level (depth) at a time.
 
     Every node stores its majority label (ties go to 0) as its value, and
     no split above a depth ``d`` depends on ``max_depth``, so the nodes down
@@ -316,65 +299,61 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     at ``max_depth``, when its labels are one class, when it has fewer than
     ``min_samples_split`` rows, when no split has positive gain, and when
     its threshold sends every row the same way (midpoint rounding). The
-    open nodes of a depth are searched together by ``_best_splits``, in
-    batches of whole nodes holding up to ``_BATCH_ROWS`` rows; a node's
-    rows keep the order they have in ``samples``.
+    open nodes of a level are searched by ``_best_splits`` in batches of
+    whole nodes holding up to ``_BATCH_ROWS`` rows; then the whole level is
+    split at once, and its children, left before right, become the next
+    level. The node arrays are the levels concatenated. A node's rows keep
+    the order they have in ``samples``.
 
     ``draw_columns``, when given, is called once per batch with the tree
     of each node it searches and returns their ``allowed`` column mask.
-    Batches are searched in level order (depth by depth, tree by tree, left
-    child before right) whatever ``_BATCH_ROWS`` is, so each tree's nodes
-    reach ``draw_columns`` in that tree's level order.
+    A level holds its nodes tree by tree, so each tree's nodes reach
+    ``draw_columns`` in that tree's level order whatever ``_BATCH_ROWS`` is.
     """
     y = np.asarray(y).astype(np.intp)
     ranked = _RankedColumns(X)
     impurity = _IMPURITY[criterion]
-    n_nodes = len(samples)
-    pending = deque(_batches(0, 0, np.concatenate(samples), np.array([len(s) for s in samples]),
-                             np.arange(n_nodes)))
-    built = []
-    while pending:
-        depth, first_id, rows, counts, tree_of = pending.popleft()
+    rows = np.concatenate(samples)
+    counts = np.array([len(s) for s in samples])
+    tree_of = np.arange(len(samples))
+    next_id = 0  # the id of the first node below the current level
+    levels = []
+    for depth in range(max_depth + 1):
         n = len(counts)
+        next_id += n
         node = np.repeat(np.arange(n), counts)
         ones = np.add.reduceat(y[rows], np.cumsum(counts) - counts)
         feature = np.full(n, -1)
         threshold = np.zeros(n)
-        if depth < max_depth:
-            searched = (counts >= min_samples_split) & (ones > 0) & (ones < counts)
-            if searched.any():
-                allowed = None if draw_columns is None else draw_columns(tree_of[searched])
-                feature[searched], threshold[searched], _ = _best_splits(
-                    ranked, y, rows[searched[node]], counts[searched], impurity, allowed)
+        is_open = ((counts >= min_samples_split) & (ones > 0) & (ones < counts)
+                   & (depth < max_depth))
+        searched, open_rows = np.flatnonzero(is_open), rows[is_open[node]]
+        for batch, part in _batches(counts[searched]):
+            at = searched[batch]
+            allowed = None if draw_columns is None else draw_columns(tree_of[at])
+            feature[at], threshold[at], _ = _best_splits(ranked, y, open_rows[part], counts[at],
+                                                         impurity, allowed)
         split = feature >= 0
         if split.any():
             goes_left = (X[rows, feature[node]] <= threshold[node]) & split[node]
             n_left = np.bincount(node, weights=goes_left, minlength=n)
             split &= (n_left > 0) & (n_left < counts)  # midpoint rounding can send all one way
             feature[~split] = -1
-        value = (2 * ones > counts).astype(float)  # every node's majority, inner ones too
         left = np.full(n, -1)
-        left[split] = np.arange(n_nodes, n_nodes + 2 * split.sum(), 2)
-        built.append((first_id, feature, threshold, left, value))
+        left[split] = np.arange(next_id, next_id + 2 * split.sum(), 2)
+        value = (2 * ones > counts).astype(float)  # every node's majority, inner ones too
+        levels.append((feature, threshold, left, value))
         if not split.any():
-            continue
+            break
         kept = np.flatnonzero(split[node])
-        child = left[node[kept]] - n_nodes + ~goes_left[kept]
+        child = left[node[kept]] - next_id + ~goes_left[kept]
         kept = kept[np.argsort(child, kind="stable")]
-        counts = np.bincount(child, minlength=2 * split.sum())
-        pending.extend(_batches(depth + 1, n_nodes, rows[kept], counts,
-                                np.repeat(tree_of[split], 2)))
-        n_nodes += len(counts)
-
-    feature, threshold, left, value = (np.empty(n_nodes, dtype=dt)
-                                       for dt in (np.intp, float, np.intp, float))
-    for first_id, *parts in built:
-        for out, part in zip((feature, threshold, left, value), parts):
-            out[first_id:first_id + len(part)] = part
-    return Trees(feature, threshold, left, value, np.arange(len(samples)))
+        rows, counts = rows[kept], np.bincount(child, minlength=2 * split.sum())
+        tree_of = np.repeat(tree_of[split], 2)
+    return Trees(*(np.concatenate(column) for column in zip(*levels)), np.arange(len(samples)))
 
 
-def grow_regression(X, r, max_depth):
+def grow_regression(X, r, max_depth, nodes):
     """Grow the squared-error regression tree of one gradient-boosting stage
     on every row of ``X`` (targets ``r``) a node at a time, in level order,
     each node's rows in row order, searching with ``_best_split_matrix``:
@@ -383,13 +362,21 @@ def grow_regression(X, r, max_depth):
     A node becomes a leaf holding the mean of its targets at ``max_depth``,
     when it has fewer than 2 rows, when its targets are all equal, when no
     split reduces the squared error, and when its threshold sends every row
-    the same way.
+    the same way. An inner node holds 0.0.
 
-    Returns the ``Trees`` and the leaf node each row of ``X`` reached.
+    ``nodes`` holds the fit's (feature, threshold, left, value) lists; the
+    stage's nodes are appended to them, its root first. Returns the value
+    of the leaf each row of ``X`` reached.
     """
-    leaf_of = np.empty(len(r), dtype=np.intp)
-    feature, threshold, left, value = [-1], [0.0], [-1], [0.0]
-    queue = deque([(np.arange(len(r)), 0, 0)])  # rows, depth, node
+    feature, threshold, left, value = nodes
+
+    def add_leaves(k):
+        for column, empty in zip(nodes, (-1, 0.0, -1, 0.0)):
+            column += [empty] * k
+
+    leaf_value = np.empty(len(r))
+    queue = deque([(np.arange(len(r)), 0, len(feature))])  # rows, depth, node
+    add_leaves(1)
     while queue:
         rows, depth, node = queue.popleft()
         targets = r[rows]
@@ -401,19 +388,13 @@ def grow_regression(X, r, max_depth):
             if goes_left.all() or not goes_left.any():  # midpoint rounding
                 found = None
         if found is None:
-            value[node] = float(targets.mean())
-            leaf_of[rows] = node
+            value[node] = leaf_value[rows] = float(targets.mean())
             continue
         feature[node], threshold[node], left[node] = found[0], found[1], len(feature)
-        for column in (feature, left):
-            column += [-1, -1]
-        for column in (threshold, value):
-            column += [0.0, 0.0]
+        add_leaves(2)
         queue.append((rows[goes_left], depth + 1, left[node]))
         queue.append((rows[~goes_left], depth + 1, left[node] + 1))
-    trees = Trees(np.array(feature, dtype=np.intp), np.array(threshold),
-                  np.array(left, dtype=np.intp), np.array(value), np.zeros(1, dtype=np.intp))
-    return trees, leaf_of
+    return leaf_value
 
 
 class DecisionTree:

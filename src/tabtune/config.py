@@ -26,6 +26,10 @@ SCHEMA = load_schema("config.schema.json")
 #: search builds its whole config list before the first trial.
 MAX_SEARCH_CONFIGS = 100_000
 
+#: The report table's and chart's columns of tuned results, in order; a
+#: reference column may not take one of their names.
+METHOD_COLUMNS = ("Baseline", "GS", "RS")
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
@@ -136,6 +140,10 @@ def parse_run_config(doc: dict, base_dir, config_path=None) -> RunConfig:
     for (first, path), (second, other) in itertools.combinations(paths.items(), 2):
         if os.path.realpath(path) == os.path.realpath(other):
             _fail(second, f"same path as {first}: {other}")
+
+    for label in doc["references"]:
+        if label in METHOD_COLUMNS:
+            _fail(f"references.{label}", f"{label} names a column of tuned results")
 
     spaces = {}
     for family, mapping in doc["tuner"]["spaces"].items():

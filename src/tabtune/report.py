@@ -9,8 +9,7 @@ maxima are bolded, with ties at display precision all bolded.
 
 from __future__ import annotations
 
-import itertools
-
+from .config import METHOD_COLUMNS
 from .config import SCHEMA as CONFIG_SCHEMA
 from .schema import SchemaViolation, load_schema, validate
 
@@ -18,8 +17,14 @@ SCHEMA = load_schema("report.schema.json")
 
 _VOLATILE_KEYS = frozenset({"duration_seconds", "total_seconds", "created_unix"})
 
-_METHOD_COLORS = {"Baseline": "#7f7f7f", "GS": "#1f77b4", "RS": "#ff7f0e"}
+_METHOD_COLORS = ("#7f7f7f", "#1f77b4", "#ff7f0e")  # Baseline, GS, RS
 _REFERENCE_COLORS = ("#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2")
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an SVG text node (``xml.sax.saxutils.escape``
+    does the same, but importing it loads ``urllib.request``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def strip_volatile(value):
@@ -44,9 +49,10 @@ def check_report(report) -> None:
 
 def _method_columns(report: dict):
     """Ordered (label, {family: percent}) columns: Baseline, GS, RS, then the
-    references echoed in the report's config."""
+    references echoed in the report's config. A column is known by its
+    position, not its label."""
     references = report.get("config", {}).get("references") or {}
-    columns = [("Baseline", {}), ("GS", {}), ("RS", {})]
+    columns = [(label, {}) for label in METHOD_COLUMNS]
     for entry in report["families"]:
         family = entry["family"]
         columns[0][1][family] = entry["baseline"]["mean_accuracy"] * 100.0
@@ -61,46 +67,33 @@ def render_table(report: dict) -> str:
     """Markdown table, one row per family in report order.
 
     Reference columns carry the externally supplied percentages echoed in
-    the report config; families they do not cover render as "-".
+    the report config; families they do not cover render as "-". A ``|``
+    in a label is escaped as ``\\|``.
     """
     columns = _method_columns(report)
     families = [entry["family"] for entry in report["families"]]
-
-    formatted = {}
-    for label, values in columns:
+    header = ["Classifier"] + [label.replace("|", r"\|") for label, _ in columns]
+    rows = [[family] for family in families]
+    for _, values in columns:
         cells = {f: f"{values[f]:.2f}" for f in families if f in values}
         top = max(cells.values(), key=float, default=None)
-        for family in families:
-            if family not in cells:
-                formatted[(family, label)] = "-"
-            elif cells[family] == top:
-                formatted[(family, label)] = f"**{cells[family]}**"
-            else:
-                formatted[(family, label)] = cells[family]
-
-    labels = [label for label, _ in columns]
-    lines = [
-        "| Classifier | " + " | ".join(labels) + " |",
-        "|---" * (len(labels) + 1) + "|",
-    ]
-    for family in families:
-        cells = [formatted[(family, label)] for label in labels]
-        lines.append(f"| {family} | " + " | ".join(cells) + " |")
+        for row, family in zip(rows, families):
+            cell = cells.get(family, "-")
+            row.append(f"**{cell}**" if cell == top else cell)
+    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def render_chart(report: dict) -> str:
     """Grouped bar chart as SVG text: one group per family, one bar per
     method, y axis fixed to 0-100%. Zero accuracies keep their (zero-height)
-    bar element and label."""
+    bar element and label. Labels are escaped as XML text."""
     columns = _method_columns(report)
     families = [entry["family"] for entry in report["families"]]
-    reference_index = itertools.count()  # reference columns cycle the palette
-    colors = [
-        _METHOD_COLORS[label] if label in _METHOD_COLORS
-        else _REFERENCE_COLORS[next(reference_index) % len(_REFERENCE_COLORS)]
-        for label, _ in columns
-    ]
+    # reference columns cycle the palette
+    colors = list(_METHOD_COLORS) + [_REFERENCE_COLORS[i % len(_REFERENCE_COLORS)]
+                                     for i in range(len(columns) - len(_METHOD_COLORS))]
 
     margin_left, margin_top, margin_bottom, margin_right = 56, 46, 58, 16
     plot_height = 240.0
@@ -144,7 +137,7 @@ def render_chart(report: dict) -> str:
         )
         out.append(
             f'<text x="{legend_x + 14:.1f}" y="35" font-family="sans-serif" '
-            f'font-size="10">{label}</text>'
+            f'font-size="10">{_xml_text(label)}</text>'
         )
         legend_x += 24 + 6.5 * len(label)
 
@@ -163,7 +156,7 @@ def render_chart(report: dict) -> str:
             out.append(
                 f'<rect class="bar" x="{x:.1f}" y="{baseline_y - bar_height:.1f}" '
                 f'width="{bar_width}" height="{bar_height:.1f}" fill="{color}">'
-                f"<title>{family} {label} {percent:.2f}%</title></rect>"
+                f"<title>{family} {_xml_text(label)} {percent:.2f}%</title></rect>"
             )
 
     for group_pos, family in enumerate(families):

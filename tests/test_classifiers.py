@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tabtune.classifiers.boosting as boosting_module
 import tabtune.classifiers.tree as tree_module
 from tabtune.classifiers import (
     FAMILIES,
@@ -290,6 +291,27 @@ def test_forest_matches_recursive_reference(monkeypatch, batch_rows, route_cells
             assert np.array_equal(forest.predict(test_X), (2 * votes > 6).astype(np.int64))
 
 
+def test_grown_node_arrays_keep_their_bits_at_any_batch_size(monkeypatch):
+    rng = np.random.default_rng(34)
+    X, y = _mixed_matrix(rng, 90, 8)
+    models = [(DecisionTree, {"max_depth": 12, "min_samples_split": split,
+                              "criterion": criterion}, "tree_")
+              for criterion in ("gini", "entropy") for split in (2, 7)]
+    models += [(RandomForest, {"n_estimators": 6, "max_depth": 8, "max_features_frac": frac,
+                               "seed": 5}, "trees_")
+               for frac in (1.0, 0.3)]
+    for model, params, attribute in models:
+        seen = []
+        for batch_rows in (1, 50, tree_module._BATCH_ROWS):
+            monkeypatch.setattr(tree_module, "_BATCH_ROWS", batch_rows)
+            trees = getattr(model(**params).fit(X, y), attribute)
+            assert len(trees.value) > 10  # the trees split
+            seen.append([(a.dtype, a.tobytes()) for a in (trees.feature, trees.threshold,
+                                                          trees.left, trees.value, trees.roots)])
+            monkeypatch.undo()
+        assert seen[0] == seen[1] == seen[2]
+
+
 def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
     rng = np.random.default_rng(4)
     data = _random_matrix(rng, 120, 10)
@@ -397,13 +419,33 @@ def test_boosting_stages_number_their_nodes_level_by_level():
         data.features, data.labels)
     trees = booster.trees_
     assert len(trees.value) > 10 * 3  # the stages split
-    for root in trees.roots:
+    # stage s holds exactly the nodes from its root up to the next stage's
+    for root, end in zip(trees.roots, np.append(trees.roots[1:], len(trees.value))):
         level, numbers = [int(root)], []
         while level:
             numbers += level
             level = [child for node in level if trees.feature[node] >= 0
                      for child in (int(trees.left[node]), int(trees.left[node]) + 1)]
-        assert numbers == list(range(root, root + len(numbers)))
+        assert numbers == list(range(root, end))
+
+
+def test_boosting_stage_leaf_values_sum_to_the_training_scores(monkeypatch):
+    data = _synthetic_train(300, 3)
+    stage_values = []
+
+    def recording_grow(X, r, max_depth, nodes):
+        stage_values.append(real_grow(X, r, max_depth, nodes))
+        return stage_values[-1]
+
+    real_grow = boosting_module.grow_regression
+    monkeypatch.setattr(boosting_module, "grow_regression", recording_grow)
+    booster = GradientBoostedTrees(n_estimators=12, learning_rate=0.4, max_depth=4).fit(
+        data.features, data.labels)
+    assert len(stage_values) == len(booster.trees_.roots) == 12
+    scores = np.full(data.n_rows, booster.base_score_)
+    for values in stage_values:
+        scores = scores + booster.learning_rate * values
+    assert np.array_equal(booster.decision_scores(data.features), scores)
 
 
 def test_boosting_training_logloss_non_increasing():

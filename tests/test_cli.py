@@ -337,6 +337,20 @@ def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, place,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("label", ["Baseline", "GS", "RS"])
+def test_a_reference_named_after_a_tuned_column_is_a_config_error(tmp_path, capsys, label):
+    config_path, doc = _small_config(tmp_path, references={label: {"NB": 10}})
+    with pytest.raises(ConfigError, match=rf"'references\.{label}'"):
+        parse_run_config(doc, tmp_path)
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"references.{label}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # another label, or one that only differs in case, is a reference column
+    for other in ("paper", label.lower()):
+        assert other in parse_run_config({**doc, "references": {other: {"NB": 10}}},
+                                         tmp_path).references
+
+
 def test_oversized_search_is_a_config_error(tmp_path):
     fine = {"learning_rate": {"lo": 0.01, "hi": 1.0, "step": 1e-9}}
     cases = [
@@ -737,6 +751,7 @@ _MISTYPED = [
     (("tuner", "spaces", "DT", "max_depth", "lo"), "two"),
     (("tuner", "spaces", "DT", "max_depth", "hi"), 99), (("output", "report"), None),
     (("data", "csv", "path"), ["data.csv"]), (("tuner", "k"), 1000),
+    (("references", "RS"), {"NB": 50}),
 ]
 _DROPPABLE = [("data",), ("output",), ("data", "csv", "target"), ("data", "csv", "path"),
               ("tuner", "k"), ("tuner", "families"), ("output", "report"), ("output", "chart")]

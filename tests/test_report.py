@@ -1,3 +1,6 @@
+import re
+import xml.dom.minidom
+
 from tabtune.report import _VOLATILE_KEYS, SCHEMA, render_chart, render_table, strip_volatile
 
 
@@ -81,6 +84,33 @@ def test_table_reference_columns():
     rows = text.splitlines()[2:]
     assert "**86.78**" in rows[0]
     assert rows[1].strip().endswith("| - |")
+
+
+def test_a_reference_labelled_like_a_tuned_column_keeps_its_own_column():
+    # the config refuses these labels; a report edited by hand still renders
+    # every column from its own values
+    report = _report([("NB", 0.5, 0.6, 0.55)])
+    report["config"]["references"] = {"GS": {"NB": 10}}
+    rows = render_table(report).splitlines()
+    assert rows[0] == "| Classifier | Baseline | GS | RS | GS |"
+    assert rows[2] == "| NB | **50.00** | **60.00** | **55.00** | **10.00** |"
+    assert "<title>NB GS 60.00%</title>" in render_chart(report)
+
+
+def test_reference_labels_are_escaped_in_table_and_chart():
+    report = _report([("DT", 0.8, 0.82, 0.81), ("NB", 0.6, 0.65, 0.64)])
+    labels = ["Smith & Lee <2019>", "a|b", "x]]>y"]
+    report["config"]["references"] = {label: {"DT": 80.0} for label in labels}
+    svg = xml.dom.minidom.parseString(render_chart(report))
+    texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+    titles = [node.firstChild.data for node in svg.getElementsByTagName("title")]
+    for label in labels:
+        assert label in texts  # the legend
+        assert f"DT {label} 80.00%" in titles
+    lines = render_table(report).splitlines()
+    # a cell boundary is a pipe that no backslash escapes: 7 cells, 8 boundaries
+    assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {9}
+    assert r"| a\|b |" in lines[0]
 
 
 def test_rendered_values_match_report_to_two_decimals():
