@@ -18,7 +18,6 @@ from .preprocess import (  # noqa: F401
     PreprocessPlan,
     apply_plan,
     fit_plan,
-    preprocess_split,
 )
 from .hpspace import (  # noqa: F401
     ParamSpec,

@@ -35,9 +35,9 @@ from ..preprocess import DesignMatrix
 from .bayes import GaussianNaiveBayes
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
-from .linear import LinearSVM, LogisticRegression, logloss_gradient, logloss_value, mean_logloss
+from .linear import LinearSVM, LogisticRegression
 from .neighbors import KNearestNeighbors
-from .tree import DecisionTree, best_split, gini_impurity
+from .tree import DecisionTree
 
 __all__ = [
     "FAMILIES",
@@ -51,11 +51,6 @@ __all__ = [
     "train",
     "predict",
     "accuracy",
-    "gini_impurity",
-    "best_split",
-    "logloss_gradient",
-    "logloss_value",
-    "mean_logloss",
     "DecisionTree",
     "RandomForest",
     "GaussianNaiveBayes",

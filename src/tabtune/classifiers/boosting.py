@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import mean_logloss, sigmoid
+from .linear import sigmoid
 from .tree import Trees, grow_regression
 
 
@@ -23,14 +23,7 @@ class GradientBoostedTrees:
         self.max_depth = max_depth
         self.base_score_ = 0.0
         self.trees_ = None  # every stage's tree, in stage order
-        self.logloss_path_ = []  # index s: the training log-loss after s stages
         self.n_features_ = None
-
-    @property
-    def stage_logloss_(self):
-        """Training log-loss of the prior-only model and after each of the
-        first ``n_estimators`` stages."""
-        return self.logloss_path_[:self.n_estimators + 1]
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -40,13 +33,11 @@ class GradientBoostedTrees:
         self.base_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
         nodes, roots = ([], [], [], []), []  # every stage's nodes, in one store
-        self.logloss_path_ = [mean_logloss(y, scores)]
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
             roots.append(len(nodes[0]))
             scores = scores + self.learning_rate * grow_regression(X, residual, self.max_depth,
                                                                    nodes)
-            self.logloss_path_.append(mean_logloss(y, scores))
         self.trees_ = Trees(*(np.array(column, dtype=dtype) for column, dtype in zip(
             (*nodes, roots), (np.intp, float, np.intp, float, np.intp))))
         return self

@@ -52,9 +52,6 @@ class RandomForest:
         return self.trees_.grouped_leaf_values(np.asarray(X, dtype=float), self.n_estimators,
                                                self.max_depth)
 
-    def tree_predictions(self, X):
-        return np.concatenate(list(self._grouped_votes(X))).astype(np.int64)
-
     def predict(self, X):
         votes = sum(group.sum(axis=0) for group in self._grouped_votes(X))
         return (2 * votes > self.n_estimators).astype(np.int64)

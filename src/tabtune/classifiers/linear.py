@@ -19,32 +19,10 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def mean_logloss(y, scores) -> float:
-    """Mean logistic loss of raw scores against 0/1 labels."""
-    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
-
-
-def _check_weights(weights, n_features):
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_features + 1,):
-        raise ValueError(
-            f"expected weight vector of length {n_features + 1} "
-            f"(features + bias), got {weights.shape}"
-        )
-    return weights
-
-
-def logloss_gradient(weights, data, l2_strength: float):
-    """Gradient of mean log-loss plus l2_strength * w on non-bias entries.
-
-    ``weights`` is the feature weights followed by the bias as the last
-    entry; the bias is never regularized. ``data`` is a DesignMatrix.
-    """
-    X = data.features
-    return _gradient(_check_weights(weights, X.shape[1]), X, data.labels, l2_strength)
-
-
 def _gradient(w, X, y, l2_strength):
+    """Gradient of the mean log-loss plus ``l2_strength * w`` on the feature
+    weights; ``w`` holds the feature weights and then the bias, which is
+    never regularized."""
     err = sigmoid(X @ w[:-1] + w[-1]) - y
     grad = np.empty_like(w)
     grad[:-1] = X.T @ err / len(y) + l2_strength * w[:-1]
@@ -52,21 +30,29 @@ def _gradient(w, X, y, l2_strength):
     return grad
 
 
-def logloss_value(weights, data, l2_strength: float) -> float:
-    """Mean log-loss plus (l2/2)*||w||^2 over the non-bias weights."""
-    X = data.features
-    y = data.labels
-    w = _check_weights(weights, X.shape[1])
-    loss = mean_logloss(y, X @ w[:-1] + w[-1])
-    return loss + 0.5 * l2_strength * float(w[:-1] @ w[:-1])
+class _EpochPath:
+    """The read-off rule of the models fitted epoch by epoch: ``path_[e]``
+    holds the feature weights and then the bias after ``e`` epochs, and a
+    model reads the row ``path_[epochs]``, so a model whose config asks for
+    fewer epochs than its fit ran reads the shorter fit. The weights apply
+    to the model's ``_features(X)``."""
+
+    @property
+    def weights_(self):
+        """The feature weights after ``epochs`` epochs."""
+        return self.path_[self.epochs, :-1]
+
+    @property
+    def bias_(self):
+        """The bias after ``epochs`` epochs."""
+        return float(self.path_[self.epochs, -1])
+
+    def decision_scores(self, X):
+        return self._features(np.asarray(X, dtype=float)) @ self.weights_ + self.bias_
 
 
-class LogisticRegression:
-    """Full-batch gradient descent from zero weights; bias unregularized.
-
-    ``path_[e]`` holds the weights after ``e`` epochs, and the model's
-    weights are those after ``epochs``, so a model whose config asks for
-    fewer epochs than its fit ran reads the shorter fit."""
+class LogisticRegression(_EpochPath):
+    """Full-batch gradient descent from zero weights; bias unregularized."""
 
     def __init__(self, l2_strength=0.0, learning_rate=0.1, epochs=100):
         self.l2_strength = l2_strength
@@ -74,11 +60,6 @@ class LogisticRegression:
         self.epochs = epochs
         self.path_ = None
         self.n_features_ = None
-
-    @property
-    def weights_(self):
-        """The feature weights and then the bias after ``epochs`` epochs."""
-        return self.path_[self.epochs]
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -91,26 +72,23 @@ class LogisticRegression:
             self.path_[epoch + 1] = w
         return self
 
-    def decision_scores(self, X):
-        X = np.asarray(X, dtype=float)
-        return X @ self.weights_[:-1] + self.weights_[-1]
+    def _features(self, X):
+        return X
 
     def predict(self, X):
         # predict 1 iff p > 0.5, so p == 0.5 resolves toward label 0
         return (sigmoid(self.decision_scores(X)) > 0.5).astype(np.int64)
 
 
-class LinearSVM:
+class LinearSVM(_EpochPath):
     """Batch subgradient descent on hinge loss with 1/c regularization.
 
     The step size follows the classic 1/(lambda * t) schedule with
-    lambda = 1/c; the bias term is unregularized. Features are centered and
-    variance-scaled internally before optimization (the affine conditioning
-    is absorbed back into the learned hyperplane), which keeps the decaying
-    schedule effective whatever the input scaling. ``path_[e]`` holds the
-    weights and then the bias after ``e`` epochs, and the model's are those
-    after ``epochs``, so a model whose config asks for fewer epochs than its
-    fit ran reads the shorter fit.
+    lambda = 1/c; the bias term is unregularized. The model's features are
+    centered and variance-scaled by the training rows' mean and std
+    (``shift_``, ``scale_``; a constant column keeps scale 1), in fitting
+    and in scoring, which keeps the decaying schedule effective whatever the
+    input scaling.
     """
 
     def __init__(self, c=1.0, epochs=100):
@@ -121,14 +99,6 @@ class LinearSVM:
         self.scale_ = None
         self.n_features_ = None
 
-    @property
-    def weights_(self):
-        return self.path_[self.epochs, :-1]
-
-    @property
-    def bias_(self):
-        return float(self.path_[self.epochs, -1])
-
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y_signed = 2.0 * np.asarray(y, dtype=float) - 1.0
@@ -138,7 +108,7 @@ class LinearSVM:
         scale = X.std(axis=0)
         scale[scale == 0.0] = 1.0
         self.scale_ = scale
-        Z = (X - self.shift_) / self.scale_
+        Z = self._features(X)
         lam = 1.0 / self.c
         w = np.zeros(d)
         b = 0.0
@@ -157,9 +127,8 @@ class LinearSVM:
             self.path_[t + 1, :d], self.path_[t + 1, d] = w, b
         return self
 
-    def decision_scores(self, X):
-        X = np.asarray(X, dtype=float)
-        return ((X - self.shift_) / self.scale_) @ self.weights_ + self.bias_
+    def _features(self, X):
+        return (X - self.shift_) / self.scale_
 
     def predict(self, X):
         return (self.decision_scores(X) > 0.0).astype(np.int64)

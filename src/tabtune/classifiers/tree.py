@@ -42,14 +42,6 @@ def _gini_from_p1(p1):
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
-def gini_impurity(labels) -> float:
-    """1 - p0^2 - p1^2 over a nonempty binary label vector."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("cannot compute impurity of an empty label vector")
-    return float(_gini_from_p1(labels.mean()))
-
-
 def _entropy_from_p1(p1):
     p0 = 1.0 - p1
     out = np.zeros_like(p1)
@@ -204,27 +196,6 @@ def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
     return np.where(best_gain > 0.0, best, -1), threshold[nodes, best], best_gain
 
 
-def best_split(feature_column, labels, criterion: str = "gini"):
-    """Best (threshold, gain) for one feature, or None when no split helps.
-
-    Same candidates and tie rules as the tree's split search: midpoints
-    between consecutive distinct values, smallest threshold on ties. None
-    when the feature is constant or no candidate has positive gain.
-    """
-    x = np.asarray(feature_column, dtype=float)
-    y = np.asarray(labels)
-    if len(x) != len(y):
-        raise ValueError(f"feature has {len(x)} rows but labels has {len(y)}")
-    if criterion not in _IMPURITY:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if len(x) < 2:
-        return None
-    feature, threshold, gain = _best_splits(
-        _RankedColumns(x[:, None]), y.astype(np.intp), np.arange(len(x)),
-        np.array([len(x)]), _IMPURITY[criterion])
-    return None if feature[0] < 0 else (float(threshold[0]), float(gain[0]))
-
-
 #: Tree-row pairs routed together, at most (unless one tree has more rows):
 #: a bound on the temporaries of prediction.
 _ROUTE_CELLS = 1 << 16
@@ -271,15 +242,18 @@ class Trees:
             yield self.value.take(node).reshape(len(roots), n)
 
 
-#: Rows searched in one batch, at most: a bound on a batch's temporaries
-#: that still leaves thousands of small nodes to one search.
+#: The block size of ``_batches``: a bound on a batch's temporaries that
+#: still leaves thousands of small nodes to one search.
 _BATCH_ROWS = 4096
 
 
 def _batches(counts):
     """(nodes, rows) slices of consecutive nodes holding ``counts`` rows each,
-    in batches of whole nodes, each holding at most ``_BATCH_ROWS`` rows
-    unless a single node holds more."""
+    in batches of whole nodes, in order. A batch is the nodes whose last row
+    falls in one block of ``_BATCH_ROWS`` rows, so the nodes after its first
+    hold fewer than ``_BATCH_ROWS`` rows: a batch holds fewer than its first
+    node's rows plus ``_BATCH_ROWS``, under twice ``_BATCH_ROWS`` unless its
+    first node holds more."""
     if not len(counts):
         return
     ends = np.cumsum(counts)
@@ -299,9 +273,10 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     at ``max_depth``, when its labels are one class, when it has fewer than
     ``min_samples_split`` rows, when no split has positive gain, and when
     its threshold sends every row the same way (midpoint rounding). The
-    open nodes of a level are searched by ``_best_splits`` in batches of
-    whole nodes holding up to ``_BATCH_ROWS`` rows; then the whole level is
-    split at once, and its children, left before right, become the next
+    open nodes of a level are searched by ``_best_splits`` in the batches of
+    whole nodes that ``_batches`` forms (under twice ``_BATCH_ROWS`` rows
+    unless a batch's first node holds more); then the whole level is split
+    at once, and its children, left before right, become the next
     level. The node arrays are the levels concatenated. A node's rows keep
     the order they have in ``samples``.
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import NUMERIC, ColumnSchema, SplitPair, Table, make_table
+from .tabular import NUMERIC, ColumnSchema, Table, make_table
 
 SCALING_MODES = ("minmax", "zscore", "none")
 
@@ -210,14 +210,6 @@ def apply_plan(plan: PreprocessPlan, table: Table) -> DesignMatrix:
 
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return make_design_matrix(features, names, labels)
-
-
-def preprocess_split(
-    split: SplitPair, missing_threshold: float, scaling: str = "minmax"
-) -> tuple[DesignMatrix, DesignMatrix]:
-    """Fit on the train part only, then encode both parts identically."""
-    plan = fit_plan(split.train, missing_threshold, scaling)
-    return apply_plan(plan, split.train), apply_plan(plan, split.test)
 
 
 DERIVED_KINDS = ("ratio", "difference")

@@ -74,20 +74,6 @@ class Table:
         indices = np.asarray(indices)
         return make_table(self.schema, {name: col[indices] for name, col in self.columns.items()})
 
-    def row_values(self, row: int) -> tuple:
-        """One row as (value or None) per column, categoricals as level strings.
-
-        Each call reads whole columns; ``write_csv`` exports column-wise."""
-        out = []
-        for col in self.schema:
-            if self.is_missing(col.name)[row]:
-                out.append(None)
-            elif col.kind == NUMERIC:
-                out.append(float(self.columns[col.name][row]))
-            else:
-                out.append(col.categories[int(self.columns[col.name][row])])
-        return tuple(out)
-
 
 def make_table(schema, columns) -> Table:
     """Validate invariants, freeze the arrays, and assemble a Table."""

@@ -277,6 +277,11 @@ def reference_sigmoid(z):
     return out
 
 
+def mean_logloss(y, scores):
+    """Mean logistic loss of raw scores against 0/1 labels."""
+    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
+
+
 def reference_lr_fit(X, y, l2_strength, learning_rate, epochs):
     """Weights (bias last) of full-batch gradient descent on L2 log-loss,
     with ``reference_sigmoid``."""

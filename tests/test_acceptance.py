@@ -6,6 +6,7 @@ set is proprietary and the preprocessing under-specified), so these checks
 are property-based plus desk-scale analogs of its qualitative claims.
 """
 
+import copy
 import itertools
 import json
 import time
@@ -14,17 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_split, knn_oracle, nb_oracle
+from oracles import brute_force_split, knn_oracle, mean_logloss, nb_oracle
 
 from tabtune import classifiers
 from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
-from tabtune.classifiers.linear import logloss_gradient, logloss_value
+from tabtune.classifiers.linear import _gradient
 from tabtune.classifiers.neighbors import KNearestNeighbors
-from tabtune.classifiers.tree import best_split
+from tabtune.classifiers.tree import _IMPURITY, _best_splits, _RankedColumns
 from tabtune.cli import main
 from tabtune.hpspace import ParamSpec, SearchSpace, grid_enumerate, grid_size, space_from_config
-from tabtune.preprocess import make_design_matrix, preprocess_split
+from tabtune.preprocess import apply_plan, fit_plan, make_design_matrix
 from tabtune.report import strip_volatile
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import evaluate_baseline, grid_search, random_search, shuffle_kfold
@@ -64,7 +65,8 @@ _ALL_FAMILIES = ("DT", "RF", "NB", "LR", "KNN", "SVM", "GBT")
 def _tuning_matrices(n_rows, seed):
     table = generate_synthetic(n_rows, seed=seed, positive_rate=0.5)
     split = split_train_test(table, 0.75, seed=seed)
-    return preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    return apply_plan(plan, split.train), apply_plan(plan, split.test)
 
 
 def test_grid_correctness():
@@ -157,35 +159,41 @@ def test_classifier_oracles():
         # LR gradient against central finite differences
         X = rng.normal(size=(40, 4))
         y = rng.integers(0, 2, 40)
-        data = make_design_matrix(X, tuple(f"f{j}" for j in range(4)), y)
         h = 1e-5
+
+        def loss(w, l2):  # mean log-loss plus (l2/2)*||w||^2 over the feature weights
+            return mean_logloss(y, X @ w[:-1] + w[-1]) + 0.5 * l2 * float(w[:-1] @ w[:-1])
+
         for _ in range(10):
             w = rng.normal(scale=0.8, size=5)
             l2 = float(rng.uniform(0.0, 2.0))
-            grad = logloss_gradient(w, data, l2)
+            grad = _gradient(w, X, y, l2)
             for j in range(5):
                 bumped = w.copy()
                 bumped[j] += h
-                up = logloss_value(bumped, data, l2)
+                up = loss(bumped, l2)
                 bumped[j] -= 2 * h
-                down = logloss_value(bumped, data, l2)
+                down = loss(bumped, l2)
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(grad[j]), 1e-8)
                 assert abs(grad[j] - numeric) / denom < 1e-4
-        # DT split search against brute-force threshold enumeration
-        for trial in range(50):
-            n = int(rng.integers(2, 50))
-            x = np.round(rng.normal(size=n), 1)
-            y = rng.integers(0, 2, n)
-            criterion = "gini" if trial % 2 == 0 else "entropy"
-            got = best_split(x, y, criterion)
-            expected = brute_force_split(x, y, criterion)
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got[0] == pytest.approx(expected[0])
-                assert got[1] == pytest.approx(expected[1], abs=1e-12)
+        # DT split search against brute-force threshold enumeration, 25
+        # one-column nodes per criterion searched as one batch
+        for criterion in ("gini", "entropy"):
+            counts = rng.integers(2, 50, size=25)
+            x = np.round(rng.normal(size=counts.sum()), 1)
+            y = rng.integers(0, 2, counts.sum())
+            feature, threshold, gain = _best_splits(
+                _RankedColumns(x[:, None]), y, np.arange(len(x)), counts, _IMPURITY[criterion])
+            ends = np.cumsum(counts)
+            for node, (start, end) in enumerate(zip(ends - counts, ends)):
+                expected = brute_force_split(x[start:end], y[start:end], criterion)
+                if expected is None:
+                    assert feature[node] == -1
+                else:
+                    assert feature[node] == 0
+                    assert threshold[node] == pytest.approx(expected[0])
+                    assert gain[node] == pytest.approx(expected[1], abs=1e-12)
 
     _criterion("classifier-oracles", 60.0, check)
 
@@ -334,7 +342,11 @@ def test_gbt_monotonicity():
                 learning_rate=float(rng.uniform(0.05, 1.0)),
                 max_depth=int(rng.integers(1, 5)),
             ).fit(X, y)
-            losses = booster.stage_logloss_
+            losses = []
+            for n in range(booster.n_estimators + 1):
+                model = copy.copy(booster)  # the read-off of the first n stages
+                model.n_estimators = n
+                losses.append(mean_logloss(y, model.decision_scores(X)))
             assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     _criterion("gbt-monotonicity", 30.0, check)

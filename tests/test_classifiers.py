@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,29 +11,32 @@ from tabtune.classifiers import (
     ModelSpec,
     SingleClassError,
     accuracy,
-    best_split,
     default_config,
-    gini_impurity,
     hp_schema,
-    logloss_gradient,
-    logloss_value,
     predict,
     train,
 )
 from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
-from tabtune.classifiers.linear import LinearSVM, LogisticRegression, mean_logloss, sigmoid
+from tabtune.classifiers.linear import LinearSVM, LogisticRegression, _gradient, sigmoid
 import tabtune.classifiers.neighbors as neighbors_module
 from tabtune.classifiers.neighbors import KNearestNeighbors, _k_nearest
-from tabtune.classifiers.tree import DecisionTree, _best_split_matrix
-from tabtune.preprocess import make_design_matrix, preprocess_split
+from tabtune.classifiers.tree import (
+    _IMPURITY,
+    DecisionTree,
+    _best_split_matrix,
+    _best_splits,
+    _RankedColumns,
+)
+from tabtune.preprocess import apply_plan, fit_plan, make_design_matrix
 from tabtune.tabular import generate_synthetic, split_train_test
 
 from oracles import (
     brute_force_split,
     brute_force_sse_split,
     knn_oracle,
+    mean_logloss,
     nb_oracle,
     reference_forest,
     reference_lr_fit,
@@ -160,43 +164,50 @@ def test_accuracy_examples():
 
 
 def test_gini_examples():
-    assert gini_impurity([0, 0, 1, 1]) == 0.5
-    assert gini_impurity([1, 1, 1]) == 0.0
-    assert gini_impurity([0, 0, 0, 1]) == pytest.approx(0.375)
-    with pytest.raises(ValueError):
-        gini_impurity([])
+    gini = _IMPURITY["gini"]  # of the share of label 1
+    assert gini(np.mean([0, 0, 1, 1])) == 0.5
+    assert gini(np.mean([1, 1, 1])) == 0.0
+    assert gini(np.mean([0, 0, 0, 1])) == pytest.approx(0.375)
 
 
 def test_best_split_four_point_example():
     # brute force over the 3 midpoints gives threshold 2.5, gain 0.5
     oracle = brute_force_split([1, 2, 3, 4], [0, 0, 1, 1])
     assert oracle == (2.5, 0.5)
-    got = best_split(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 1, 1]))
-    assert got == (2.5, 0.5)
+    feature, threshold, gain = _best_splits(
+        _RankedColumns(np.array([[1.0], [2.0], [3.0], [4.0]])), np.array([0, 0, 1, 1]),
+        np.arange(4), np.array([4]), _IMPURITY["gini"])
+    assert (feature[0], threshold[0], gain[0]) == (0, 2.5, 0.5)
 
 
 def test_best_split_constant_and_pure():
-    assert best_split(np.ones(6), np.array([0, 1, 0, 1, 0, 1])) is None
-    assert best_split(np.arange(6.0), np.zeros(6, dtype=int)) is None
-    with pytest.raises(ValueError):
-        best_split(np.arange(3.0), np.array([0, 1]))
+    # one node of a constant column, then one of pure labels: neither splits
+    feature, _, _ = _best_splits(_RankedColumns(np.ones((6, 1))), np.array([0, 1, 0, 1, 0, 1]),
+                                 np.arange(6), np.array([6]), _IMPURITY["gini"])
+    assert feature.tolist() == [-1]
+    feature, _, _ = _best_splits(_RankedColumns(np.arange(6.0)[:, None]), np.zeros(6, np.intp),
+                                 np.arange(6), np.array([6]), _IMPURITY["gini"])
+    assert feature.tolist() == [-1]
 
 
 def test_best_split_matches_brute_force_on_random_columns():
+    # 25 nodes per criterion, searched together as one batch of one column
     rng = np.random.default_rng(42)
-    for trial in range(50):
-        n = int(rng.integers(2, 40))
-        x = np.round(rng.normal(size=n), 1)  # duplicates likely
-        y = rng.integers(0, 2, n)
-        criterion = "gini" if trial % 2 == 0 else "entropy"
-        got = best_split(x, y, criterion)
-        expected = brute_force_split(x, y, criterion)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got[0] == pytest.approx(expected[0])
-            assert got[1] == pytest.approx(expected[1], abs=1e-12)
+    for criterion in ("gini", "entropy"):
+        counts = rng.integers(2, 40, size=25)
+        x = np.round(rng.normal(size=counts.sum()), 1)  # duplicates likely
+        y = rng.integers(0, 2, counts.sum())
+        feature, threshold, gain = _best_splits(_RankedColumns(x[:, None]), y,
+                                                np.arange(len(x)), counts, _IMPURITY[criterion])
+        ends = np.cumsum(counts)
+        for node, (start, end) in enumerate(zip(ends - counts, ends)):
+            expected = brute_force_split(x[start:end], y[start:end], criterion)
+            if expected is None:
+                assert feature[node] == -1
+            else:
+                assert feature[node] == 0
+                assert threshold[node] == pytest.approx(expected[0])
+                assert gain[node] == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_sse_split_matches_brute_force_on_tied_columns():
@@ -285,7 +296,7 @@ def test_forest_matches_recursive_reference(monkeypatch, batch_rows, route_cells
             assert ([_preorder(forest.trees_, root) for root in forest.trees_.roots]
                     == [reference_preorder(tree) for tree in references])
             assert np.array_equal(
-                forest.tree_predictions(test_X),
+                np.concatenate(list(forest._grouped_votes(test_X))),
                 np.stack([reference_predict(tree, test_X) for tree in references]))
             votes = sum(reference_predict(tree, test_X) for tree in references)
             assert np.array_equal(forest.predict(test_X), (2 * votes > 6).astype(np.int64))
@@ -310,6 +321,26 @@ def test_grown_node_arrays_keep_their_bits_at_any_batch_size(monkeypatch):
                                                           trees.left, trees.value, trees.roots)])
             monkeypatch.undo()
         assert seen[0] == seen[1] == seen[2]
+
+
+def test_batches_hold_whole_nodes_in_order_within_their_bound(monkeypatch):
+    monkeypatch.setattr(tree_module, "_BATCH_ROWS", 10)
+    # a node starting in the previous block joins the next batch whole
+    assert [(b.start, b.stop, r.start, r.stop) for b, r in tree_module._batches(
+        np.array([2, 9, 9]))] == [(0, 1, 0, 2), (1, 3, 2, 20)]
+    assert list(tree_module._batches(np.array([], dtype=np.intp))) == []
+    rng = np.random.default_rng(35)
+    for high in (3, 12, 40):  # nodes smaller, about as large and larger than a block
+        counts = rng.integers(1, high, size=int(rng.integers(1, 60)))
+        ends = np.cumsum(counts)
+        node_end = row_end = 0
+        for batch, rows in tree_module._batches(counts):
+            # consecutive whole nodes, and exactly their rows
+            assert batch.start == node_end < batch.stop and rows.start == row_end
+            node_end, row_end = batch.stop, ends[batch.stop - 1]
+            assert rows.stop == row_end
+            assert rows.stop - rows.start < counts[batch.start] + 10
+        assert (node_end, row_end) == (len(counts), ends[-1])
 
 
 def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
@@ -340,9 +371,9 @@ def test_forest_feature_subsampling_searches_m_columns(monkeypatch):
     first, second = fits
     assert np.array_equal(first.trees_.feature, second.trees_.feature)
     assert np.array_equal(first.trees_.threshold, second.trees_.threshold)
-    assert np.array_equal(first.tree_predictions(data.features),
-                          second.tree_predictions(data.features))
-    assert first.tree_predictions(data.features).var(axis=0).max() > 0  # the trees differ
+    votes = [np.concatenate(list(fit._grouped_votes(data.features))) for fit in fits]
+    assert np.array_equal(votes[0], votes[1])
+    assert votes[0].var(axis=0).max() > 0  # the trees differ
 
 
 def test_forest_vote_tie_goes_to_zero():
@@ -351,7 +382,7 @@ def test_forest_vote_tie_goes_to_zero():
     forest = RandomForest(n_estimators=2, max_depth=3, seed=9).fit(
         data.features, data.labels
     )
-    votes = forest.tree_predictions(data.features).sum(axis=0)
+    votes = np.concatenate(list(forest._grouped_votes(data.features))).sum(axis=0)
     predictions = forest.predict(data.features)
     assert np.all(predictions[votes == 1] == 0)  # 1 of 2 trees is not a majority
 
@@ -389,13 +420,21 @@ def test_boosting_matches_recursive_reference(monkeypatch, route_cells):
             assert _preorder(booster.trees_, root) == reference_preorder(reference)
             scores = scores + rate * reference_predict(reference, X)
             test_scores = test_scores + rate * reference_predict(reference, test_X)
-            assert booster.stage_logloss_[stage + 1] == mean_logloss(y, scores)
+            assert _same_bits(_stages(booster, stage + 1).decision_scores(X), scores)
         assert np.array_equal(booster.decision_scores(test_X), test_scores)
+
+
+def _stages(booster, n):
+    """The model of the first ``n`` stages, read off ``booster`` as
+    ``train(..., grown=booster)`` reads it (whose schema floor is 5 stages)."""
+    model = copy.copy(booster)
+    model.n_estimators = n
+    return model
 
 
 def _synthetic_train(rows, seed):
     split = split_train_test(generate_synthetic(rows, seed=seed), 0.75, seed=seed)
-    return preprocess_split(split, 0.6, "minmax")[0]
+    return apply_plan(fit_plan(split.train, 0.6, "minmax"), split.train)
 
 
 def test_boosting_never_searches_a_node_whose_targets_are_all_equal(monkeypatch):
@@ -463,7 +502,8 @@ def test_boosting_training_logloss_non_increasing():
             learning_rate=float(rng.uniform(0.05, 1.0)),
             max_depth=int(rng.integers(1, 4)),
         ).fit(X, y)
-        losses = booster.stage_logloss_
+        losses = [mean_logloss(y, _stages(booster, n).decision_scores(X))
+                  for n in range(booster.n_estimators + 1)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -473,24 +513,29 @@ def test_boosting_training_logloss_non_increasing():
 def test_gradient_bias_zero_on_symmetric_balanced_data():
     X = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, 0.0], [-2.0, 0.0]])
     y = np.array([1, 0, 1, 0])
-    grad = logloss_gradient(np.zeros(3), _matrix(X, y), l2_strength=0.0)
+    grad = _gradient(np.zeros(3), X, y, l2_strength=0.0)
     assert grad[-1] == pytest.approx(0.0)
 
 
 def test_gradient_matches_central_finite_differences():
     rng = np.random.default_rng(23)
     data = _random_matrix(rng, 40, 4)
+    X, y = data.features, data.labels
     h = 1e-5
+
+    def loss(w, l2):  # mean log-loss plus (l2/2)*||w||^2 over the feature weights
+        return mean_logloss(y, X @ w[:-1] + w[-1]) + 0.5 * l2 * float(w[:-1] @ w[:-1])
+
     for _ in range(10):
         w = rng.normal(scale=0.8, size=5)
         l2 = float(rng.uniform(0.0, 2.0))
-        grad = logloss_gradient(w, data, l2)
+        grad = _gradient(w, X, y, l2)
         for j in range(len(w)):
             bumped = w.copy()
             bumped[j] += h
-            up = logloss_value(bumped, data, l2)
+            up = loss(bumped, l2)
             bumped[j] -= 2 * h
-            down = logloss_value(bumped, data, l2)
+            down = loss(bumped, l2)
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad[j]), 1e-8)
             assert abs(grad[j] - numeric) / denom < 1e-4
@@ -500,23 +545,17 @@ def test_gradient_l2_term_is_linear():
     rng = np.random.default_rng(5)
     data = _random_matrix(rng, 30, 3)
     w = rng.normal(size=4)
-    g0 = logloss_gradient(w, data, 0.0)
-    g1 = logloss_gradient(w, data, 0.7)
+    g0 = _gradient(w, data.features, data.labels, 0.0)
+    g1 = _gradient(w, data.features, data.labels, 0.7)
     delta = g1 - g0
     assert delta[:-1] == pytest.approx(0.7 * w[:-1])
     assert delta[-1] == 0.0  # bias never regularized
 
 
-def test_gradient_rejects_wrong_length():
-    data = _stump_data()
-    with pytest.raises(ValueError):
-        logloss_gradient(np.zeros(5), data, 0.0)
-
-
 def test_zero_weight_model_predicts_label_zero():
     model = LogisticRegression(epochs=0)
     model.fit(np.zeros((4, 2)) + np.arange(8).reshape(4, 2), np.array([0, 1, 0, 1]))
-    assert np.all(model.weights_ == 0.0)
+    assert np.all(model.weights_ == 0.0) and model.bias_ == 0.0
     assert np.all(model.predict(np.random.default_rng(0).normal(size=(6, 2))) == 0)
 
 
@@ -551,7 +590,8 @@ def test_logistic_regression_weights_match_reference_bit_for_bit():
         X = rng.normal(scale=3.0, size=(n, d))
         y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
         model = LogisticRegression(l2_strength=l2, learning_rate=rate, epochs=epochs).fit(X, y)
-        assert _same_bits(model.weights_, reference_lr_fit(X, y, l2, rate, epochs))
+        assert _same_bits(np.append(model.weights_, model.bias_),
+                          reference_lr_fit(X, y, l2, rate, epochs))
 
 
 def test_linear_svm_weights_match_reference_bit_for_bit():
@@ -721,7 +761,8 @@ def test_forest_read_off_a_larger_forest_equals_a_fresh_fit(frac):
             assert trees == _seen_trees(fresh.trees_)
             # the first n of 7 reference trees are the n-tree forest
             assert trees == [reference_preorder(tree) for tree in references[:n]]
-            assert np.array_equal(cut.tree_predictions(probe), fresh.tree_predictions(probe))
+            assert np.array_equal(np.concatenate(list(cut._grouped_votes(probe))),
+                                  np.concatenate(list(fresh._grouped_votes(probe))))
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
 
 
@@ -736,7 +777,7 @@ def test_boosting_read_off_more_stages_equals_a_fresh_fit():
                                              {**fixed, "n_estimators": n}, data)
             assert cut.n_estimators == n and len(fresh.trees_.roots) == n
             assert _seen_trees(cut.trees_, cut.n_estimators) == _seen_trees(fresh.trees_)
-            assert cut.stage_logloss_ == fresh.stage_logloss_
+            assert _same_bits(cut.decision_scores(X), fresh.decision_scores(X))
             assert _same_bits(cut.decision_scores(probe), fresh.decision_scores(probe))
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
 
@@ -752,6 +793,7 @@ def test_linear_models_read_off_more_epochs_equal_a_fresh_fit():
                                              {**fixed, "epochs": epochs}, data)
             assert cut.epochs == epochs
             assert _same_bits(cut.weights_, fresh.weights_)
+            assert _same_bits(cut.bias_, fresh.bias_)
             assert np.array_equal(predict(cut, probe), predict(fresh, probe))
         for c in (0.5, 4.0):
             fresh, cut = _fresh_and_read_off("SVM", {"c": c, "epochs": 60},

@@ -351,6 +351,22 @@ def test_a_reference_named_after_a_tuned_column_is_a_config_error(tmp_path, caps
                                          tmp_path).references
 
 
+
+@pytest.mark.parametrize("label", ["two\nlines", "bell\u0007", "tab\there", "\x7fdel", "c1\x85"])
+def test_a_reference_label_holding_a_control_character_is_a_config_error(tmp_path, capsys,
+                                                                          label):
+    config_path, doc = _small_config(tmp_path, references={label: {"NB": 10}})
+    with pytest.raises(ConfigError, match="control character") as excinfo:
+        parse_run_config(doc, tmp_path)
+    assert f"'references.{label!r}'" in str(excinfo.value)
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert f"references.{label!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # printable labels, spaces and markup included, are reference columns
+    for other in ("two lines", "Smith & Lee <2019>", "caf\u00e9 \u00a0"):
+        assert other in parse_run_config({**doc, "references": {other: {"NB": 10}}},
+                                         tmp_path).references
+
 def test_oversized_search_is_a_config_error(tmp_path):
     fine = {"learning_rate": {"lo": 0.01, "hi": 1.0, "step": 1e-9}}
     cases = [
@@ -751,7 +767,7 @@ _MISTYPED = [
     (("tuner", "spaces", "DT", "max_depth", "lo"), "two"),
     (("tuner", "spaces", "DT", "max_depth", "hi"), 99), (("output", "report"), None),
     (("data", "csv", "path"), ["data.csv"]), (("tuner", "k"), 1000),
-    (("references", "RS"), {"NB": 50}),
+    (("references", "RS"), {"NB": 50}), (("references", "two\nlines"), {"NB": 50}),
 ]
 _DROPPABLE = [("data",), ("output",), ("data", "csv", "target"), ("data", "csv", "path"),
               ("tuner", "k"), ("tuner", "families"), ("output", "report"), ("output", "chart")]

@@ -10,14 +10,12 @@ from tabtune.preprocess import (
     apply_plan,
     fit_plan,
     make_design_matrix,
-    preprocess_split,
 )
 from tabtune.tabular import (
     CATEGORICAL,
     NUMERIC,
     TARGET,
     ColumnSchema,
-    SplitPair,
     generate_synthetic,
     make_table,
     split_train_test,
@@ -105,7 +103,7 @@ def test_zscore_uses_population_std():
 def test_zscore_train_rows_standardized():
     table = generate_synthetic(400, seed=8)
     split = split_train_test(table, 0.7, seed=1)
-    train, test = preprocess_split(split, 0.6, scaling="zscore")
+    train = apply_plan(fit_plan(split.train, 0.6, scaling="zscore"), split.train)
     for j, name in enumerate(train.feature_names):
         if "=" in name:  # one-hot indicator
             continue
@@ -120,7 +118,7 @@ def test_zscore_train_rows_standardized():
 def test_minmax_train_rows_in_unit_interval():
     table = generate_synthetic(400, seed=8)
     split = split_train_test(table, 0.7, seed=1)
-    train, _ = preprocess_split(split, 0.6, scaling="minmax")
+    train = apply_plan(fit_plan(split.train, 0.6, scaling="minmax"), split.train)
     assert train.features.min() >= 0.0
     assert train.features.max() <= 1.0
 
@@ -162,7 +160,8 @@ def test_unseen_level_maps_to_missing_indicator():
 def test_one_hot_groups_partition_each_row():
     table = generate_synthetic(300, seed=6)
     split = split_train_test(table, 0.75, seed=2)
-    train, test = preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    train, test = apply_plan(plan, split.train), apply_plan(plan, split.test)
     for matrix in (train, test):
         for column in ("sex", "race_ethnicity", "first_major"):
             group = [j for j, n in enumerate(matrix.feature_names) if n.startswith(column + "=")]
@@ -185,8 +184,8 @@ def test_numeric_missing_imputed_with_train_mean():
 
 def test_identical_tables_identical_matrices():
     table = generate_synthetic(120, seed=3)
-    pair = SplitPair(train=table, test=table)
-    train, test = preprocess_split(pair, 0.6, "minmax")
+    plan = fit_plan(table, 0.6, "minmax")
+    train, test = apply_plan(plan, table), apply_plan(plan, table)
     assert train.feature_names == test.feature_names
     assert np.array_equal(train.features, test.features)
     assert np.array_equal(train.labels, test.labels)

@@ -1,0 +1,30 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).parent.parent / "src" / "tabtune"
+
+#: perfbench/traced.py patches these three by name, so they stay until the
+#: benchmark's tracer stops patching them (ROADMAP item 5 removes them)
+_PATCHED_BY_PERFBENCH = ("grid_search", "random_search", "evaluate_baseline")
+
+
+def test_every_function_and_class_in_the_package_is_referenced_in_it():
+    # a name counts as used when the package reads it as a name or an
+    # attribute; an import or an ``__all__`` string is no use of it, and
+    # dunder methods and ``main`` are called from outside the package
+    defined, used = {}, set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.relative_to(SOURCE)}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 50  # the scan saw the package
+    unused = {name: where for name, where in defined.items()
+              if name not in used and name != "main" and name not in _PATCHED_BY_PERFBENCH
+              and not (name.startswith("__") and name.endswith("__"))}
+    assert not unused, f"defined in src/tabtune but never referenced there: {unused}"

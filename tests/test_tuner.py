@@ -18,7 +18,7 @@ from tabtune.classifiers import (
     FAMILIES, ModelSpec, budget_axes, default_config, free_axes, hp_schema,
 )
 from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
-from tabtune.preprocess import DesignMatrix, make_design_matrix, preprocess_split
+from tabtune.preprocess import DesignMatrix, apply_plan, fit_plan, make_design_matrix
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
     TuningError,
@@ -721,7 +721,8 @@ def test_grs_end_to_end_improves_over_default_baselines():
 
     table = generate_synthetic(2000, seed=7, positive_rate=0.5)
     split = split_train_test(table, 0.75, seed=7)
-    train, test = preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    train, test = apply_plan(plan, split.train), apply_plan(plan, split.test)
     families = ["DT", "RF", "NB", "LR", "KNN", "SVM", "GBT"]
     spaces = {
         "DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 14, "step": 4}}),
@@ -748,7 +749,8 @@ def test_grs_report_deterministic_modulo_durations():
 
     table = generate_synthetic(300, seed=5)
     split = split_train_test(table, 0.75, seed=5)
-    train, test = preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    train, test = apply_plan(plan, split.train), apply_plan(plan, split.test)
     spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 6, "step": 2}})}
     a = grs_auto_hp(["DT", "NB"], spaces, train, test, k=3, fold_seed=1, search_seed=2)
     b = grs_auto_hp(["DT", "NB"], spaces, train, test, k=3, fold_seed=1, search_seed=2)
@@ -758,7 +760,8 @@ def test_grs_report_deterministic_modulo_durations():
 def test_search_time_accounting():
     table = generate_synthetic(200, seed=5)
     split = split_train_test(table, 0.75, seed=5)
-    train, test = preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    train, test = apply_plan(plan, split.train), apply_plan(plan, split.test)
     spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3}})}
     report = grs_auto_hp(["DT"], spaces, train, test, k=3)
     entry, trials = report["families"][0], report["trials"]["DT"]
@@ -775,7 +778,8 @@ def test_report_trials_truncation(monkeypatch):
 
     table = generate_synthetic(100, seed=5)
     split = split_train_test(table, 0.75, seed=5)
-    train, test = preprocess_split(split, 0.6, "minmax")
+    plan = fit_plan(split.train, 0.6, "minmax")
+    train, test = apply_plan(plan, split.train), apply_plan(plan, split.test)
     spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 1, "hi": 3}})}
     # DT: 3 grid + 3 random trials; NB searches its one default config twice
     n_trials = {"DT": 6, "NB": 2}
