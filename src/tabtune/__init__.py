@@ -26,12 +26,5 @@ from .hpspace import (  # noqa: F401
     grid_size,
     random_sample,
 )
-from .tuner import (  # noqa: F401
-    cross_val_trial,
-    evaluate_baseline,
-    grid_search,
-    grs_auto_hp,
-    random_search,
-    shuffle_kfold,
-)
+from .tuner import cross_val_trial, grs_auto_hp, shuffle_kfold  # noqa: F401
 from .report import render_chart, render_table, strip_volatile  # noqa: F401

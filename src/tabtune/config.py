@@ -66,6 +66,13 @@ class RunConfig:
         }
 
 
+def check_reference_label(label: str) -> None:
+    """Refuse a label holding a control character (Unicode category Cc): it
+    would split the table's header row, and most make the chart invalid XML."""
+    if any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in label):
+        _fail(f"references.{label!r}", "the label holds a control character")
+
+
 def _finite_number(text):
     """A JSON number token as a float; NaN, Infinity, -Infinity and literals
     that overflow (1e999), which json.loads accepts but JSON has not, raise."""
@@ -144,10 +151,7 @@ def parse_run_config(doc: dict, base_dir, config_path=None) -> RunConfig:
     for label in doc["references"]:
         if label in METHOD_COLUMNS:
             _fail(f"references.{label}", f"{label} names a column of tuned results")
-        # a control character (Unicode category Cc) would split the table's
-        # header row, and most of them make the chart invalid XML
-        if any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in label):
-            _fail(f"references.{label!r}", "the label holds a control character")
+        check_reference_label(label)
 
     spaces = {}
     for family, mapping in doc["tuner"]["spaces"].items():

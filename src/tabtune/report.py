@@ -9,7 +9,7 @@ maxima are bolded, with ties at display precision all bolded.
 
 from __future__ import annotations
 
-from .config import METHOD_COLUMNS
+from .config import METHOD_COLUMNS, check_reference_label
 from .config import SCHEMA as CONFIG_SCHEMA
 from .schema import SchemaViolation, load_schema, validate
 
@@ -38,13 +38,15 @@ def strip_volatile(value):
 
 
 def check_report(report) -> None:
-    """Raise ``ValueError`` naming the first field that breaks
-    ``report.schema.json``, or ``config.schema.json`` for the embedded config."""
+    """Raise ``ValueError`` naming the first field that breaks the report or
+    config schema, or the first reference label ``check_reference_label`` refuses."""
     try:
         validate(report, SCHEMA)
         validate(report["config"], CONFIG_SCHEMA, "config")
     except SchemaViolation as exc:
         raise ValueError(f"not a tabtune report: {exc}") from None
+    for label in report["config"].get("references", {}):
+        check_reference_label(label)
 
 
 def _method_columns(report: dict):

@@ -91,10 +91,8 @@ def cross_val_trial(
     accuracies, models = [], []
     for fold, (fit_part, eval_part) in enumerate(folds):
         try:
-            if grown is None:
-                model = classifiers.train(validated, fit_part, seed)
-            else:
-                model = classifiers.train(validated, fit_part, seed, grown=grown[fold])
+            model = classifiers.train(validated, fit_part, seed,
+                                      grown=None if grown is None else grown[fold])
         except SingleClassError:
             logger.warning(
                 "%s fold %d: training part is single-class, scoring 0", spec.family, fold
@@ -217,17 +215,6 @@ def _evaluate_plan(plan, folds, seed, workers):
             for family, _ in plan}
 
 
-def _evaluate_configs(family, configs, folds, seed, workers):
-    """One search's configs evaluated as a plan of their own
-    (``_evaluate_plan``), results in trial-index order; the first failing
-    group's exception is raised."""
-    configs = [classifiers.validate_config(family, config) for config in configs]
-    trials = _evaluate_plan([(family, configs)], folds, seed, workers)[family]
-    if isinstance(trials, Exception):
-        raise trials
-    return trials
-
-
 def _best_trial(trials):
     # max keeps the first of equal maxima: ties keep the lowest index
     return max(trials, key=lambda trial: trial["mean_accuracy"])
@@ -237,6 +224,17 @@ def _random_draws(space, budget, seed):
     if budget < 1:
         raise ValueError(f"random search budget must be at least 1, got {budget}")
     return random_sample(space, budget, seed)
+
+
+def _evaluate_configs(family, configs, folds, seed, workers):
+    """One search's configs evaluated as a plan of their own, results in
+    trial-index order; the first failing group's exception is raised. No run
+    calls it or the searches below: perfbench/traced.py patches them by name."""
+    configs = [classifiers.validate_config(family, config) for config in configs]
+    trials = _evaluate_plan([(family, configs)], folds, seed, workers)[family]
+    if isinstance(trials, Exception):
+        raise trials
+    return trials
 
 
 def grid_search(family, space, folds, seed, workers=1):

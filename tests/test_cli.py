@@ -367,6 +367,32 @@ def test_a_reference_label_holding_a_control_character_is_a_config_error(tmp_pat
         assert other in parse_run_config({**doc, "references": {other: {"NB": 10}}},
                                          tmp_path).references
 
+
+def test_render_refuses_a_reference_label_holding_a_control_character(tmp_path, capsys):
+    # the run's config rule, applied to a report edited after its run
+    config_path, _ = _small_config(
+        tmp_path, data={"synthetic": {"rows": 120, "seed": 11, "positive_rate": 0.5}},
+        tuner={"families": ["NB"], "k": 3, "fold_seed": 1, "search_seed": 2})
+    assert main(["run", str(config_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    outputs = [tmp_path / "again.md", tmp_path / "again.svg"]
+    argv = ["render", str(tmp_path / "edited.json"),
+            "--table", str(outputs[0]), "--chart", str(outputs[1])]
+    for label in ("two\nlines", "bell\u0007", "c1\x85"):
+        report["config"]["references"] = {"paper": {"NB": 60.0}, label: {"NB": 50.0}}
+        (tmp_path / "edited.json").write_text(json.dumps(report), encoding="utf-8")
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"references.{label!r}" in err and "control character" in err
+        assert not any(path.exists() for path in outputs)
+    # a label named after a tuned column still renders, known by its position
+    report["config"]["references"] = {"GS": {"NB": 50.0}}
+    (tmp_path / "edited.json").write_text(json.dumps(report), encoding="utf-8")
+    assert main(argv) == 0
+    header = outputs[0].read_text(encoding="utf-8").splitlines()[0]
+    assert [c.strip() for c in header.split("|")[1:-1]] == [
+        "Classifier", "Baseline", "GS", "RS", "GS"]
+
 def test_oversized_search_is_a_config_error(tmp_path):
     fine = {"learning_rate": {"lo": 0.01, "hi": 1.0, "step": 1e-9}}
     cases = [

@@ -5,8 +5,9 @@ from pathlib import Path
 
 SOURCE = Path(__file__).parent.parent / "src" / "tabtune"
 
-#: perfbench/traced.py patches these three by name, so they stay until the
-#: benchmark's tracer stops patching them (ROADMAP item 5 removes them)
+#: No package code, export or acceptance test uses these three; they stay
+#: only because perfbench/traced.py patches them by name. ROADMAP items 3
+#: (the tracer stops patching them) and 5 (they are deleted) remove them.
 _PATCHED_BY_PERFBENCH = ("grid_search", "random_search", "evaluate_baseline")
 
 

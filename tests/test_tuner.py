@@ -125,7 +125,7 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
         def predict(self, X):
             return np.zeros(X.shape[0], dtype=np.int64)
 
-    def fake_train(spec, part, seed):
+    def fake_train(spec, part, seed, grown=None):
         return _AlwaysZero()
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
@@ -485,19 +485,19 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         configs += [{"n_neighbors": 25, "weighting": "distance"}, {"n_neighbors": 20},
                     {"n_neighbors": 9, "weighting": "distance"}]
         fold_sets.insert(0, shuffle_kfold(_noisy(24, seed=9), 3, seed=2))
-    read_off = []
-    real_train = tuner_module.classifiers.train
+    read_off = []  # per trial and fold: (config, read off a covering config's models)
+    real_trial = tuner_module.cross_val_trial
 
-    def counting_train(spec, data, seed, **grown):
-        read_off.append((spec.config, bool(grown)))
-        return real_train(spec, data, seed, **grown)
+    def counting_trial(spec, folds, seed, trial_index=0, grown=None):
+        read_off.extend([(spec.config, grown is not None)] * len(folds))
+        return real_trial(spec, folds, seed, trial_index=trial_index, grown=grown)
 
     for folds in fold_sets:
         naive = [cross_val_trial(ModelSpec(family, config), folds, 5, trial_index=index)[0]
                  for index, config in enumerate(configs)]
-        monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
+        monkeypatch.setattr(tuner_module, "cross_val_trial", counting_trial)
         serial = tuner_module._evaluate_configs(family, configs, folds, 5, 1)
-        monkeypatch.setattr(tuner_module.classifiers, "train", real_train)
+        monkeypatch.setattr(tuner_module, "cross_val_trial", real_trial)
         monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
         pooled = tuner_module._evaluate_configs(family, configs, folds, 5, 2)
         for staged in (serial, pooled):
@@ -806,23 +806,26 @@ def test_report_trials_truncation(monkeypatch):
 # ---------------------------------------------------------------- whole-run reference
 
 
-def _random_space(family, rng):
+def _random_space(family, rng, pinned=0.25, deep=False):
     """A seeded space mapping for ``family``: each budget, and each other
-    parameter unless it stays pinned, gets up to three grid values. Integer
-    ranges sit near their lower bounds, so budgets stay small and most
-    defaults lie above every grid budget; random draws fall between grid
+    parameter unless it stays pinned (with probability ``pinned``), gets up
+    to three grid values. Integer ranges sit near their lower bounds, so
+    budgets stay small and most defaults lie above every grid budget; with
+    ``deep``, a depth range starts near the default depth instead, so a
+    default can lie below a grid budget. Random draws fall between grid
     values, and an integer range may end short of its next step, so a draw
     can also lie above the grid's largest value."""
     mapping = {}
     for spec in hp_schema(family):
         budget = spec.name in budget_axes(family)
-        if not budget and rng.random() < 0.25:
+        if not budget and rng.random() < pinned:
             continue
         if spec.kind == "categorical":
             count = int(rng.integers(1, len(spec.choices) + 1))
             mapping[spec.name] = {"choices": [str(c) for c in rng.permutation(spec.choices)[:count]]}
         elif spec.kind == "integer":
-            lo, step = int(rng.integers(spec.lo, spec.lo + 5)), int(rng.integers(1, 4))
+            base = max(spec.lo, spec.default - 3) if deep and spec.name == "max_depth" else spec.lo
+            lo, step = int(rng.integers(base, base + 5)), int(rng.integers(1, 4))
             steps = int(rng.integers(int(budget), 3))  # a budget has two or three values
             hi = lo + step * steps + int(rng.integers(step))
             mapping[spec.name] = {"lo": lo, "hi": min(hi, spec.hi), "step": step}
@@ -896,3 +899,60 @@ def test_grs_equals_the_serial_reference_run(monkeypatch):
     assert covered == {"draw equal to the default", "default above every grid budget",
                        "draw above the grid's largest budget",
                        "draw below the grid's largest budget"}
+
+
+def _fuzz_matrices(rng):
+    """A seeded (train, test) pair with 30-200 training rows. Its columns,
+    in a drawn order: one to three signal columns rounded to one decimal
+    (tied values), a constant, a two-valued and a duplicated column, and an
+    all-zero missing-level indicator. The training rows hold from about half
+    positives down to one or two, so a fold's fit part can be single-class."""
+    n_train = int(rng.integers(30, 201))
+    n = n_train + int(rng.integers(10, 41))
+    signal = np.round(rng.normal(size=(n, int(rng.integers(1, 4)))), 1)
+    X = np.hstack([signal, np.full((n, 1), rng.normal()), rng.integers(0, 2, (n, 1)),
+                   signal[:, :1], np.zeros((n, 1))])
+    X = X[:, rng.permutation(X.shape[1])]
+    score = signal[:, 0] + rng.normal(scale=float(rng.uniform(0.1, 1.5)), size=n)
+    positives = (int(rng.integers(1, 3)) if rng.random() < 0.3
+                 else int(n_train * rng.uniform(0.2, 0.5)))
+    cut = np.sort(score[:n_train])[n_train - positives]
+    data = _matrix(X, (score >= cut).astype(np.int64))
+    return data.take(np.arange(n_train)), data.take(np.arange(n_train, n))
+
+
+def test_grs_equals_the_serial_reference_run_on_fuzzed_runs(monkeypatch):
+    # seeded whole runs against fitting every trial alone: data shapes and
+    # class balances, k, family subsets and orders, spaces, random-search
+    # budgets and seeds, and one worker or a pool of two
+    from tabtune.report import strip_volatile
+
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)  # a pool even on a 1-CPU host
+    seen = {"k": set(), "workers": set(), "single-class fold": 0, "default under the grid": 0}
+    for seed in range(24):
+        rng = np.random.default_rng([91, seed])
+        train, test = _fuzz_matrices(rng)
+        families = [str(f) for f in rng.permutation(FAMILIES)[:int(rng.integers(1, 4))]]
+        pinned, deep = float(rng.uniform(0.25, 0.75)), bool(rng.random() < 0.5)
+        spaces = {family: _random_space(family, rng, pinned, deep) for family in families}
+        kwargs = {"k": int(rng.integers(2, 6)), "fold_seed": int(rng.integers(100)),
+                  "search_seed": int(rng.integers(100)),
+                  "rs_budget": None if rng.random() < 0.2 else int(rng.integers(1, 9))}
+        workers = int(rng.integers(1, 3))
+        expected = strip_volatile(reference_grs(families, spaces, train, test, **kwargs))
+        report = grs_auto_hp(families, spaces, train, test, workers=workers, **kwargs)
+        assert strip_volatile(report) == expected, f"seed {seed}"
+        seen["k"].add(kwargs["k"])
+        seen["workers"].add(workers)
+        seen["single-class fold"] += any(
+            fit_part.labels.min() == fit_part.labels.max()
+            for fit_part, _ in shuffle_kfold(train, kwargs["k"], kwargs["fold_seed"]))
+        for entry in expected["families"]:  # a grid config of its group has a larger budget
+            family, default = entry["family"], entry["baseline"]["config"]
+            axes = budget_axes(family) + free_axes(family)
+            seen["default under the grid"] += any(
+                all(config[name] == default[name] for name in default if name not in axes)
+                and any(config[axis] > default[axis] for axis in budget_axes(family))
+                for config in (t["config"] for t in expected["trials"][family]["grid"]))
+    assert seen["k"] == {2, 3, 4, 5} and seen["workers"] == {1, 2}
+    assert seen["single-class fold"] > 0 and seen["default under the grid"] > 0
