@@ -14,13 +14,14 @@ labels.
 
 The table also names each family's budgets, the parameters whose smaller
 values a larger fit already holds, and its free axes, the parameters that
-``fit`` never reads; ``train(spec, data, seed, grown=model)`` reads the
-model ``spec`` would fit off such a larger ``model``: a copy of it under
-``spec``'s config. Each model's ``predict`` reads its own budgets and free
-axes (the first trees or stages, a tree's levels, the weights after some
-epochs, a variance floor, the first k neighbors), so the copy shares the
-fit's arrays and predicts as a fresh fit of ``spec`` would. Models read off
-one KNN fit share its neighbor ranking.
+``fit`` never reads. Both rules of reading a model off another fit live
+here: ``fit_groups`` groups configs so that each group can share its fits,
+and ``train(spec, data, seed, fits=...)`` reads the model ``spec`` would fit
+off the first fit that covers it. Each model's ``predict`` reads its own
+budgets and free axes (the first trees or stages, a tree's levels, the
+weights after some epochs, a variance floor, the first k neighbors), so a
+model read off a fit shares its arrays and predicts as a fresh fit of
+``spec`` would. Models read off one KNN fit share its neighbor ranking.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ __all__ = [
     "hp_schema",
     "default_config",
     "validate_config",
-    "budget_axes",
-    "free_axes",
+    "fit_groups",
     "train",
     "predict",
     "accuracy",
@@ -144,36 +144,42 @@ def validate_config(family: str, config) -> dict:
     return full
 
 
-def budget_axes(family: str) -> tuple[str, ...]:
-    """The family's budget axes: the parameters whose smaller values
-    ``train(..., grown=...)`` reads off a fit with larger ones."""
-    return _FAMILY_TABLE[family].budgets
-
-
-def free_axes(family: str) -> tuple[str, ...]:
-    """The family's free axes: the parameters ``fit`` never reads, which
-    ``train(..., grown=...)`` serves at any value."""
-    return _FAMILY_TABLE[family].free
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
     config: dict = field(default_factory=dict)
 
 
-def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
+def fit_groups(family: str, configs) -> list:
+    """The (config, index) pairs of validated ``configs``, grouped so that
+    ``train(..., fits=...)`` can serve each member off a fit of another:
+    configs equal outside the family's budgets and free axes share a group.
+    Groups keep the order of their first configs, and each lists its members
+    largest budgets first (a stable sort), so every member comes after each
+    member that covers it."""
+    budgets, free = _FAMILY_TABLE[family].budgets, _FAMILY_TABLE[family].free
+    groups = {}
+    for index, config in enumerate(configs):
+        key = tuple((name, value) for name, value in config.items()
+                    if name not in budgets + free)
+        groups.setdefault(key, []).append((config, index))
+    return [sorted(members, key=lambda m: [-m[0][name] for name in budgets])
+            for members in groups.values()]
+
+
+def train(spec: ModelSpec, data: DesignMatrix, seed: int, fits=None):
     """The family's model fitted with a validated config; deterministic given seed.
 
-    With ``grown``, a model that ``train`` fitted on the same ``data``
-    (which is the caller's to ensure) and ``seed``, the model ``spec`` would
-    fit is read off it instead of fitted: ``grown`` itself when the configs
-    are equal, else a shallow copy of ``grown`` with ``spec``'s budgets and
-    free axes set, which shares every array of the fit. A
-    ``grown`` that cannot serve ``spec`` raises ValueError: another family
-    or column count, another value of a parameter outside ``budget_axes``
-    and ``free_axes`` (the RF seed included), or a smaller budget. Empty
-    and single-class data raise before ``grown`` is read.
+    ``fits``, when given, is a list of models that ``train`` fitted on the
+    same ``data`` (which is the caller's to ensure). The model ``spec``
+    would fit is read off the first of them that covers it: one of the
+    family's class, fitted on as many columns, with each budget at least
+    as large and every other parameter outside the free axes (the RF seed
+    included) equal. The read-off is that fit itself when the configs are
+    equal, else a shallow copy of it with ``spec``'s budgets and free axes
+    set, which shares every array of the fit. When no model covers
+    ``spec``, a new fit is appended to ``fits``. Empty and single-class data
+    raise before ``fits`` is read.
     """
     cfg = validate_config(spec.family, spec.config)
     if data.n_rows == 0:
@@ -182,27 +188,22 @@ def train(spec: ModelSpec, data: DesignMatrix, seed: int, grown=None):
         raise SingleClassError(f"{spec.family}: training data contains a single class "
                                f"({np.unique(data.labels).tolist()})")
     family = _FAMILY_TABLE[spec.family]
-    seed_arg = {"seed": seed} if family.seeded else {}
-    if grown is None:
-        return family.model(**cfg, **seed_arg).fit(data.features, data.labels)
-    if type(grown) is not family.model:
-        raise ValueError(f"{spec.family}: cannot read a model off a {type(grown).__name__}")
-    if grown.n_features_ != data.n_features:
-        raise ValueError(f"{spec.family}: cannot read a model of {data.n_features} columns "
-                         f"off one fitted on {grown.n_features_}")
-    wanted = {**cfg, **seed_arg}
-    unserved = {name: getattr(grown, name) for name, value in wanted.items()
-                if name not in family.free
-                and (getattr(grown, name) < value if name in family.budgets
-                     else getattr(grown, name) != value)}
-    if unserved:
-        raise ValueError(f"{spec.family}: cannot read {wanted} off a model with {unserved}; "
-                         f"the budgets of {spec.family} are {list(family.budgets)}")
-    if all(getattr(grown, name) == value for name, value in wanted.items()):
-        return grown
-    model = copy.copy(grown)
-    for name in family.budgets + family.free:
-        setattr(model, name, cfg[name])
+    wanted = {**cfg, **({"seed": seed} if family.seeded else {})}
+    for fit in fits or ():
+        if type(fit) is not family.model or fit.n_features_ != data.n_features:
+            continue
+        held = {name: getattr(fit, name) for name in wanted}
+        if held == wanted:
+            return fit
+        if all(held[name] >= value if name in family.budgets else held[name] == value
+               for name, value in wanted.items() if name not in family.free):
+            model = copy.copy(fit)
+            for name in family.budgets + family.free:
+                setattr(model, name, cfg[name])
+            return model
+    model = family.model(**wanted).fit(data.features, data.labels)
+    if fits is not None:
+        fits.append(model)
     return model
 
 

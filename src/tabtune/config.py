@@ -67,10 +67,14 @@ class RunConfig:
 
 
 def check_reference_label(label: str) -> None:
-    """Refuse a label holding a control character (Unicode category Cc): it
-    would split the table's header row, and most make the chart invalid XML."""
-    if any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in label):
-        _fail(f"references.{label!r}", "the label holds a control character")
+    """Refuse a label holding a control character (Unicode category Cc),
+    which would split the table's header row and most of which make the
+    chart invalid XML; a character XML 1.0 has not (U+FFFE, U+FFFF); or a
+    lone surrogate, which JSON strings carry but UTF-8 cannot encode."""
+    if any(ord(ch) < 32 or 127 <= ord(ch) < 160 or 0xD800 <= ord(ch) < 0xE000
+           or ord(ch) in (0xFFFE, 0xFFFF) for ch in label):
+        _fail(f"references.{label!r}",
+              "the label holds a control character or one that XML or UTF-8 cannot carry")
 
 
 def _finite_number(text):
@@ -109,6 +113,10 @@ def parse_run_config(doc: dict, base_dir, config_path=None) -> RunConfig:
     def resolve(path: str, field_path: str) -> str:
         if "\0" in path:  # no file system accepts it; open() would raise ValueError
             _fail(field_path, "path contains a NUL character")
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError:  # a lone surrogate, for one: a ValueError from any call
+            _fail(field_path, "path holds a character the file system encoding cannot encode")
         path = Path(path)
         if path.is_absolute():
             return str(path)

@@ -10,15 +10,13 @@ non-deterministic fields.
 A run splits its training matrix into the k folds' fit and eval parts
 once (``shuffle_kfold``), and every trial trains and scores on those parts.
 It builds one plan first: per family, its default config, every grid
-config and every random draw. Each family's plan is evaluated staged:
-configs that differ only in their budgets (``classifiers.budget_axes``: tree
-counts, depths, epochs, KNN's k) and free axes (``classifiers.free_axes``:
-NB's variance floor, KNN's weighting) form a group, whichever searches they
-come from; each group's largest budgets are fitted once per fold, and the
-other configs' models are read off those fits; every KNN config of a fold
-then votes from one neighbor ranking. Every trial's numbers are those of
-fitting it alone. The groups of all families share one process pool per
-run, or run in the main process with one worker.
+config and every random draw. Each family's plan is split into the groups
+of ``classifiers.fit_groups``, whichever searches their configs come from,
+and the trials of a group share each fold's fits (``classifiers.train``
+with ``fits``), so most configs are read off a larger fit instead of
+fitted. Every trial's numbers are those of fitting it alone. The groups of
+all families share one process pool per run, or run in the main process
+with one worker.
 """
 
 from __future__ import annotations
@@ -75,31 +73,31 @@ def cross_val_trial(
     folds: tuple,
     seed: int,
     trial_index: int = 0,
-    grown=None,
-) -> tuple[dict, list]:
-    """``(record, models)``: the trial's report record (``trial_index``, the
-    validated ``config``, ``fold_accuracies``, their mean, wall time) and the
-    model fitted on each fold's fit part of ``folds`` (``shuffle_kfold``),
-    scored on its eval part. A fold whose fit part is single-class scores 0
-    with a warning, and its model is None, instead of aborting the sweep.
-    ``grown``, when given, holds each fold's model of a config that covers
-    this one, and each fold's model is read off it instead of fitted.
+    fits=None,
+) -> dict:
+    """The trial's report record (``trial_index``, the validated ``config``,
+    ``fold_accuracies``, their mean, wall time): a model trained on each
+    fold's fit part of ``folds`` (``shuffle_kfold``), scored on its eval
+    part. A fold whose fit part is single-class scores 0 with a warning
+    instead of aborting the sweep. ``fits``, when given, holds one list per
+    fold, which ``classifiers.train`` reads that fold's model off or
+    appends its fit to.
     """
     config = classifiers.validate_config(spec.family, spec.config)
     validated = ModelSpec(spec.family, config)
     started = time.perf_counter()
-    accuracies, models = [], []
+    accuracies = []
     for fold, (fit_part, eval_part) in enumerate(folds):
         try:
             model = classifiers.train(validated, fit_part, seed,
-                                      grown=None if grown is None else grown[fold])
+                                      fits=None if fits is None else fits[fold])
         except SingleClassError:
             logger.warning(
                 "%s fold %d: training part is single-class, scoring 0", spec.family, fold
             )
-            model = None
-        models.append(model)
-        accuracies.append(0.0 if model is None else classifiers.accuracy(
+            accuracies.append(0.0)
+            continue
+        accuracies.append(classifiers.accuracy(
             classifiers.predict(model, eval_part.features), eval_part.labels))
     return {
         "trial_index": trial_index,
@@ -107,7 +105,7 @@ def cross_val_trial(
         "fold_accuracies": accuracies,
         "mean_accuracy": float(np.mean(accuracies)),
         "duration_seconds": time.perf_counter() - started,
-    }, models
+    }
 
 
 #: (folds, seed) of the pool this worker process serves; set once per
@@ -126,36 +124,12 @@ def _group_task(task):
     return _evaluate_group(family, members, folds, seed)
 
 
-def _config_groups(family, configs):
-    """The (config, index) pairs of validated ``configs``, grouped by their
-    parameters outside ``classifiers.budget_axes`` and
-    ``classifiers.free_axes``, in order of first appearance."""
-    axes = classifiers.budget_axes(family) + classifiers.free_axes(family)
-    groups = {}
-    for index, config in enumerate(configs):
-        key = tuple((name, value) for name, value in config.items() if name not in axes)
-        groups.setdefault(key, []).append((config, index))
-    return list(groups.values())
-
-
 def _evaluate_group(family, members, folds, seed):
-    """The trials of one group's (config, index) members, largest budgets
-    first. A member is fitted only when no member fitted before it covers
-    it (each of its budgets at least as large); otherwise each fold's model
-    is read off the first such member's model of that fold."""
-    axes = classifiers.budget_axes(family)
-    fitted = []  # (budgets, per-fold models) of each member fitted so far
-    records = []
-    for config, index in sorted(members, key=lambda m: [-m[0][axis] for axis in axes]):
-        budgets = [config[axis] for axis in axes]
-        grown = next((models for big, models in fitted
-                      if all(b >= s for b, s in zip(big, budgets))), None)
-        record, models = cross_val_trial(ModelSpec(family, config), folds, seed,
-                                         trial_index=index, grown=grown)
-        records.append(record)
-        if grown is None:
-            fitted.append((budgets, models))
-    return records
+    """The trials of one ``classifiers.fit_groups`` group's (config, index)
+    members, in its order; the trials share one list of fits per fold."""
+    fits = [[] for _ in folds]
+    return [cross_val_trial(ModelSpec(family, config), folds, seed, trial_index=index, fits=fits)
+            for config, index in members]
 
 
 def _outcome(fn, *args):
@@ -174,12 +148,9 @@ def _evaluate_plan(plan, folds, seed, workers):
     change a result, because configs are pre-generated and every trial
     shares the seed.
 
-    Staged evaluation: each family's configs are grouped once by their
-    parameters outside the budget and free axes (``_config_groups``), and
-    each group is evaluated from its largest budgets down
-    (``_evaluate_group``), so a config that a larger one covers gets each
-    fold's model read off that one's instead of fitted. A trial so served
-    reports its own, shorter ``duration_seconds``.
+    Each family's configs are split once into ``classifiers.fit_groups``
+    groups, each evaluated by ``_evaluate_group``; a trial read off another
+    config's fits reports its own, shorter ``duration_seconds``.
 
     The groups of every family run in the main process, or in one pool of
     ``min(workers, groups, os.cpu_count())`` processes: a pool forks all of
@@ -193,7 +164,7 @@ def _evaluate_plan(plan, folds, seed, workers):
     on the start method.
     """
     tasks = [(family, members) for family, configs in plan
-             for members in _config_groups(family, configs)]
+             for members in classifiers.fit_groups(family, configs)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [_outcome(_evaluate_group, family, members, folds, seed)

@@ -386,7 +386,7 @@ def reference_grs(families, spaces, train, test, k=3, fold_seed=0, search_seed=0
                   rs_budget=None):
     """The tuning fields ``tuner.grs_auto_hp`` returns, from a plain serial
     loop: every trial takes each fold's parts afresh and fits each fold alone
-    (``classifiers.train`` with no ``grown``); no groups, no read-offs, no
+    (``classifiers.train`` with no ``fits``); no groups, no read-offs, no
     pool. Durations read 0, and every trial is reported (a run below the
     tuner's trial cap).
 

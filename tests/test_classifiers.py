@@ -7,6 +7,7 @@ import pytest
 import tabtune.classifiers.boosting as boosting_module
 import tabtune.classifiers.tree as tree_module
 from tabtune.classifiers import (
+    _FAMILY_TABLE,
     FAMILIES,
     ModelSpec,
     SingleClassError,
@@ -426,7 +427,7 @@ def test_boosting_matches_recursive_reference(monkeypatch, route_cells):
 
 def _stages(booster, n):
     """The model of the first ``n`` stages, read off ``booster`` as
-    ``train(..., grown=booster)`` reads it (whose schema floor is 5 stages)."""
+    ``train(..., fits=[booster])`` reads it (whose schema floor is 5 stages)."""
     model = copy.copy(booster)
     model.n_estimators = n
     return model
@@ -719,7 +720,7 @@ def _fresh_and_read_off(family, big_config, config, data, seed=0):
     """(a fresh fit of ``config``, the model read off a fit of ``big_config``)."""
     big = train(ModelSpec(family, big_config), data, seed)
     return (train(ModelSpec(family, config), data, seed),
-            train(ModelSpec(family, config), data, seed, grown=big))
+            train(ModelSpec(family, config), data, seed, fits=[big]))
 
 
 def test_tree_read_off_a_deeper_tree_equals_a_fresh_fit():
@@ -733,7 +734,7 @@ def test_tree_read_off_a_deeper_tree_equals_a_fresh_fit():
             for depth in range(1, 21):
                 config = {**fixed, "max_depth": depth}
                 fresh = train(ModelSpec("DT", config), data, 0)
-                cut = train(ModelSpec("DT", config), data, 0, grown=big)
+                cut = train(ModelSpec("DT", config), data, 0, fits=[big])
                 assert cut.max_depth == depth
                 seen = _preorder(cut.tree_, 0, cut.max_depth)
                 assert seen == _preorder(fresh.tree_, 0)
@@ -755,7 +756,7 @@ def test_forest_read_off_a_larger_forest_equals_a_fresh_fit(frac):
         for n in (5, 6, 7):
             config = {**big_config, "n_estimators": n, "max_depth": depth}
             fresh = train(ModelSpec("RF", config), data, 3)
-            cut = train(ModelSpec("RF", config), data, 3, grown=big)
+            cut = train(ModelSpec("RF", config), data, 3, fits=[big])
             assert (cut.n_estimators, cut.max_depth) == (n, depth)
             trees = _seen_trees(cut.trees_, cut.n_estimators, cut.max_depth)
             assert trees == _seen_trees(fresh.trees_)
@@ -860,7 +861,7 @@ def test_knn_read_off_a_larger_k_equals_a_fresh_fit(monkeypatch):
             for k in range(1, big_k + 1):
                 for weighting in ("uniform", "distance"):
                     config = {"n_neighbors": k, "weighting": weighting}
-                    cut = train(ModelSpec("KNN", config), data, 0, grown=big)
+                    cut = train(ModelSpec("KNN", config), data, 0, fits=[big])
                     served = predict(cut, probe.copy())  # equal values, another array
                     assert calls == []  # served from the fit's ranking
                     fresh = predict(train(ModelSpec("KNN", config), data, 0), probe)
@@ -879,7 +880,7 @@ def test_knn_ranks_another_query_matrix_afresh(monkeypatch):
     big = train(ModelSpec("KNN", {"n_neighbors": 15}), data, 0)
     predict(big, first)
     cut = train(ModelSpec("KNN", {"n_neighbors": 4, "weighting": "distance"}), data, 0,
-                grown=big)
+                fits=[big])
     fresh = train(ModelSpec("KNN", {"n_neighbors": 4, "weighting": "distance"}), data, 0)
     expected = [predict(fresh, first), predict(fresh, second)]
     del calls[:]
@@ -906,7 +907,7 @@ def test_nb_read_off_another_floor_equals_a_fresh_fit():
             grown = train(ModelSpec("NB", {"var_smoothing_exp": big_exp}), data, 0)
             for exponent in exponents:
                 spec = ModelSpec("NB", {"var_smoothing_exp": exponent})
-                cut, fresh = train(spec, data, 0, grown=grown), train(spec, data, 0)
+                cut, fresh = train(spec, data, 0, fits=[grown]), train(spec, data, 0)
                 assert cut.var_smoothing_exp == exponent
                 # the constant column sits on the floor: 10^e times the
                 # largest feature variance, or 10^e when that is 0
@@ -930,7 +931,7 @@ def test_a_read_off_tree_model_holds_the_grown_fit_trees_themselves():
              "trees_"),
             ("GBT", {"n_estimators": 12}, {"n_estimators": 7}, "trees_")):
         grown = train(ModelSpec(family, big_config), data, 0)
-        model = train(ModelSpec(family, config), data, 0, grown=grown)
+        model = train(ModelSpec(family, config), data, 0, fits=[grown])
         assert getattr(model, attr) is getattr(grown, attr), family
         assert np.array_equal(predict(model, probe),
                               predict(train(ModelSpec(family, config), data, 0), probe))
@@ -940,7 +941,7 @@ def test_a_read_off_tree_model_holds_the_grown_fit_trees_themselves():
     reached = next(depth for depth in range(21) if _preorder(grown.tree_, 0, depth) == whole)
     assert 2 < reached < 19
     for depth in (reached, reached + 1, 19):
-        model = train(ModelSpec("DT", {"max_depth": depth}), data, 0, grown=grown)
+        model = train(ModelSpec("DT", {"max_depth": depth}), data, 0, fits=[grown])
         assert model.tree_ is grown.tree_
         assert np.array_equal(predict(model, probe), predict(grown, probe))
         assert np.array_equal(predict(model, data.features), predict(grown, data.features))
@@ -950,11 +951,16 @@ def test_an_equal_config_reads_off_the_grown_model_itself():
     data = _random_matrix(np.random.default_rng(55), 60, 3)
     for family in FAMILIES:
         grown = train(ModelSpec(family, {}), data, 2)
-        assert train(ModelSpec(family, {}), data, 2, grown=grown) is grown
+        assert train(ModelSpec(family, {}), data, 2, fits=[grown]) is grown
 
 
-def test_a_grown_model_that_cannot_serve_the_config_is_refused():
+def test_a_fit_that_cannot_serve_the_config_is_passed_over():
+    # a fit that does not cover the config gets a fresh fit appended after
+    # it; a fit that covers it serves it without growing the list
     data = _random_matrix(np.random.default_rng(56), 60, 3)
+    other_columns = _random_matrix(np.random.default_rng(57), 60, 4)
+    probes = {3: np.random.default_rng(59).normal(size=(20, 3)),
+              4: np.random.default_rng(59).normal(size=(20, 4))}
     dt = train(ModelSpec("DT", {"max_depth": 4}), data, 0)
     rf = train(ModelSpec("RF", {"n_estimators": 10}), data, 0)
     subsampled = train(ModelSpec("RF", {"n_estimators": 10, "max_features_frac": 0.3}),
@@ -964,45 +970,53 @@ def test_a_grown_model_that_cannot_serve_the_config_is_refused():
     nb = train(ModelSpec("NB", {}), data, 0)
     knn = train(ModelSpec("KNN", {}), data, 0)
     cases = [
-        ("DT", {"max_depth": 4}, 0, rf),  # another model class
-        ("DT", {"max_depth": 4}, 0, object()),
-        ("DT", {"max_depth": 3, "criterion": "entropy"}, 0, dt),  # a non-budget parameter
-        ("DT", {"max_depth": 5}, 0, dt),  # a larger budget
-        ("RF", {"n_estimators": 5}, 1, rf),  # another seed
-        ("RF", {"n_estimators": 12}, 0, rf),
-        ("GBT", {"n_estimators": 5, "max_depth": 2}, 0, gbt),  # depth is no GBT budget
-        ("LR", {"epochs": 20, "learning_rate": 0.2}, 0, lr),
-        ("LR", {"epochs": 60, "learning_rate": 0.1}, 0, lr),
-        ("KNN", {"n_neighbors": 6}, 0, knn),  # a larger k
-        ("KNN", {"n_neighbors": 6, "weighting": "distance"}, 0, knn),
+        ("DT", {"max_depth": 4}, 0, rf, data),  # another model class
+        ("DT", {"max_depth": 4}, 0, object(), data),
+        ("DT", {"max_depth": 3, "criterion": "entropy"}, 0, dt, data),  # a non-budget parameter
+        ("DT", {"max_depth": 5}, 0, dt, data),  # a larger budget
+        ("RF", {"n_estimators": 5}, 1, rf, data),  # another seed
+        ("RF", {"n_estimators": 12}, 0, rf, data),
+        ("GBT", {"n_estimators": 5, "max_depth": 2}, 0, gbt, data),  # depth is no GBT budget
+        ("LR", {"epochs": 20, "learning_rate": 0.2}, 0, lr, data),
+        ("LR", {"epochs": 60, "learning_rate": 0.1}, 0, lr, data),
+        ("KNN", {"n_neighbors": 6}, 0, knn, data),  # a larger k
+        ("KNN", {"n_neighbors": 6, "weighting": "distance"}, 0, knn, data),
+        ("DT", {"max_depth": 2}, 0, dt, other_columns),  # another column count
+        ("NB", {"var_smoothing_exp": -8.0}, 0, nb, other_columns),
+        ("KNN", {"n_neighbors": 3}, 0, knn, other_columns),
     ]
-    for family, config, seed, grown in cases:
-        with pytest.raises(ValueError, match=f"^{family}: "):
-            train(ModelSpec(family, config), data, seed, grown=grown)
-    other_columns = _random_matrix(np.random.default_rng(57), 60, 4)
-    for family, config, grown in (("DT", {"max_depth": 2}, dt),
-                                  ("NB", {"var_smoothing_exp": -8.0}, nb),
-                                  ("KNN", {"n_neighbors": 3}, knn)):
-        with pytest.raises(ValueError, match=f"^{family}: cannot read a model of 4 columns"):
-            train(ModelSpec(family, config), other_columns, 0, grown=grown)
-    # the subsampled forest still serves a shallower forest of as many trees
-    cut = train(ModelSpec("RF", {"n_estimators": 10, "max_depth": 2, "max_features_frac": 0.3}),
-                data, 0, grown=subsampled)
-    assert cut.max_depth == 2
-    # a free axis at any value, and a smaller k at either weighting
-    assert train(ModelSpec("NB", {"var_smoothing_exp": -8.0}), data, 0,
-                 grown=nb).var_smoothing_exp == -8.0
-    for config in ({"n_neighbors": 3}, {"n_neighbors": 5, "weighting": "distance"}):
-        cut = train(ModelSpec("KNN", config), data, 0, grown=knn)
-        assert {"weighting": "uniform", **config} == {"n_neighbors": cut.n_neighbors,
-                                                      "weighting": cut.weighting}
+    for family, config, seed, fit, part in cases:
+        before = dict(getattr(fit, "__dict__", {}))
+        fits = [fit]
+        model = train(ModelSpec(family, config), part, seed, fits=fits)
+        assert len(fits) == 2 and fits[0] is fit and fits[1] is model, (family, config)
+        probe = probes[part.n_features]
+        assert np.array_equal(predict(model, probe),
+                              predict(train(ModelSpec(family, config), part, seed), probe))
+        after = getattr(fit, "__dict__", {})
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items()), (family, config)
+    # the subsampled forest still serves a shallower forest of as many
+    # trees; a free axis at any value, and a smaller k at either weighting
+    for family, config, fit in (
+            ("RF", {"n_estimators": 10, "max_depth": 2, "max_features_frac": 0.3}, subsampled),
+            ("NB", {"var_smoothing_exp": -8.0}, nb),
+            ("KNN", {"n_neighbors": 3}, knn),
+            ("KNN", {"n_neighbors": 5, "weighting": "distance"}, knn)):
+        fits = [fit]
+        model = train(ModelSpec(family, config), data, 0, fits=fits)
+        assert len(fits) == 1
+        assert {name: getattr(model, name) for name in config} == config
+        axes = _FAMILY_TABLE[family].budgets + _FAMILY_TABLE[family].free
+        assert all(getattr(model, name) is value for name, value in vars(fit).items()
+                   if name not in axes), (family, config)
 
 
 def test_single_class_data_raises_before_the_grown_model_is_read():
     data = _matrix(np.random.default_rng(58).normal(size=(12, 3)), np.ones(12, dtype=np.int64))
     for family in FAMILIES:
         with pytest.raises(SingleClassError):
-            train(ModelSpec(family, {}), data, 0, grown=object())
+            train(ModelSpec(family, {}), data, 0, fits=[object()])
 
 
 # ---------------------------------------------------------------- contract

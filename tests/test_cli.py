@@ -352,7 +352,8 @@ def test_a_reference_named_after_a_tuned_column_is_a_config_error(tmp_path, caps
 
 
 
-@pytest.mark.parametrize("label", ["two\nlines", "bell\u0007", "tab\there", "\x7fdel", "c1\x85"])
+@pytest.mark.parametrize("label", ["two\nlines", "bell\u0007", "tab\there", "\x7fdel", "c1\x85",
+                                   "x\ufffey", "x\ud800y"])
 def test_a_reference_label_holding_a_control_character_is_a_config_error(tmp_path, capsys,
                                                                           label):
     config_path, doc = _small_config(tmp_path, references={label: {"NB": 10}})
@@ -378,7 +379,7 @@ def test_render_refuses_a_reference_label_holding_a_control_character(tmp_path, 
     outputs = [tmp_path / "again.md", tmp_path / "again.svg"]
     argv = ["render", str(tmp_path / "edited.json"),
             "--table", str(outputs[0]), "--chart", str(outputs[1])]
-    for label in ("two\nlines", "bell\u0007", "c1\x85"):
+    for label in ("two\nlines", "bell\u0007", "c1\x85", "x\ufffey", "x\ud800y"):
         report["config"]["references"] = {"paper": {"NB": 60.0}, label: {"NB": 50.0}}
         (tmp_path / "edited.json").write_text(json.dumps(report), encoding="utf-8")
         assert main(argv) == EXIT_DATA
@@ -794,6 +795,7 @@ _MISTYPED = [
     (("tuner", "spaces", "DT", "max_depth", "hi"), 99), (("output", "report"), None),
     (("data", "csv", "path"), ["data.csv"]), (("tuner", "k"), 1000),
     (("references", "RS"), {"NB": 50}), (("references", "two\nlines"), {"NB": 50}),
+    (("output", "report"), "out/r\ud800.json"),
 ]
 _DROPPABLE = [("data",), ("output",), ("data", "csv", "target"), ("data", "csv", "path"),
               ("tuner", "k"), ("tuner", "families"), ("output", "report"), ("output", "chart")]
@@ -888,3 +890,15 @@ def test_mutated_runs_exit_cleanly_and_write_all_or_nothing(tmp_path, capsys):
             assert all(math.isfinite(n) for n in _numbers(report)), label
     assert folds_alone > 0
     assert seen == {0, 2, 3}
+    # the seeds draw only some mistyped fields: each of them once more, alone
+    for number, mistyped in enumerate(_MISTYPED):
+        run_dir = tmp_path / f"mistyped{number}"
+        run_dir.mkdir()
+        (run_dir / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = {"data": {"csv": {"path": "data.csv", "target": "graduated"}},
+               "tuner": {"families": ["NB"]}, "output": {"report": "out/report.json"}}
+        _set_field(doc, *mistyped)
+        (run_dir / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["run", str(run_dir / "config.json")])
+        assert code in (EXIT_CONFIG, EXIT_DATA), (mistyped, code, capsys.readouterr().err)
+        assert not (run_dir / "out").exists(), mistyped

@@ -29,3 +29,21 @@ def test_every_function_and_class_in_the_package_is_referenced_in_it():
               if name not in used and name != "main" and name not in _PATCHED_BY_PERFBENCH
               and not (name.startswith("__") and name.endswith("__"))}
     assert not unused, f"defined in src/tabtune but never referenced there: {unused}"
+
+
+def test_only_the_classifiers_package_reads_the_budget_and_free_axes():
+    # which fit serves which config is decided in classifiers/__init__.py
+    # alone (``fit_groups`` and ``train``): no other module reads the family
+    # table's ``budgets`` or ``free`` fields, the table itself, or an
+    # accessor of the axes
+    home = SOURCE / "classifiers" / "__init__.py"
+    names = {"_FAMILY_TABLE", "budget_axes", "free_axes"}
+    readers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path == home:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in names | {"budgets", "free"}
+                    or isinstance(node, ast.Name) and node.id in names):
+                readers.add(f"{path.relative_to(SOURCE)}:{node.lineno}")
+    assert not readers, sorted(readers)

@@ -15,9 +15,9 @@ import tabtune.tuner as tuner_module
 from oracles import reference_grs
 
 from tabtune.classifiers import (
-    FAMILIES, ModelSpec, budget_axes, default_config, free_axes, hp_schema,
+    _FAMILY_TABLE, FAMILIES, ModelSpec, default_config, fit_groups, hp_schema, validate_config,
 )
-from tabtune.hpspace import ParamSpec, SearchSpace, space_from_config
+from tabtune.hpspace import ParamSpec, SearchSpace, grid_enumerate, random_sample, space_from_config
 from tabtune.preprocess import DesignMatrix, apply_plan, fit_plan, make_design_matrix
 from tabtune.tabular import generate_synthetic, split_train_test
 from tabtune.tuner import (
@@ -125,11 +125,11 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
         def predict(self, X):
             return np.zeros(X.shape[0], dtype=np.int64)
 
-    def fake_train(spec, part, seed, grown=None):
+    def fake_train(spec, part, seed, fits=None):
         return _AlwaysZero()
 
     monkeypatch.setattr(tuner_module.classifiers, "train", fake_train)
-    trial, _ = cross_val_trial(ModelSpec("DT", {}), folds, seed=0)
+    trial = cross_val_trial(ModelSpec("DT", {}), folds, seed=0)
     # oracle: per-fold fraction of zeros, straight from the held-out parts
     for fold, (_, eval_part) in enumerate(folds):
         fold_labels = eval_part.labels
@@ -141,15 +141,15 @@ def test_constant_predictor_scores_fold_majorities(monkeypatch):
 def test_separable_data_with_deep_tree_scores_one():
     data = _separable(30)
     folds = shuffle_kfold(data, 3, seed=1)
-    trial, _ = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), folds, seed=0)
+    trial = cross_val_trial(ModelSpec("DT", {"max_depth": 20}), folds, seed=0)
     assert trial["mean_accuracy"] == 1.0
 
 
 def test_trial_determinism():
     data = _noisy(60, seed=3)
     folds = shuffle_kfold(data, 3, seed=9)
-    a, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
-    b, _ = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
+    a = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
+    b = cross_val_trial(ModelSpec("RF", {"n_estimators": 5}), folds, seed=4)
     assert a["fold_accuracies"] == b["fold_accuracies"]
 
 
@@ -162,7 +162,7 @@ def test_single_class_fold_scores_zero_with_warning(caplog):
     folds = ((data.take(~in_fold0), data.take(in_fold0)),
              (data.take(in_fold0), data.take(~in_fold0)))
     with caplog.at_level(logging.WARNING):
-        trial, _ = cross_val_trial(ModelSpec("NB", {}), folds, seed=0)
+        trial = cross_val_trial(ModelSpec("NB", {}), folds, seed=0)
     # fold 0 holds out both 1-labels, so its training part is single-class
     assert trial["fold_accuracies"][0] == 0.0
     assert any("single-class" in message for message in caplog.messages)
@@ -378,7 +378,8 @@ def test_pool_workers_get_the_data_once_and_tasks_carry_only_configs(monkeypatch
     assert fold_parts is folds and seed == 7
     full = [{**default_config("DT"), **config} for config in configs]
     tasks = [task for _, task in submitted]
-    assert tasks == [("DT", [(full[0], 0), (full[2], 2)]), ("DT", [(full[1], 1), (full[3], 3)])]
+    # each group lists its deepest config first
+    assert tasks == [("DT", [(full[2], 2), (full[0], 0)]), ("DT", [(full[3], 3), (full[1], 1)])]
     heavy = (np.ndarray, DesignMatrix)
     items = [item for family, members in tasks for member in members for item in member]
     assert not any(isinstance(item, heavy) for item in items + [family for family, _ in tasks])
@@ -413,7 +414,7 @@ def test_pool_results_do_not_depend_on_the_start_method():
                 serial = tuner._evaluate_configs(family, configs, folds, 0, 1)
                 pooled = tuner._evaluate_configs(family, configs, folds, 0, 2)
                 naive = [tuner.cross_val_trial(tuner.ModelSpec(family, config), folds, 0,
-                                               trial_index=index)[0]
+                                               trial_index=index)
                          for index, config in enumerate(configs)]
                 scores = [t["fold_accuracies"] for t in pooled]
                 assert scores == [t["fold_accuracies"] for t in serial]
@@ -485,19 +486,22 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
         configs += [{"n_neighbors": 25, "weighting": "distance"}, {"n_neighbors": 20},
                     {"n_neighbors": 9, "weighting": "distance"}]
         fold_sets.insert(0, shuffle_kfold(_noisy(24, seed=9), 3, seed=2))
-    read_off = []  # per trial and fold: (config, read off a covering config's models)
-    real_trial = tuner_module.cross_val_trial
+    # per model trained on a fold: (config, fit part, read off a covering fit)
+    read_off = []
+    real_train = tuner_module.classifiers.train
 
-    def counting_trial(spec, folds, seed, trial_index=0, grown=None):
-        read_off.extend([(spec.config, grown is not None)] * len(folds))
-        return real_trial(spec, folds, seed, trial_index=trial_index, grown=grown)
+    def counting_train(spec, data, seed, fits=None):
+        held = len(fits)
+        model = real_train(spec, data, seed, fits=fits)
+        read_off.append((spec.config, id(data), len(fits) == held))
+        return model
 
     for folds in fold_sets:
-        naive = [cross_val_trial(ModelSpec(family, config), folds, 5, trial_index=index)[0]
+        naive = [cross_val_trial(ModelSpec(family, config), folds, 5, trial_index=index)
                  for index, config in enumerate(configs)]
-        monkeypatch.setattr(tuner_module, "cross_val_trial", counting_trial)
+        monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
         serial = tuner_module._evaluate_configs(family, configs, folds, 5, 1)
-        monkeypatch.setattr(tuner_module, "cross_val_trial", real_trial)
+        monkeypatch.setattr(tuner_module.classifiers, "train", real_train)
         monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
         pooled = tuner_module._evaluate_configs(family, configs, folds, 5, 2)
         for staged in (serial, pooled):
@@ -505,38 +509,48 @@ def test_staged_search_equals_each_config_run_alone(monkeypatch, family):
             assert [t["config"] for t in staged] == [t["config"] for t in naive]
             assert [t["fold_accuracies"] for t in staged] == [t["fold_accuracies"] for t in naive]
     assert naive[0]["fold_accuracies"][0] == 0.0  # the single-class fold scores 0
-    assert any(r for _, r in read_off) and not all(r for _, r in read_off)
+    assert any(r for _, _, r in read_off) and not all(r for _, _, r in read_off)
     if family == "RF":  # the subsampling forests of 5 and 8 trees: read off the one of 12
-        served = {c["n_estimators"] for c, r in read_off if r and c["max_features_frac"] == 0.3}
+        served = {c["n_estimators"] for c, _, r in read_off
+                  if r and c["max_features_frac"] == 0.3}
         assert served == {5, 8}
     if family in ("NB", "KNN"):  # one group: only its first config is fitted, on each fold
-        per_run = [False] * 3 + [True] * 3 * (len(configs) - 1)
-        assert [r for _, r in read_off] == per_run * len(fold_sets)
+        per_part = {}
+        for _, part, r in read_off:
+            per_part.setdefault(part, []).append(r)
+        # every fold but the single-class one trains
+        assert len(per_part) == 3 * len(fold_sets) - 1
+        assert all(rs == [False] + [True] * (len(configs) - 1) for rs in per_part.values())
 
 
 def test_a_default_above_the_grid_is_fitted_once_per_fold_across_the_searches(monkeypatch):
     # DT's default depth 10 covers the whole depth 2-6 space, so its baseline,
     # grid and random draws are one group: one fit per fold, and every other
-    # trial is read off it
+    # trial is read off it. Over a depth 12-16 space, the grid's depth 16 is
+    # fitted first and serves the default below it as well
     real_train = tuner_module.classifiers.train
     fresh = []
 
-    def counting_train(spec, data, seed, grown=None):
-        if grown is None:
+    def counting_train(spec, data, seed, fits=None):
+        held = None if fits is None else len(fits)
+        model = real_train(spec, data, seed, fits=fits)
+        if fits is None or len(fits) > held:
             fresh.append((spec.config["max_depth"], data.n_rows))
-        return real_train(spec, data, seed, grown=grown)
+        return model
 
     monkeypatch.setattr(tuner_module.classifiers, "train", counting_train)
     data = _noisy(60, seed=3)
     train, test = data.take(np.arange(45)), data.take(np.arange(45, 60))
-    spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": 2, "hi": 6}})}
-    report = grs_auto_hp(["DT"], spaces, train, test, k=3)
-    entry = report["families"][0]
-    assert (entry["grid"]["n_trials"], entry["random"]["n_trials"]) == (5, 5)
-    # three folds of 30 training rows at the default depth, then the
-    # winner's refit on all 45 rows
-    assert fresh[:3] == [(10, 30)] * 3
-    assert fresh[3:] == [(report["final"]["config"]["max_depth"], 45)]
+    for lo, hi, largest in ((2, 6, 10), (12, 16, 16)):
+        del fresh[:]
+        spaces = {"DT": space_from_config("DT", {"max_depth": {"lo": lo, "hi": hi}})}
+        report = grs_auto_hp(["DT"], spaces, train, test, k=3)
+        entry = report["families"][0]
+        assert (entry["grid"]["n_trials"], entry["random"]["n_trials"]) == (5, 5)
+        # three folds of 30 training rows at the largest depth, then the
+        # winner's refit on all 45 rows
+        assert fresh[:3] == [(largest, 30)] * 3
+        assert fresh[3:] == [(report["final"]["config"]["max_depth"], 45)]
 
 
 def test_a_run_takes_each_fold_part_once(monkeypatch):
@@ -817,7 +831,7 @@ def _random_space(family, rng, pinned=0.25, deep=False):
     can also lie above the grid's largest value."""
     mapping = {}
     for spec in hp_schema(family):
-        budget = spec.name in budget_axes(family)
+        budget = spec.name in _FAMILY_TABLE[family].budgets
         if not budget and rng.random() < pinned:
             continue
         if spec.kind == "categorical":
@@ -834,6 +848,38 @@ def _random_space(family, rng, pinned=0.25, deep=False):
             hi = float(rng.uniform(lo, spec.hi))
             mapping[spec.name] = {"lo": lo, "hi": hi, "step": (hi - lo) / 2 or 1.0}
     return space_from_config(family, mapping)
+
+
+def test_fit_groups_partition_the_configs_and_serve_each_after_those_covering_it():
+    # a group's members are equal outside the budget and free axes, and no
+    # member comes before one with every budget at least as large and some
+    # budget larger
+    rng = np.random.default_rng(29)
+    rf_groups_on_two_budgets = 0
+    for family in FAMILIES * 3:
+        space = _random_space(family, rng, float(rng.uniform(0.25, 0.75)))
+        configs = [validate_config(family, config) for config in
+                   [default_config(family), *grid_enumerate(space),
+                    *random_sample(space, int(rng.integers(1, 13)), int(rng.integers(100)))]]
+        groups = fit_groups(family, configs)
+        assert sorted(index for members in groups for _, index in members) == list(
+            range(len(configs)))
+        assert all(config is configs[index] for members in groups for config, index in members)
+        firsts = [min(index for _, index in members) for members in groups]
+        assert firsts == sorted(firsts)
+        budgets = _FAMILY_TABLE[family].budgets
+        axes = budgets + _FAMILY_TABLE[family].free
+        keys = [{tuple((n, v) for n, v in config.items() if n not in axes)
+                 for config, _ in members} for members in groups]
+        assert all(len(key) == 1 for key in keys) and len(set.union(*keys)) == len(groups)
+        for members in groups:
+            for position, (config, _) in enumerate(members):
+                for later, _ in members[position + 1:]:
+                    assert not (all(later[b] >= config[b] for b in budgets)
+                                and any(later[b] > config[b] for b in budgets)), (family, members)
+            rf_groups_on_two_budgets += family == "RF" and all(
+                len({config[b] for config, _ in members}) > 1 for b in budgets)
+    assert rf_groups_on_two_budgets > 0
 
 
 def test_grs_equals_the_serial_reference_run(monkeypatch):
@@ -866,7 +912,7 @@ def test_grs_equals_the_serial_reference_run(monkeypatch):
     assert any(len({t["mean_accuracy"] for t in trials}) < len(set(c))
                for trials, c in zip(searches, configs))
     assert all(len(param.grid_values()) > 1 for family, space in spaces.items()
-               for param in space.params if param.name in budget_axes(family))
+               for param in space.params if param.name in _FAMILY_TABLE[family].budgets)
     assert any(entry["grid"]["best"]["mean_accuracy"] == entry["random"]["best"]["mean_accuracy"]
                and entry["grid"]["best"]["config"] != entry["random"]["best"]["config"]
                for report in expected for entry in report["families"])
@@ -877,7 +923,8 @@ def test_grs_equals_the_serial_reference_run(monkeypatch):
     for report in expected:
         for entry in report["families"]:
             family, default = entry["family"], entry["baseline"]["config"]
-            budgets, axes = budget_axes(family), budget_axes(family) + free_axes(family)
+            budgets = _FAMILY_TABLE[family].budgets
+            axes = budgets + _FAMILY_TABLE[family].free
             grid, drawn = ([t["config"] for t in report["trials"][family][search]]
                            for search in ("grid", "random"))
 
@@ -949,10 +996,11 @@ def test_grs_equals_the_serial_reference_run_on_fuzzed_runs(monkeypatch):
             for fit_part, _ in shuffle_kfold(train, kwargs["k"], kwargs["fold_seed"]))
         for entry in expected["families"]:  # a grid config of its group has a larger budget
             family, default = entry["family"], entry["baseline"]["config"]
-            axes = budget_axes(family) + free_axes(family)
+            budgets = _FAMILY_TABLE[family].budgets
+            axes = budgets + _FAMILY_TABLE[family].free
             seen["default under the grid"] += any(
                 all(config[name] == default[name] for name in default if name not in axes)
-                and any(config[axis] > default[axis] for axis in budget_axes(family))
+                and any(config[axis] > default[axis] for axis in budgets)
                 for config in (t["config"] for t in expected["trials"][family]["grid"]))
     assert seen["k"] == {2, 3, 4, 5} and seen["workers"] == {1, 2}
     assert seen["single-class fold"] > 0 and seen["default under the grid"] > 0
