@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import sigmoid
-from .tree import Trees, grow_regression
+from .tree import NodeSorts, Trees, grow_regression
 
 
 class GradientBoostedTrees:
@@ -33,11 +33,12 @@ class GradientBoostedTrees:
         self.base_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
         nodes, roots = ([], [], [], []), []  # every stage's nodes, in one store
+        sorts = NodeSorts()  # this fit's alone: never stored on the model
         for _ in range(self.n_estimators):
             residual = y - sigmoid(scores)
             roots.append(len(nodes[0]))
             scores = scores + self.learning_rate * grow_regression(X, residual, self.max_depth,
-                                                                   nodes)
+                                                                   nodes, sorts)
         self.trees_ = Trees(*(np.array(column, dtype=dtype) for column, dtype in zip(
             (*nodes, roots), (np.intp, float, np.intp, float, np.intp))))
         return self

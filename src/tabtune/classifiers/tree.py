@@ -21,12 +21,17 @@ Two growers share those rules, and both number nodes level by level
   sorted by (node, value rank). The gains come from integer counts, so the
   order of tied rows cannot change a split. A forest that subsamples
   features draws each searched node's columns from that node's tree's own
-  stream, in the tree's level order, so a forest's first trees are a
-  smaller forest.
+  stream, in the tree's level order, and sorts only the drawn (column,
+  node) pairs, so a forest's first trees are a smaller forest.
 - ``grow_regression`` grows the squared-error tree of one gradient-boosting
-  stage a node at a time, in level order, with the per-node search
-  ``_best_split_matrix``, and appends its nodes to the node lists that all
-  of a fit's stages share. Its float sums follow each node's sort order,
+  stage a node at a time, in level order, and appends its nodes to the node
+  lists that all of a fit's stages share. Its per-node search has two
+  parts: ``_sorted_node`` sorts the node's rows by every column, which
+  depends on ``X`` and the rows alone, and ``_best_sse_split`` sums the
+  stage's targets in that order. A fit keeps its nodes' sorts in a
+  ``NodeSorts``, up to ``_SORT_CELLS`` cells, so a later stage that
+  searches the same rows (every stage's root, and often the nodes below
+  it) sorts them no more. Its float sums follow each node's sort order,
   and the recorded reports depend on their last bits.
 """
 
@@ -66,30 +71,41 @@ def _impurity_gain(impurity, n_left, ones_left, n, ones):
     return parent - weighted
 
 
-def _best_split_matrix(X, r):
-    """(feature, threshold, gain) of the split of one node's rows (``X``,
-    regression targets ``r``) that most reduces their squared error, or None
-    when no split reduces it.
-
-    Every column is sorted with ``np.argsort``; the sums of the targets run
-    in that order, which the node's row order fixes, and their last bits
-    depend on it. Candidate thresholds and tie rules are those of
-    ``_best_splits``.
-    """
-    n, d = X.shape
-    order = np.argsort(X, axis=0)
-    xs = X[order, np.arange(d)]
-    # a split after sorted position ``row``, in (feature, threshold) order
+def _sorted_node(X, rows):
+    """The part of one node's squared-error search that depends on ``X``
+    alone: ``rows`` sorted by each column of ``X`` with ``np.argsort``, as a
+    (rows, columns) matrix of row indices, and the flat positions in it of
+    the split candidates, in (feature, threshold) order. A split after
+    sorted position ``i`` of column ``j`` sits at ``i * columns + j``."""
+    d = X.shape[1]
+    order = np.argsort(X[rows], axis=0)
+    sorted_rows = rows[order]
+    xs = X[sorted_rows, np.arange(d)]
     column, row = np.nonzero((xs[1:] != xs[:-1]).T)
-    if not column.size:  # fewer than 2 rows, no columns, or every column constant
+    return sorted_rows, row * d + column
+
+
+def _best_sse_split(X, node, r):
+    """(feature, threshold, gain) of the split of one node that most reduces
+    the squared error of its targets, or None when no split reduces it.
+    ``node`` is the node's ``_sorted_node``, ``r`` every row's target.
+
+    The sums of the targets run in each column's sorted order, which the
+    node's row order fixes, and their last bits depend on it. Candidate
+    thresholds and tie rules are those of ``_best_splits``.
+    """
+    order, candidates = node
+    if not candidates.size:  # fewer than 2 rows, no columns, or every column constant
         return None
+    n = len(order)
+    row, column = np.divmod(candidates, order.shape[1])
     rs = r[order]
     s = np.cumsum(rs, axis=0)
     q = np.cumsum(rs * rs, axis=0)
     n_left = row + 1.0
     n_right = n - n_left
-    s_left, s_total = s[row, column], s[-1, column]
-    q_left, q_total = q[row, column], q[-1, column]
+    s_left, s_total = s.ravel()[candidates], s[-1, column]
+    q_left, q_total = q.ravel()[candidates], q[-1, column]
     s_right = s_total - s_left
     sse_left = q_left - s_left * s_left / n_left
     sse_right = (q_total - q_left) - s_right * s_right / n_right
@@ -99,7 +115,7 @@ def _best_split_matrix(X, r):
     if not gains[best] > 0.0:
         return None
     feature, row = int(column[best]), row[best]
-    threshold = (xs[row, feature] + xs[row + 1, feature]) / 2.0
+    threshold = (X[order[row, feature], feature] + X[order[row + 1, feature], feature]) / 2.0
     return feature, float(threshold), float(gains[best])
 
 
@@ -137,7 +153,8 @@ def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
 
     ``rows`` holds the training rows of every node, node after node, with
     ``counts`` rows each. ``allowed``, when given, is a (nodes, columns)
-    boolean mask of the columns each node may split on.
+    boolean mask of the columns each node may split on; the many-valued
+    columns a node may not split on are neither sorted nor searched.
     """
     n_nodes = len(counts)
     if not ranked.two.size and not ranked.many.size:  # every column is constant
@@ -164,7 +181,14 @@ def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
         node_of = np.repeat(np.arange(n_nodes), counts)
         key = ((np.arange(ranked.many.size)[:, None] * n_nodes + node_of) * width
                + ranked.ranks[:, rows]).ravel()
-        order = np.argsort(key)
+        sizes = np.tile(counts, ranked.many.size)  # the cells of each segment
+        if allowed is None:
+            order = np.argsort(key)
+        else:  # only the drawn (column, node) segments
+            drawn = allowed[:, ranked.many].T
+            cells = np.flatnonzero(drawn[:, node_of])
+            order = cells[np.argsort(key[cells])]
+            sizes = sizes * drawn.ravel()
         key = key[order]
         segment = key // width
         ones_before = np.concatenate(([0], np.cumsum(labels[order % len(rows)])))
@@ -172,7 +196,7 @@ def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
         if at.size:  # a split after sorted position ``at``
             seg = segment[at]
             slot, node = np.divmod(seg, n_nodes)
-            first = slot * len(rows) + starts[node]
+            first = (np.cumsum(sizes) - sizes)[seg]
             g = _impurity_gain(impurity, at + 1 - first,
                                ones_before[at + 1] - ones_before[first],
                                counts[node], ones[node])
@@ -328,11 +352,31 @@ def grow(X, y, samples, max_depth, criterion="gini", min_samples_split=2, draw_c
     return Trees(*(np.concatenate(column) for column in zip(*levels)), np.arange(len(samples)))
 
 
-def grow_regression(X, r, max_depth, nodes):
+#: Cells (sorted row indices plus candidate positions) of the node sorts
+#: that one gradient-boosting fit keeps for its later stages, at most: a
+#: bound on the memory they hold, which no result depends on.
+_SORT_CELLS = 1 << 17
+
+
+class NodeSorts(dict):
+    """One fit's ``_sorted_node`` results for its feature matrix, keyed by
+    ``rows.tobytes()``. ``cells`` counts the cells of the arrays it holds; a
+    new entry is taken only while that stays within ``_SORT_CELLS``, so the
+    nodes searched first (every stage's root, then shallow nodes) stay."""
+
+    cells = 0
+
+
+def grow_regression(X, r, max_depth, nodes, sorts):
     """Grow the squared-error regression tree of one gradient-boosting stage
     on every row of ``X`` (targets ``r``) a node at a time, in level order,
-    each node's rows in row order, searching with ``_best_split_matrix``:
-    the order its float sums follow.
+    each node's rows in row order, searching with ``_best_sse_split``: its
+    float sums follow the order of each node's ``_sorted_node``.
+
+    A node's sort depends on ``X`` and its rows alone, so ``sorts``, the
+    fit's ``NodeSorts``, is read before a node is sorted and takes each new
+    sort while it has room: a later stage that searches the same rows
+    reuses it. A fit's sorts must not serve another ``X``.
 
     A node becomes a leaf holding the mean of its targets at ``max_depth``,
     when it has fewer than 2 rows, when its targets are all equal, when no
@@ -349,6 +393,16 @@ def grow_regression(X, r, max_depth, nodes):
         for column, empty in zip(nodes, (-1, 0.0, -1, 0.0)):
             column += [empty] * k
 
+    def sorted_node(rows):
+        key = rows.tobytes()
+        found = sorts.get(key)
+        if found is None:
+            found = _sorted_node(X, rows)
+            cells = sorts.cells + found[0].size + found[1].size
+            if cells <= _SORT_CELLS:
+                sorts[key], sorts.cells = found, cells
+        return found
+
     leaf_value = np.empty(len(r))
     queue = deque([(np.arange(len(r)), 0, len(feature))])  # rows, depth, node
     add_leaves(1)
@@ -357,13 +411,14 @@ def grow_regression(X, r, max_depth, nodes):
         targets = r[rows]
         found = None
         if depth < max_depth and len(rows) >= 2 and targets.min() < targets.max():
-            found = _best_split_matrix(X[rows], targets)
+            found = _best_sse_split(X, sorted_node(rows), r)
         if found is not None:
             goes_left = X[rows, found[0]] <= found[1]
             if goes_left.all() or not goes_left.any():  # midpoint rounding
                 found = None
         if found is None:
-            value[node] = leaf_value[rows] = float(targets.mean())
+            # the bits of targets.mean(), without its per-call overhead
+            value[node] = leaf_value[rows] = float(targets.sum()) / len(rows)
             continue
         feature[node], threshold[node], left[node] = found[0], found[1], len(feature)
         add_leaves(2)

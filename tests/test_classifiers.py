@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from tabtune.classifiers.neighbors import KNearestNeighbors, _k_nearest
 from tabtune.classifiers.tree import (
     _IMPURITY,
     DecisionTree,
-    _best_split_matrix,
     _best_splits,
+    _best_sse_split,
     _RankedColumns,
+    _sorted_node,
 )
 from tabtune.preprocess import apply_plan, fit_plan, make_design_matrix
 from tabtune.tabular import generate_synthetic, split_train_test
@@ -219,7 +221,11 @@ def test_sse_split_matches_brute_force_on_tied_columns():
         X = np.round(rng.normal(size=(n, d)), 1)  # duplicates likely
         X[:, rng.integers(0, d)] = rng.integers(0, 2, n)  # one binary column
         r = rng.normal(size=n)
-        got = _best_split_matrix(X, r)
+        # the node's rows sit among others, whose targets the search must not read
+        pad = min(n, 3)
+        X_all, r_all = np.vstack([X[:pad] + 1.0, X]), np.concatenate([r[:pad] + 1.0, r])
+        rows = np.arange(pad, pad + n)
+        got = _best_sse_split(X_all, _sorted_node(X_all, rows), r_all)
         expected = brute_force_sse_split(X, r)
         if expected is None:
             assert got is None
@@ -441,13 +447,14 @@ def _synthetic_train(rows, seed):
 def test_boosting_never_searches_a_node_whose_targets_are_all_equal(monkeypatch):
     data = _synthetic_train(500, 1)
     searched = []
-    real_search = tree_module._best_split_matrix
+    real_search = tree_module._best_sse_split
 
-    def recording_search(X, r):
-        searched.append(r.min() < r.max())
-        return real_search(X, r)
+    def recording_search(X, node, r):
+        targets = r[node[0][:, 0]]  # the node's rows, in one column's order
+        searched.append(targets.min() < targets.max())
+        return real_search(X, node, r)
 
-    monkeypatch.setattr(tree_module, "_best_split_matrix", recording_search)
+    monkeypatch.setattr(tree_module, "_best_sse_split", recording_search)
     GradientBoostedTrees(n_estimators=50, learning_rate=0.3, max_depth=6).fit(
         data.features, data.labels)
     assert searched and all(searched)
@@ -473,8 +480,8 @@ def test_boosting_stage_leaf_values_sum_to_the_training_scores(monkeypatch):
     data = _synthetic_train(300, 3)
     stage_values = []
 
-    def recording_grow(X, r, max_depth, nodes):
-        stage_values.append(real_grow(X, r, max_depth, nodes))
+    def recording_grow(X, r, max_depth, nodes, sorts):
+        stage_values.append(real_grow(X, r, max_depth, nodes, sorts))
         return stage_values[-1]
 
     real_grow = boosting_module.grow_regression
@@ -486,6 +493,67 @@ def test_boosting_stage_leaf_values_sum_to_the_training_scores(monkeypatch):
     for values in stage_values:
         scores = scores + booster.learning_rate * values
     assert np.array_equal(booster.decision_scores(data.features), scores)
+
+
+def test_boosting_reuses_each_node_sort_within_a_fit_and_keeps_its_bits(monkeypatch):
+    # few rows with tied, binary and repeated ones: later stages often search
+    # row sets, and row sets of one size, that earlier stages searched
+    rng = np.random.default_rng(36)
+    n, d, stages = 24, 6, 32
+    data = [_mixed_matrix(rng, n, d) for _ in range(2)]  # two fits on other X, same rows
+    sorts, searches = [], [0]
+    real_sort, real_search = tree_module._sorted_node, tree_module._best_sse_split
+
+    def recording_sort(X, rows):
+        sorts.append(rows.tobytes())
+        return real_sort(X, rows)
+
+    def recording_search(X, node, r):
+        searches[0] += 1
+        return real_search(X, node, r)
+
+    monkeypatch.setattr(tree_module, "_sorted_node", recording_sort)
+    monkeypatch.setattr(tree_module, "_best_sse_split", recording_search)
+    root = np.arange(n).tobytes()
+    # the default bound, then one the root's sort exceeds: small nodes only
+    default, seen = tree_module._SORT_CELLS, []
+    for cells in (default, n * d - 1):
+        monkeypatch.setattr(tree_module, "_SORT_CELLS", cells)
+        arrays = []
+        seen.append(arrays)
+        for depth in range(1, 7):
+            for X, y in data:
+                sorts.clear()
+                searches[0] = 0
+                booster = GradientBoostedTrees(n_estimators=stages, learning_rate=0.6,
+                                               max_depth=depth).fit(X, y)
+                trees = booster.trees_
+                arrays.append([a.tobytes() for a in (trees.feature, trees.threshold,
+                                                     trees.left, trees.value, trees.roots)])
+                scores = np.full(n, booster.base_score_)
+                for stage, root_node in enumerate(trees.roots):
+                    reference = reference_tree(X, y - sigmoid(scores), "sse", depth)
+                    assert _preorder(trees, root_node) == reference_preorder(reference)
+                    scores = scores + booster.learning_rate * reference_predict(reference, X)
+                    assert _same_bits(_stages(booster, stage + 1).decision_scores(X), scores)
+                if cells == default:
+                    assert sorts.count(root) == 1  # once per fit
+                    assert len(sorts) < searches[0]  # later stages reused sorts
+                else:  # every stage searches its root, and sorts it again
+                    assert sorts.count(root) == stages
+    assert seen[0] == seen[1]  # the bound moves no bit
+
+
+def test_a_fitted_booster_keeps_no_node_sorts():
+    rng = np.random.default_rng(37)
+    X, y = _mixed_matrix(rng, 60, 6)
+    booster = GradientBoostedTrees(n_estimators=20, learning_rate=0.5, max_depth=4).fit(X, y)
+    assert set(vars(booster)) == {"n_estimators", "learning_rate", "max_depth", "base_score_",
+                                  "trees_", "n_features_"}
+    trees = booster.trees_
+    node_bytes = sum(a.nbytes for a in (trees.feature, trees.threshold, trees.left,
+                                        trees.value, trees.roots))
+    assert len(pickle.dumps(booster)) < node_bytes + 1024
 
 
 def test_boosting_training_logloss_non_increasing():
