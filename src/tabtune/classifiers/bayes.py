@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
+
 
 class GaussianNaiveBayes:
     """Per-class, per-feature Gaussians compared on log-posterior.
@@ -45,7 +47,7 @@ class GaussianNaiveBayes:
             priors[label] = len(rows) / len(y)
             means[label] = rows.mean(axis=0)
             variances[label] = rows.var(axis=0)
-        self.log_priors_ = np.log(priors)
+        self.log_priors_ = kernels.log(priors)
         self.means_ = means
         self.class_variances_ = variances
         return self
@@ -57,7 +59,7 @@ class GaussianNaiveBayes:
         for label in (0, 1):
             var = variances[label]
             delta = X - self.means_[label]
-            loglik = -0.5 * (np.log(2.0 * np.pi * var) + delta * delta / var)
+            loglik = -0.5 * (kernels.log(2.0 * np.pi * var) + delta * delta / var)
             scores[:, label] = self.log_priors_[label] + loglik.sum(axis=1)
         return scores
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import sigmoid
+from . import kernels
 from .tree import NodeSorts, Trees, grow_regression
 
 
@@ -30,12 +30,12 @@ class GradientBoostedTrees:
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         p = y.mean()
-        self.base_score_ = float(np.log(p / (1.0 - p)))
+        self.base_score_ = float(kernels.log(p / (1.0 - p)))
         scores = np.full(len(y), self.base_score_)
         nodes, roots = ([], [], [], []), []  # every stage's nodes, in one store
         sorts = NodeSorts()  # this fit's alone: never stored on the model
         for _ in range(self.n_estimators):
-            residual = y - sigmoid(scores)
+            residual = y - kernels.sigmoid(scores)
             roots.append(len(nodes[0]))
             scores = scores + self.learning_rate * grow_regression(X, residual, self.max_depth,
                                                                    nodes, sorts)

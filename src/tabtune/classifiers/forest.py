@@ -37,13 +37,14 @@ class RandomForest:
 
     def _column_draws(self, d, m):
         """``grow``'s ``draw_columns``: a node may split on the m columns with
-        the smallest of d uniform keys, drawn from its tree's own stream."""
+        the smallest of d uniform keys, drawn from its tree's own stream. The
+        ranks sort a permutation, which has no ties: any sort kind serves."""
         streams = [np.random.default_rng([self.seed, t]) for t in range(self.n_estimators)]
 
         def draw_columns(tree_of):  # the nodes come tree by tree
             keys = np.concatenate([streams[t].random((count, d))
                                    for t, count in zip(*np.unique(tree_of, return_counts=True))])
-            return np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1) < m
+            return np.argsort(keys, axis=1, kind="stable").argsort(axis=1, kind="quicksort") < m
 
         return draw_columns
 

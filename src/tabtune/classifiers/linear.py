@@ -1,31 +1,20 @@
-"""Linear models trained by (sub)gradient descent: logistic regression on
+"""(Sub)gradient descent over ``kernels``' products: logistic regression on
 L2-regularized log-loss and a linear SVM on hinge loss."""
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def sigmoid(z):
-    """Logistic function: 1/(1+exp(-z)) for z >= 0, else exp(z)/(1+exp(z)).
-
-    Both branches are computed for every entry and chosen by ``where``, which
-    is faster than gathering each branch's entries. ``exp`` sees only
-    ``minimum(z, -z)``, so it never overflows; that is -|z|, except that a
-    NaN keeps its sign, as the second branch's ``exp(z)`` would see it.
-    """
-    z = np.asarray(z, dtype=float)
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+from . import kernels
 
 
 def _gradient(w, X, y, l2_strength):
     """Gradient of the mean log-loss plus ``l2_strength * w`` on the feature
     weights; ``w`` holds the feature weights and then the bias, which is
     never regularized."""
-    err = sigmoid(X @ w[:-1] + w[-1]) - y
+    err = kernels.sigmoid(kernels.matmul(X, w[:-1]) + w[-1]) - y
     grad = np.empty_like(w)
-    grad[:-1] = X.T @ err / len(y) + l2_strength * w[:-1]
+    grad[:-1] = kernels.matmul(X.T, err) / len(y) + l2_strength * w[:-1]
     grad[-1] = err.mean()
     return grad
 
@@ -48,7 +37,7 @@ class _EpochPath:
         return float(self.path_[self.epochs, -1])
 
     def decision_scores(self, X):
-        return self._features(np.asarray(X, dtype=float)) @ self.weights_ + self.bias_
+        return kernels.matmul(self._features(np.asarray(X, float)), self.weights_) + self.bias_
 
 
 class LogisticRegression(_EpochPath):
@@ -77,7 +66,7 @@ class LogisticRegression(_EpochPath):
 
     def predict(self, X):
         # predict 1 iff p > 0.5, so p == 0.5 resolves toward label 0
-        return (sigmoid(self.decision_scores(X)) > 0.5).astype(np.int64)
+        return (kernels.sigmoid(self.decision_scores(X)) > 0.5).astype(np.int64)
 
 
 class LinearSVM(_EpochPath):
@@ -115,12 +104,12 @@ class LinearSVM(_EpochPath):
         self.path_ = np.zeros((self.epochs + 1, d + 1))
         for t in range(self.epochs):
             eta = 1.0 / (lam * (t + 1))
-            margins = y_signed * (Z @ w + b)
+            margins = y_signed * (kernels.matmul(Z, w) + b)
             # take() gathers the same rows, in the same order, as a boolean
             # mask but faster, so the product's sums do not change
             violating = np.flatnonzero(margins < 1.0)
             y_violating = y_signed.take(violating)
-            grad_w = lam * w - (y_violating @ Z.take(violating, axis=0)) / n
+            grad_w = lam * w - kernels.matmul(y_violating, Z.take(violating, axis=0)) / n
             grad_b = -float(y_violating.sum()) / n
             w = w - eta * grad_w
             b = b - eta * grad_b

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
+
 
 class KNearestNeighbors:
     """Stores the training matrix; votes among the k nearest rows.
@@ -54,7 +56,7 @@ class KNearestNeighbors:
             d2 = (
                 (X * X).sum(axis=1)[:, None]
                 + (self.X_ * self.X_).sum(axis=1)[None, :]
-                - 2.0 * X @ self.X_.T
+                - kernels.matmul(2.0 * X, self.X_.T)
             )
             np.maximum(d2, 0.0, out=d2)
             ranking = _k_nearest(d2, self.depth_)

@@ -26,13 +26,13 @@ Two growers share those rules, and both number nodes level by level
 - ``grow_regression`` grows the squared-error tree of one gradient-boosting
   stage a node at a time, in level order, and appends its nodes to the node
   lists that all of a fit's stages share. Its per-node search has two
-  parts: ``_sorted_node`` sorts the node's rows by every column, which
-  depends on ``X`` and the rows alone, and ``_best_sse_split`` sums the
-  stage's targets in that order. A fit keeps its nodes' sorts in a
-  ``NodeSorts``, up to ``_SORT_CELLS`` cells, so a later stage that
-  searches the same rows (every stage's root, and often the nodes below
-  it) sorts them no more. Its float sums follow each node's sort order,
-  and the recorded reports depend on their last bits.
+  parts: ``_sorted_node`` sorts the node's rows by every column with
+  ``kernels.node_order``, which depends on ``X`` and the rows alone, and
+  ``_best_sse_split`` sums the stage's targets in that order. A fit keeps
+  its nodes' sorts in a ``NodeSorts``, up to ``_SORT_CELLS`` cells, so a
+  later stage that searches the same rows (every stage's root, and often
+  the nodes below it) sorts them no more. The recorded reports depend on
+  the last bits of its sums, and so on the CPU's order of tied values.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 
 def _gini_from_p1(p1):
@@ -52,7 +54,7 @@ def _entropy_from_p1(p1):
     out = np.zeros_like(p1)
     for p in (p0, p1):
         nz = p > 0
-        out[nz] -= p[nz] * np.log2(p[nz])
+        out[nz] -= p[nz] * kernels.log2(p[nz])
     return out
 
 
@@ -73,12 +75,12 @@ def _impurity_gain(impurity, n_left, ones_left, n, ones):
 
 def _sorted_node(X, rows):
     """The part of one node's squared-error search that depends on ``X``
-    alone: ``rows`` sorted by each column of ``X`` with ``np.argsort``, as a
-    (rows, columns) matrix of row indices, and the flat positions in it of
-    the split candidates, in (feature, threshold) order. A split after
+    alone: ``rows`` sorted by each column of ``X`` by ``kernels.node_order``,
+    as a (rows, columns) matrix of row indices, and the flat positions in it
+    of the split candidates, in (feature, threshold) order. A split after
     sorted position ``i`` of column ``j`` sits at ``i * columns + j``."""
     d = X.shape[1]
-    order = np.argsort(X[rows], axis=0)
+    order = kernels.node_order(X[rows])
     sorted_rows = rows[order]
     xs = X[sorted_rows, np.arange(d)]
     column, row = np.nonzero((xs[1:] != xs[:-1]).T)
@@ -182,12 +184,13 @@ def _best_splits(ranked, y, rows, counts, impurity, allowed=None):
         key = ((np.arange(ranked.many.size)[:, None] * n_nodes + node_of) * width
                + ranked.ranks[:, rows]).ravel()
         sizes = np.tile(counts, ranked.many.size)  # the cells of each segment
+        # quicksort, the default: tied keys share a rank, and no split point falls between them
         if allowed is None:
-            order = np.argsort(key)
+            order = np.argsort(key, kind="quicksort")
         else:  # only the drawn (column, node) segments
             drawn = allowed[:, ranked.many].T
             cells = np.flatnonzero(drawn[:, node_of])
-            order = cells[np.argsort(key[cells])]
+            order = cells[np.argsort(key[cells], kind="quicksort")]
             sizes = sizes * drawn.ravel()
         key = key[order]
         segment = key // width

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 
@@ -175,6 +175,9 @@ def _evaluate_plan(plan, folds, seed, workers):
         ) as pool:
             futures = [pool.submit(_group_task, task) for task in tasks]
             outcomes = [_outcome(future.result) for future in futures]
+        if any(isinstance(outcome, BrokenProcessPool) for outcome in outcomes):
+            raise TuningError("a pool worker process died before its tasks finished: killed "
+                              "(SIGKILL is often the out-of-memory killer) or crashed")
     trials, failures = {family: [] for family, _ in plan}, {}
     for (family, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, Exception):

@@ -21,7 +21,8 @@ from tabtune.classifiers import (
 from tabtune.classifiers.bayes import GaussianNaiveBayes
 from tabtune.classifiers.boosting import GradientBoostedTrees
 from tabtune.classifiers.forest import RandomForest
-from tabtune.classifiers.linear import LinearSVM, LogisticRegression, _gradient, sigmoid
+from tabtune.classifiers.kernels import sigmoid
+from tabtune.classifiers.linear import LinearSVM, LogisticRegression, _gradient
 import tabtune.classifiers.neighbors as neighbors_module
 from tabtune.classifiers.neighbors import KNearestNeighbors, _k_nearest
 from tabtune.classifiers.tree import (

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import tabtune.cli as cli_module
 import tabtune.tabular as tabular_module
 import tabtune.tuner as tuner_module
 from tabtune import __version__
+from tabtune.classifiers import GaussianNaiveBayes
 from tabtune.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_OUTPUT, EXIT_TUNING, EXIT_UNEXPECTED, main,
 )
@@ -677,6 +681,31 @@ def test_a_run_whose_every_family_fails_is_a_tuning_error(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "tuning error: every family failed" in err
     assert "ValueError: NB cannot be tuned" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched fit reaches pool workers only through fork")
+def test_a_dead_pool_worker_is_a_tuning_error_that_blames_no_family(tmp_path, capsys,
+                                                                    monkeypatch):
+    # NB's fit kills its pool worker; DT's groups, pending or running then,
+    # did not fail, and the run must not say they did
+    test_process, real_fit = os.getpid(), GaussianNaiveBayes.fit
+
+    def dying_fit(self, X, y):
+        if os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_fit(self, X, y)
+
+    monkeypatch.setattr(GaussianNaiveBayes, "fit", dying_fit)
+    monkeypatch.setattr(tuner_module.os, "cpu_count", lambda: 2)
+    config_path, doc = _small_config(tmp_path)
+    doc["tuner"]["workers"] = 2
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config_path)]) == EXIT_TUNING
+    err = capsys.readouterr().err
+    assert "tuning error: a pool worker process died" in err
+    assert "family" not in err and "DT" not in err and "NB" not in err
     assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
