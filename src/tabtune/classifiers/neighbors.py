@@ -6,6 +6,10 @@ import numpy as np
 
 from . import kernels
 
+#: Cells of a distance matrix's row block, at most (unless one row has more):
+#: a bound on the whole-matrix temporaries of a ranking.
+_BLOCK_CELLS = 1 << 16
+
 
 class KNearestNeighbors:
     """Stores the training matrix; votes among the k nearest rows.
@@ -53,12 +57,13 @@ class KNearestNeighbors:
             # block kept glibc malloc from returning them (+3.3 MB peak RSS
             # on a 2000-row search)
             queries = X.copy()
-            d2 = (
-                (X * X).sum(axis=1)[:, None]
-                + (self.X_ * self.X_).sum(axis=1)[None, :]
-                - kernels.matmul(2.0 * X, self.X_.T)
-            )
-            np.maximum(d2, 0.0, out=d2)
+            sq_q, sq_f = (X * X).sum(axis=1), (self.X_ * self.X_).sum(axis=1)
+            # the product is the one whole matrix; each row block becomes
+            # (|x|^2 + |y|^2) - 2x.y in place, with the same two roundings
+            d2 = kernels.matmul(2.0 * X, self.X_.T)
+            for rows in _row_blocks(d2):
+                np.subtract(sq_q[rows, None] + sq_f[None, :], d2[rows], out=d2[rows])
+                np.maximum(d2[rows], 0.0, out=d2[rows])
             ranking = _k_nearest(d2, self.depth_)
             ranking.setflags(write=False)  # every model read off this fit reads it
             self.ranked_[:] = queries, ranking
@@ -99,9 +104,12 @@ def _k_nearest(d2, k):
     Equals ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
     whole rows: a partition finds the k-th smallest value, every entry below
     it is taken, and entries equal to it are taken lowest index first. Only
-    rows with more than k candidates pay for that tie-break.
+    rows with more than k candidates pay for that tie-break. The partition
+    copies one row block at a time, not the whole matrix.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    kth = np.empty((len(d2), 1))
+    for rows in _row_blocks(d2):
+        kth[rows] = np.partition(d2[rows], k - 1, axis=1)[:, k - 1 : k]
     chosen = d2 <= kth
     # NaN sorts after every number: when the k-th value is NaN, all of the
     # row's numbers rank first and its NaNs tie for the remaining places.
@@ -117,3 +125,11 @@ def _k_nearest(d2, k):
     cols = np.nonzero(chosen)[1].reshape(len(d2), k)
     order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
+
+
+def _row_blocks(d2):
+    """Slices of consecutive rows of ``d2``, ``_BLOCK_CELLS`` cells at most
+    unless one row has more."""
+    n, m = d2.shape
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tabtune.classifiers import (
     accuracy,
     default_config,
     hp_schema,
+    kernels,
     predict,
     train,
 )
@@ -697,7 +699,10 @@ def test_knn_k1_copies_nearest_label():
     assert model.predict(np.array([[9.0]]))[0] == 1
 
 
-def test_knn_matches_brute_force_oracle():
+@pytest.mark.parametrize("block_cells", [neighbors_module._BLOCK_CELLS, 1],
+                         ids=["default_blocks", "one_row_blocks"])
+def test_knn_matches_brute_force_oracle(monkeypatch, block_cells):
+    monkeypatch.setattr(neighbors_module, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(17)
     for trial in range(50):
         n = int(rng.integers(5, 200))
@@ -898,6 +903,80 @@ def test_a_deeper_ranking_with_nan_entries_holds_every_shallower_one():
         assert np.array_equal(deep, np.argsort(d2, axis=1, kind="stable")[:, :depth])
         for k in range(1, depth + 1):
             assert np.array_equal(deep[:, :k], _k_nearest(d2, k)), (depth, k)
+
+
+def _blocked_rankings(monkeypatch, block_cells, X, y, queries, k):
+    """The assembled distance matrix, the ranking and both weightings'
+    predictions of a fresh fit, with ``_BLOCK_CELLS`` set to ``block_cells``."""
+    monkeypatch.setattr(neighbors_module, "_BLOCK_CELLS", block_cells)
+    seen = []
+
+    def recorded(d2, depth):
+        seen.append(d2.copy())
+        return real(d2, depth)
+
+    real = neighbors_module._k_nearest
+    monkeypatch.setattr(neighbors_module, "_k_nearest", recorded)
+    ranking = KNearestNeighbors(n_neighbors=k).fit(X, y)._ranking(queries)
+    votes = [KNearestNeighbors(n_neighbors=k, weighting=weighting).fit(X, y).predict(queries)
+             for weighting in ("uniform", "distance")]
+    monkeypatch.undo()
+    return seen[0], ranking, votes
+
+
+def test_knn_ranks_in_row_blocks_with_the_bits_of_the_whole_matrix(monkeypatch):
+    # 1-row blocks, and 3-row blocks over 20 queries (the last holds 2), give
+    # the default bound's distances, rankings and votes bit for bit; those
+    # distances are the one-expression (|x|^2 + |y|^2) - 2x.y, floored at 0
+    rng = np.random.default_rng(64)
+    grid = rng.integers(0, 3, size=(50, 3)).astype(float)[rng.integers(0, 50, 50)]
+    tied = (grid, np.vstack([grid[:10], rng.integers(-1, 4, size=(10, 3)).astype(float)]))
+    scaled = (rng.normal(0.0, 3.0, size=(50, 3)), rng.normal(0.0, 3.0, size=(20, 3)))
+    for X, queries in (tied, scaled):
+        y = rng.integers(0, 2, len(X))
+        whole = (queries * queries).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :]
+        expected = np.maximum(whole - kernels.matmul(2.0 * queries, X.T), 0.0)
+        for k in (1, 7, 50):
+            d2, ranking, votes = _blocked_rankings(
+                monkeypatch, neighbors_module._BLOCK_CELLS, X, y, queries, k)
+            assert _same_bits(d2, expected)
+            for block_cells in (1, 3 * len(X)):
+                got = _blocked_rankings(monkeypatch, block_cells, X, y, queries, k)
+                assert _same_bits(got[0], d2), (block_cells, k)
+                assert np.array_equal(got[1], ranking), (block_cells, k)
+                assert all(np.array_equal(a, b) for a, b in zip(got[2], votes))
+    # matrices with NaN entries: the k-th value, and so the ranking, per block
+    d2 = rng.integers(0, 3, size=(20, 16)).astype(float)
+    for row in range(20):
+        d2[row, rng.permutation(16)[:row % 17]] = np.nan
+    for depth in range(1, 17):
+        ranking = _k_nearest(d2, depth)
+        for block_cells in (1, 3 * 16):
+            monkeypatch.setattr(neighbors_module, "_BLOCK_CELLS", block_cells)
+            assert np.array_equal(_k_nearest(d2, depth), ranking), (block_cells, depth)
+        monkeypatch.undo()
+
+
+def test_a_knn_prediction_holds_one_distance_matrix_at_a_time():
+    # the product is the one whole float matrix: its assembly and the k-th
+    # value partition work in row blocks, beside a 1-byte-per-cell mask
+    rng = np.random.default_rng(65)
+    n_eval, n_fit = 300, 2000
+    model = KNearestNeighbors(n_neighbors=23).fit(rng.normal(size=(n_fit, 18)),
+                                                  rng.integers(0, 2, n_fit))
+    queries = rng.normal(size=(n_eval, 18))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        model.predict(queries)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1.3 * n_eval * n_fit * 8, peak / (n_eval * n_fit * 8)
 
 
 def _counting_k_nearest(monkeypatch):
